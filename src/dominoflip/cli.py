@@ -21,7 +21,7 @@ from .diameter import (diameter_aztec_closed, diameter_levels,
                        diameter_of_graph, diameter_rectangle_closed)
 from .errors import (DominoError, ResourceLimitError, UnsupportedRegionError,
                      UntileableError)
-from .filling import export_voxels, filling_shape
+from .filling import export_voxels, filling_shape, voxels_to_json
 from .flipgraph import (DEFAULT_NODE_BUDGET, bfs_distance, build_flip_graph,
                         connected_components, export_graph)
 from .height import distance_height, extremal_tilings, geodesic
@@ -195,8 +195,7 @@ def cmd_components(args) -> int:
 def cmd_render(args) -> int:
     shape = ShapeSpec(args.shape)
     region = shape.region
-    options = RenderOptions(mode=args.mode, cell_size=args.cell_size,
-                            output_path=args.out)
+    options = RenderOptions(mode=args.mode, cell_size=args.cell_size)
     t1 = _load_tiling(args.t1, region)
     t2 = _load_tiling(args.t2, region) if args.t2 else None
     svg = render(region, options, t1, t2)
@@ -234,9 +233,7 @@ def cmd_export(args) -> int:
         if args.what == "cycles":
             data = cycles_to_json(cycle_collection(region, t1, t2))
         else:
-            shape3d = filling_shape(region, t1, t2)
-            data = {"voxels": [[x, y, z]
-                               for x, y, z in export_voxels(shape3d)]}
+            data = voxels_to_json(export_voxels(filling_shape(region, t1, t2)))
         payload = json.dumps(data) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

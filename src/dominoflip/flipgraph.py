@@ -7,7 +7,6 @@ rather than comparing tilings pairwise.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ResourceLimitError
@@ -39,7 +38,7 @@ def build_flip_graph(region: Region,
     if total > budget:
         raise ResourceLimitError(
             f"flip graph would have {total} nodes, budget is {budget}")
-    nodes = enumerate_tilings(region)
+    nodes = enumerate_tilings(region) if total else []
     index = {t: i for i, t in enumerate(nodes)}
     adjacency = [sorted(index[apply_flip(region, t, anchor)]
                         for anchor in available_flips(region, t))
@@ -47,19 +46,26 @@ def build_flip_graph(region: Region,
     return FlipGraph(region, nodes, adjacency, index)
 
 
+def _bfs(graph: FlipGraph, source: int, dist: list[int | None]) -> list[int]:
+    """Breadth-first search from source through nodes whose dist entry
+    is None, filling in their distances; returns the nodes reached, in
+    visiting order."""
+    dist[source] = 0
+    reached = [source]
+    for u in reached:  # the list grows behind the loop, as a FIFO queue
+        for v in graph.adjacency[u]:
+            if dist[v] is None:
+                dist[v] = dist[u] + 1
+                reached.append(v)
+    return reached
+
+
 def bfs_distances(graph: FlipGraph, source: int) -> list[int | None]:
     """Unweighted distances from a node; None marks other components."""
     if not 0 <= source < len(graph.nodes):
         raise IndexError(f"node index {source} out of range")
     dist: list[int | None] = [None] * len(graph.nodes)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.adjacency[u]:
-            if dist[v] is None:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    _bfs(graph, source, dist)
     return dist
 
 
@@ -72,23 +78,10 @@ def bfs_distance(graph: FlipGraph, i: int, j: int) -> int | None:
 
 def connected_components(graph: FlipGraph) -> list[list[int]]:
     """Node partition, components ordered by smallest member."""
-    seen = [False] * len(graph.nodes)
-    components: list[list[int]] = []
-    for start in range(len(graph.nodes)):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        components.append(sorted(comp))
-    return components
+    # one list for every search keeps the whole partition linear
+    seen: list[int | None] = [None] * len(graph.nodes)
+    return [sorted(_bfs(graph, start, seen))
+            for start in range(len(graph.nodes)) if seen[start] is None]
 
 
 def _edge_list(graph: FlipGraph) -> list[tuple[int, int]]:

@@ -19,73 +19,20 @@ pointwise max and back down.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
+from typing import Callable
 
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
                      UntileableError)
-from .surface import Region, Vertex, is_black, is_simply_connected
-from .tiling import (Domino, Tiling, apply_flip, available_flips, domino,
-                     first_tiling, is_valid_tiling)
+from .surface import Region, Vertex, is_simply_connected
+from .tiling import (Tiling, apply_flip, available_flips, first_tiling,
+                     is_valid_tiling)
 
 HeightValues = dict[Vertex, int]
-
-EdgeInfo = tuple[Vertex, int, Domino | None]  # neighbor, sign of u->nb, crossing pair
 
 
 def base_vertex(region: Region) -> Vertex:
     """The canonical base: lexicographically smallest boundary vertex."""
     return min(region.boundary_vertices)
-
-
-def _edge_sign(region: Region, u: Vertex, v: Vertex) -> int:
-    """+1 when u -> v is the positive traversal (black cell on the right)."""
-    dx, dy = v[0] - u[0], v[1] - u[1]
-    if dx == 1:
-        right, left = (u[0], u[1] - 1), (u[0], u[1])
-    elif dx == -1:
-        right, left = (v[0], v[1]), (v[0], v[1] - 1)
-    elif dy == 1:
-        right, left = (u[0], u[1]), (u[0] - 1, u[1])
-    else:
-        right, left = (v[0] - 1, v[1]), (v[0], v[1])
-    if right in region.cells:
-        return 1 if is_black(right) else -1
-    return -1 if is_black(left) else 1
-
-
-def _flank_pair(region: Region, u: Vertex, v: Vertex):
-    """The domino that would cross edge {u, v}, or None on the boundary."""
-    if u[1] == v[1]:
-        x = min(u[0], v[0])
-        a, b = (x, u[1] - 1), (x, u[1])
-    else:
-        y = min(u[1], v[1])
-        a, b = (u[0] - 1, y), (u[0], y)
-    if a in region.cells and b in region.cells:
-        return domino(a, b)
-    return None
-
-
-@lru_cache(maxsize=None)
-def _vertex_adjacency(region: Region) -> dict[Vertex, tuple[EdgeInfo, ...]]:
-    """Per vertex: (neighbor, orientation sign, crossing domino) triples."""
-    adj: dict[Vertex, list[EdgeInfo]] = {v: [] for v in region.vertex_set}
-    seen: set[tuple[Vertex, Vertex]] = set()
-    for cell in region.cells:
-        x, y = cell
-        corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
-        for i in range(4):
-            u, v = corners[i], corners[(i + 1) % 4]
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            a, b = key
-            sign = _edge_sign(region, a, b)
-            flank = _flank_pair(region, a, b)
-            adj[a].append((b, sign, flank))
-            adj[b].append((a, -sign, flank))
-    return {v: tuple(edges) for v, edges in adj.items()}
 
 
 def height_function(region: Region, tiling: Tiling) -> HeightValues:
@@ -95,7 +42,7 @@ def height_function(region: Region, tiling: Tiling) -> HeightValues:
             "height labels need a simply connected region")
     if not is_valid_tiling(region, tiling):
         raise ValueError("not a valid tiling of the region")
-    adj = _vertex_adjacency(region)
+    adj = region.vertex_edges
     base = base_vertex(region)
     values: HeightValues = {base: 0}
     queue = deque([base])
@@ -116,7 +63,7 @@ def height_function(region: Region, tiling: Tiling) -> HeightValues:
 
 def _check_edge_rules(region: Region, tiling: Tiling, values: HeightValues) -> None:
     """Every positively traversed edge must step by +1 (free) or -3 (crossed)."""
-    for u, edges in _vertex_adjacency(region).items():
+    for u, edges in region.vertex_edges.items():
         for v, sign, flank in edges:
             if sign != 1:
                 continue
@@ -142,7 +89,7 @@ def tiling_from_height(region: Region, values: HeightValues) -> Tiling:
     if set(values) != set(region.vertex_set):
         raise InvalidHeightError("labels must cover exactly the region vertices")
     dominoes: set = set()
-    for u, edges in _vertex_adjacency(region).items():
+    for u, edges in region.vertex_edges.items():
         for v, sign, flank in edges:
             if sign != 1:
                 continue
@@ -177,26 +124,37 @@ def meet(region: Region, t1: Tiling, t2: Tiling) -> Tiling:
 def _anchor_value(region: Region, tiling: Tiling, values: HeightValues,
                   anchor: Vertex) -> int:
     """Height at the anchor read off one neighbor through the new tiling."""
-    v, sign, flank = _vertex_adjacency(region)[anchor][0]
+    v, sign, flank = region.vertex_edges[anchor][0]
     step = -3 if (flank is not None and flank in tiling) else 1
     return values[v] - sign * step
 
 
-def _monotone_sweep(region: Region, tiling: Tiling, direction: int) -> Tiling:
-    """Apply height-raising (direction=+1) or -lowering flips until stuck,
-    rescanning anchors lexicographically after every move."""
-    values = height_function(region, tiling)
-    current = tiling
+def _walk(region: Region, tiling: Tiling, values: HeightValues,
+          goal: Callable[[Vertex, int], int], moves: list[Vertex]) -> Tiling:
+    """Flip at the lexicographically smallest available anchor whose
+    label moves the way the sign of goal(anchor, label) says, rescanning
+    after every move, until no anchor does.  Updates values in place and
+    appends each flipped anchor to moves."""
     while True:
-        for anchor in available_flips(region, current):
-            flipped = apply_flip(region, current, anchor)
+        for anchor in available_flips(region, tiling):
+            want = goal(anchor, values[anchor])
+            if not want:
+                continue
+            flipped = apply_flip(region, tiling, anchor)
             new_value = _anchor_value(region, flipped, values, anchor)
-            if (new_value - values[anchor]) * direction > 0:
-                current = flipped
+            if (new_value - values[anchor]) * want > 0:
+                tiling = flipped
                 values[anchor] = new_value
+                moves.append(anchor)
                 break
         else:
-            return current
+            return tiling
+
+
+def _monotone_sweep(region: Region, tiling: Tiling, direction: int) -> Tiling:
+    """Apply height-raising (direction=+1) or -lowering flips until stuck."""
+    return _walk(region, tiling, height_function(region, tiling),
+                 lambda anchor, label: direction, [])
 
 
 def extremal_tilings(region: Region) -> tuple[Tiling, Tiling]:
@@ -225,20 +183,10 @@ def geodesic(region: Region, t1: Tiling, t2: Tiling) -> list[Vertex]:
     current = t1
     values = dict(h1)
     for target in (mid, h2):
-        while values != target:
-            for anchor in available_flips(region, current):
-                have, want = values[anchor], target[anchor]
-                if have == want:
-                    continue
-                flipped = apply_flip(region, current, anchor)
-                new_value = _anchor_value(region, flipped, values, anchor)
-                if (new_value - have) * (want - have) > 0:
-                    current = flipped
-                    values[anchor] = new_value
-                    moves.append(anchor)
-                    break
-            else:
-                raise DominoError("geodesic search stalled; inputs inconsistent")
+        current = _walk(region, current, values,
+                        lambda anchor, label: target[anchor] - label, moves)
+        if values != target:
+            raise DominoError("geodesic search stalled; inputs inconsistent")
     return moves
 
 
@@ -254,7 +202,7 @@ def height_from_json(data: object) -> HeightValues:
     values: HeightValues = {}
     for item in data["values"]:
         if (not isinstance(item, (list, tuple)) or len(item) != 3
-                or not all(isinstance(c, int) for c in item)):
+                or not all(type(c) is int for c in item)):
             raise ValueError(f"bad height entry {item!r}")
         values[(item[0], item[1])] = item[2]
     return values

@@ -21,7 +21,6 @@ NEGATIVE = "#d73a49"
 class RenderOptions:
     mode: str = "tiling"  # tiling | cycles | filling
     cell_size: int = 24
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.cell_size <= 0:

@@ -28,6 +28,7 @@ from typing import Iterable
 
 Cell = tuple[int, int]
 Vertex = tuple[int, int]
+EdgeInfo = tuple[Vertex, int, tuple[Cell, Cell] | None]
 
 DUAL_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -46,6 +47,36 @@ def cells_around(vertex: Vertex) -> tuple[Cell, Cell, Cell, Cell]:
     """The four cell slots around a lattice vertex: ll, lr, ul, ur."""
     x, y = vertex
     return ((x - 1, y - 1), (x, y - 1), (x - 1, y), (x, y))
+
+
+def _edge_sign(cells: frozenset[Cell], u: Vertex, v: Vertex) -> int:
+    """+1 when u -> v is the positive traversal (black cell on the right)."""
+    dx, dy = v[0] - u[0], v[1] - u[1]
+    if dx == 1:
+        right, left = (u[0], u[1] - 1), (u[0], u[1])
+    elif dx == -1:
+        right, left = (v[0], v[1]), (v[0], v[1] - 1)
+    elif dy == 1:
+        right, left = (u[0], u[1]), (u[0] - 1, u[1])
+    else:
+        right, left = (v[0] - 1, v[1]), (v[0], v[1])
+    if right in cells:
+        return 1 if is_black(right) else -1
+    return -1 if is_black(left) else 1
+
+
+def _flank_pair(cells: frozenset[Cell], u: Vertex, v: Vertex):
+    """The domino that would cross edge {u, v}, or None on the boundary.
+    Its cells come out in canonical (lexicographic) order."""
+    if u[1] == v[1]:
+        x = min(u[0], v[0])
+        a, b = (x, u[1] - 1), (x, u[1])
+    else:
+        y = min(u[1], v[1])
+        a, b = (u[0] - 1, y), (u[0], y)
+    if a in cells and b in cells:
+        return (a, b)
+    return None
 
 
 class Region:
@@ -88,6 +119,40 @@ class Region:
     @cached_property
     def boundary_vertices(self) -> frozenset[Vertex]:
         return self.vertex_set - self.interior_vertices
+
+    @cached_property
+    def flip_blocks(self) -> dict[Vertex, tuple[frozenset, frozenset]]:
+        """Per interior vertex, in sorted order: the horizontal and the
+        vertical domino pair of the 2x2 block around it."""
+        blocks = {}
+        for v in sorted(self.interior_vertices):
+            ll, lr, ul, ur = cells_around(v)
+            blocks[v] = (frozenset({(ll, lr), (ul, ur)}),
+                         frozenset({(ll, ul), (lr, ur)}))
+        return blocks
+
+    @cached_property
+    def vertex_edges(self) -> dict[Vertex, tuple[EdgeInfo, ...]]:
+        """Per vertex: (neighbor, orientation sign, crossing domino)
+        triples.  The sign is +1 when vertex -> neighbor keeps the black
+        cell on the right; the domino is None on the boundary."""
+        adj: dict[Vertex, list[EdgeInfo]] = {v: [] for v in self.vertex_set}
+        seen: set[tuple[Vertex, Vertex]] = set()
+        for cell in self.cells:
+            x, y = cell
+            corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
+            for i in range(4):
+                u, v = corners[i], corners[(i + 1) % 4]
+                key = (u, v) if u < v else (v, u)
+                if key in seen:
+                    continue
+                seen.add(key)
+                a, b = key
+                sign = _edge_sign(self.cells, a, b)
+                flank = _flank_pair(self.cells, a, b)
+                adj[a].append((b, sign, flank))
+                adj[b].append((a, -sign, flank))
+        return {v: tuple(edges) for v, edges in adj.items()}
 
     @cached_property
     def bounds(self) -> tuple[int, int, int, int]:
@@ -284,7 +349,7 @@ def region_from_json(data: object) -> Region:
     cells = []
     for item in raw:
         if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or not all(isinstance(c, int) for c in item)):
+                or not all(type(c) is int for c in item)):
             raise ValueError(f"bad cell entry {item!r}: expected [x, y] integers")
         cells.append((item[0], item[1]))
     return make_from_cells(cells)

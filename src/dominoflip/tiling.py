@@ -2,7 +2,10 @@
 
 A domino is a dual edge, stored as its two cells in lexicographic
 order, and a tiling is a frozenset of dominoes covering every cell of
-the region exactly once.
+the region exactly once.  A flip is then a set operation: when a 2x2
+block holds one of its two parallel domino pairs, the flipped tiling is
+the symmetric difference with all four of the block's dominoes
+(``Region.flip_blocks`` lists those pairs per anchor).
 
 Enumeration backtracks on the lexicographically smallest uncovered
 cell, trying its right partner before its upper partner.  That fixes a
@@ -22,7 +25,7 @@ from collections import defaultdict
 from typing import Iterator
 
 from .errors import InvalidMoveError, NumericInstabilityError
-from .surface import Cell, Region, Vertex, cells_around
+from .surface import Cell, Region, Vertex, is_black
 
 Domino = tuple[Cell, Cell]
 Tiling = frozenset  # frozenset[Domino]
@@ -63,8 +66,8 @@ def is_valid_tiling(region: Region, tiling: Tiling) -> bool:
 def iter_tilings(region: Region) -> Iterator[Tiling]:
     """Yield every tiling once, in canonical backtracking order."""
     order = sorted(region.cells)
-    if len(order) % 2:
-        return
+    if 2 * sum(map(is_black, order)) != len(order):
+        return  # every domino covers one black and one white cell
     cells = region.cells
     covered: set[Cell] = set()
     chosen: list[Domino] = []
@@ -177,43 +180,19 @@ def count_aztec_closed_form(n: int) -> int:
     return 2 ** (n * (n + 1) // 2)
 
 
-def _flip_kind(region: Region, partner: dict[Cell, Cell], anchor: Vertex) -> str | None:
-    """'h' if the 2x2 block at anchor holds two horizontal dominoes,
-    'v' for two vertical ones, None when the anchor is not flippable."""
-    ll, lr, ul, ur = cells_around(anchor)
-    if ll not in region.cells or ur not in region.cells:
-        return None
-    if lr not in region.cells or ul not in region.cells:
-        return None
-    if partner.get(ll) == lr and partner.get(ul) == ur:
-        return "h"
-    if partner.get(ll) == ul and partner.get(lr) == ur:
-        return "v"
-    return None
-
-
 def available_flips(region: Region, tiling: Tiling) -> list[Vertex]:
     """Anchors of all 2x2 blocks covered by two parallel dominoes, in
     lexicographic order."""
-    partner = partner_map(tiling)
-    return [v for v in sorted(region.interior_vertices)
-            if _flip_kind(region, partner, v) is not None]
+    return [anchor for anchor, (h, v) in region.flip_blocks.items()
+            if h <= tiling or v <= tiling]
 
 
 def apply_flip(region: Region, tiling: Tiling, anchor: Vertex) -> Tiling:
     """Rotate the 2x2 block at the anchor a quarter turn."""
-    partner = partner_map(tiling)
-    kind = _flip_kind(region, partner, anchor)
-    if kind is None:
+    block = region.flip_blocks.get(anchor)
+    if block is None or not (block[0] <= tiling or block[1] <= tiling):
         raise InvalidMoveError(f"vertex {anchor} is not a flippable anchor")
-    ll, lr, ul, ur = cells_around(anchor)
-    if kind == "h":
-        old = {domino(ll, lr), domino(ul, ur)}
-        new = {domino(ll, ul), domino(lr, ur)}
-    else:
-        old = {domino(ll, ul), domino(lr, ur)}
-        new = {domino(ll, lr), domino(ul, ur)}
-    return frozenset((tiling - old) | new)
+    return tiling ^ block[0] ^ block[1]
 
 
 def tiling_to_json(tiling: Tiling) -> dict:
@@ -231,7 +210,7 @@ def tiling_from_json(data: object) -> Tiling:
     for item in raw:
         if (not isinstance(item, (list, tuple)) or len(item) != 2
                 or not all(isinstance(cell, (list, tuple)) and len(cell) == 2
-                           and all(isinstance(c, int) for c in cell)
+                           and all(type(c) is int for c in cell)
                            for cell in item)):
             raise ValueError(f"bad domino entry {item!r}")
         a, b = (tuple(item[0]), tuple(item[1]))

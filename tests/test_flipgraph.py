@@ -4,7 +4,19 @@ import pytest
 
 from dominoflip import (ResourceLimitError, available_flips, bfs_distance,
                         bfs_distances, build_flip_graph, connected_components,
-                        export_graph, make_holed_square, make_rectangle)
+                        export_graph, make_aztec, make_holed_square,
+                        make_rectangle)
+
+
+def differ_by_one_block(t1, t2):
+    """True when the tilings differ in exactly the four dominoes of one
+    2x2 block, found without any flip machinery."""
+    diff = t1 ^ t2
+    if len(diff) != 4:
+        return False
+    cells = {c for d in diff for c in d}
+    x, y = min(cells)
+    return cells == {(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)}
 
 
 class TestBuild:
@@ -37,6 +49,15 @@ class TestBuild:
         g = build_flip_graph(r)
         for i, t in enumerate(g.nodes):
             assert len(g.adjacency[i]) == len(available_flips(r, t))
+
+    @pytest.mark.parametrize("region", [
+        make_rectangle(4, 4), make_aztec(3), make_holed_square(5),
+    ])
+    def test_adjacency_matches_pairwise_oracle(self, region):
+        g = build_flip_graph(region)
+        expected = [[j for j, other in enumerate(g.nodes)
+                     if differ_by_one_block(t, other)] for t in g.nodes]
+        assert g.adjacency == expected
 
     def test_budget_enforced(self):
         with pytest.raises(ResourceLimitError):

@@ -74,6 +74,17 @@ class TestHeightFunction:
             for v, value in h.items():
                 assert value % 4 == reference[v] % 4
 
+    def test_region_caches_die_with_region(self):
+        import gc
+        import weakref
+        # cells no other test uses, so no equal region is cached already
+        r = make_from_cells((x + 1000, y) for x in range(4) for y in range(3))
+        height_function(r, enumerate_tilings(r)[0])
+        ref = weakref.ref(r)
+        del r
+        gc.collect()
+        assert ref() is None
+
 
 class TestDistance:
     def test_zero_on_equal(self):
@@ -227,6 +238,8 @@ class TestJson:
         from dominoflip.height import height_from_json
         with pytest.raises(ValueError):
             height_from_json({"values": [[0, 0]]})
+        with pytest.raises(ValueError):
+            height_from_json({"values": [[0, 0, True]]})
 
 
 class TestFlipLocality:

@@ -177,6 +177,7 @@ class TestJson:
 
     @pytest.mark.parametrize("data", [
         {}, {"cells": []}, {"cells": [[0]]}, {"cells": [[0, "a"]]}, [1, 2],
+        {"cells": [[True, False], [False, False]]},
     ])
     def test_rejects_malformed(self, data):
         with pytest.raises(ValueError):

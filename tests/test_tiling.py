@@ -164,6 +164,11 @@ class TestFlips:
         r = make_rectangle(2, 2)
         with pytest.raises(InvalidMoveError):
             apply_flip(r, upright(2), (0, 0))
+        with pytest.raises(InvalidMoveError):
+            apply_flip(r, upright(2), (5, 5))  # outside the region
+        # interior, but the block holds no parallel pair
+        with pytest.raises(InvalidMoveError):
+            apply_flip(make_rectangle(4, 2), brick(4), (2, 1))
 
     @given(cells_strategy, st.data())
     def test_flips_preserve_validity(self, cells, data):
@@ -187,6 +192,7 @@ class TestJson:
 
     @pytest.mark.parametrize("data", [
         {}, {"dominoes": [[0, 1]]}, {"dominoes": [[[0, 0], [0]]]}, 7,
+        {"dominoes": [[[0, 0], [True, 0]]]},
     ])
     def test_rejects_malformed(self, data):
         with pytest.raises(ValueError):
