@@ -22,8 +22,8 @@ from .diameter import (diameter_aztec_closed, diameter_levels,
 from .errors import (DominoError, ResourceLimitError, UnsupportedRegionError,
                      UntileableError)
 from .filling import export_voxels, filling_shape, voxels_to_json
-from .flipgraph import (DEFAULT_NODE_BUDGET, bfs_distance, build_flip_graph,
-                        connected_components, export_graph)
+from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, bfs_distance,
+                        build_flip_graph, connected_components, export_graph)
 from .height import distance_height, extremal_tilings, geodesic
 from .render import RenderOptions, render
 from .surface import (Region, make_aztec, make_holed_square, make_rectangle,
@@ -182,9 +182,16 @@ def cmd_diameter(args) -> int:
     return 0
 
 
+def _tileable_graph(region: Region, budget: int) -> FlipGraph:
+    graph = build_flip_graph(region, budget)
+    if not graph.nodes:
+        raise UntileableError("region is untileable")
+    return graph
+
+
 def cmd_components(args) -> int:
     shape = ShapeSpec(args.shape)
-    graph = build_flip_graph(shape.region, args.budget)
+    graph = _tileable_graph(shape.region, args.budget)
     components = connected_components(graph)
     sizes = [len(c) for c in components]
     _emit(args, "components", {"components": len(components), "sizes": sizes},
@@ -225,7 +232,7 @@ def cmd_export(args) -> int:
     shape = ShapeSpec(args.shape)
     region = shape.region
     if args.what == "graph":
-        text = export_graph(build_flip_graph(region, args.budget), args.format)
+        text = export_graph(_tileable_graph(region, args.budget), args.format)
         payload = text
     else:
         t1 = _load_tiling(args.t1, region)

@@ -1,4 +1,9 @@
-"""Flip-graph diameters: exhaustive search, level sums, closed forms.
+"""Flip-graph diameters: graph search, level sums, closed forms.
+
+The search is exact and uses nothing but the graph: breadth-first
+searches from a few tilings bound every tiling's eccentricity from both
+sides until the bounds pin the diameter, so it needs a handful of
+searches rather than one per tiling.
 
 The level sum over all region vertices bounds every flip distance from
 above (no column of a filling shape can exceed its vertex's level) and
@@ -27,28 +32,57 @@ class DiameterReport:
 
 def diameter_bfs(region: Region,
                  budget: int = DEFAULT_NODE_BUDGET) -> DiameterReport:
-    """Exact diameter by breadth-first search from every tiling."""
+    """Exact diameter by eccentricity-bounded breadth-first search."""
     graph = build_flip_graph(region, budget)
     return diameter_of_graph(graph)
 
 
 def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
-    """Exact diameter of an already built flip graph."""
-    if not graph.nodes:
+    """Exact diameter of an already built flip graph.
+
+    Every node keeps a lower and an upper bound on its eccentricity.  A
+    search from v with eccentricity e gives each w the bounds
+    max(d, e - d) and e + d, d = d(v, w), by the triangle inequality.
+    Sources alternate between the unsettled node with the largest upper
+    bound and the one with the smallest lower bound, ties going to the
+    higher degree, until the largest lower and upper bounds meet (Takes
+    and Kosters 2011).  The realizers are those of an all-pairs scan:
+    the smallest node whose eccentricity is the diameter, and the
+    smallest node that far from it.
+    """
+    n = len(graph.nodes)
+    if not n:
         raise UntileableError("region has no tiling")
-    best = 0
-    pair = (0, 0)
-    for i in range(len(graph.nodes)):
-        dist = bfs_distances(graph, i)
-        for j, d in enumerate(dist):
-            if d is None:
+    rows: dict[int, list[int]] = {}
+
+    def row(source: int) -> list[int]:
+        if source not in rows:
+            dist = bfs_distances(graph, source)
+            if None in dist:
                 raise DominoError(
                     "flip graph is disconnected; diameter undefined")
-            if d > best:
-                best = d
-                pair = (i, j)
-    return DiameterReport(best, "bfs",
-                          (graph.nodes[pair[0]], graph.nodes[pair[1]]))
+            rows[source] = dist
+        return rows[source]
+
+    degree = [len(nbs) for nbs in graph.adjacency]
+    lo = [0] * n
+    hi = [n] * n  # every eccentricity is below the node count
+    widest = True
+    while max(lo) < max(hi):
+        unsettled = [w for w in range(n) if lo[w] < hi[w]]
+        if widest:
+            source = min(unsettled, key=lambda w: (-hi[w], -degree[w]))
+        else:
+            source = min(unsettled, key=lambda w: (lo[w], -degree[w]))
+        widest = not widest
+        dist = row(source)
+        e = max(dist)
+        lo = [max(low, d, e - d) for low, d in zip(lo, dist)]
+        hi = [min(high, e + d) for high, d in zip(hi, dist)]
+    best = max(lo)
+    i = next(i for i in range(n) if hi[i] >= best and max(row(i)) == best)
+    pair = (graph.nodes[i], graph.nodes[rows[i].index(best)])
+    return DiameterReport(best, "bfs", pair)
 
 
 def diameter_levels(region: Region) -> int:

@@ -121,12 +121,12 @@ def meet(region: Region, t1: Tiling, t2: Tiling) -> Tiling:
     return tiling_from_height(region, {v: min(h1[v], h2[v]) for v in h1})
 
 
-def _anchor_value(region: Region, tiling: Tiling, values: HeightValues,
-                  anchor: Vertex) -> int:
-    """Height at the anchor read off one neighbor through the new tiling."""
-    v, sign, flank = region.vertex_edges[anchor][0]
-    step = -3 if (flank is not None and flank in tiling) else 1
-    return values[v] - sign * step
+def _flip_step(region: Region, tiling: Tiling, anchor: Vertex) -> int:
+    """How a flip at the anchor moves its label: +4 when the block holds
+    its vertical pair and the anchor's coordinate sum is even, or its
+    horizontal pair and the sum is odd; -4 otherwise."""
+    vertical = region.flip_blocks[anchor][1] <= tiling
+    return 4 if vertical == (sum(anchor) % 2 == 0) else -4
 
 
 def _walk(region: Region, tiling: Tiling, values: HeightValues,
@@ -137,14 +137,10 @@ def _walk(region: Region, tiling: Tiling, values: HeightValues,
     appends each flipped anchor to moves."""
     while True:
         for anchor in available_flips(region, tiling):
-            want = goal(anchor, values[anchor])
-            if not want:
-                continue
-            flipped = apply_flip(region, tiling, anchor)
-            new_value = _anchor_value(region, flipped, values, anchor)
-            if (new_value - values[anchor]) * want > 0:
-                tiling = flipped
-                values[anchor] = new_value
+            step = _flip_step(region, tiling, anchor)
+            if step * goal(anchor, values[anchor]) > 0:
+                tiling = apply_flip(region, tiling, anchor)
+                values[anchor] += step
                 moves.append(anchor)
                 break
         else:

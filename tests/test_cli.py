@@ -12,6 +12,15 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def mutilated_board(tmp_path):
+    """The 8x8 board without two opposite corners, as a file: shape."""
+    board = make_from_cells([(x, y) for x in range(8) for y in range(8)
+                             if (x, y) not in ((0, 0), (7, 7))])
+    path = tmp_path / "mutilated.json"
+    path.write_text(json.dumps(region_to_json(board)))
+    return f"file:{path}"
+
+
 class TestCount:
     @pytest.mark.parametrize("shape,expected", [
         ("aztec:3", "64"), ("rect:10x2", "89"), ("holed-square:3", "2"),
@@ -28,11 +37,8 @@ class TestCount:
         assert out.split() == ["12988816", "12988816"]
 
     def test_untileable_prints_zero_and_exits_2(self, capsys, tmp_path):
-        board = make_from_cells([(x, y) for x in range(8) for y in range(8)
-                                 if (x, y) not in ((0, 0), (7, 7))])
-        path = tmp_path / "mutilated.json"
-        path.write_text(json.dumps(region_to_json(board)))
-        code, out, err = run(capsys, "count", "--shape", f"file:{path}")
+        code, out, err = run(capsys, "count", "--shape",
+                             mutilated_board(tmp_path))
         assert code == 2
         assert out.strip() == "0"
         assert "untileable" in err
@@ -161,6 +167,13 @@ class TestComponents:
         code, out, _ = run(capsys, "components", "--shape", "holed-square:3")
         assert out.splitlines()[1] == "1 1"
 
+    def test_untileable_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "components", "--shape",
+                             mutilated_board(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: region is untileable\n"
+
 
 class TestRenderAndExtremes:
     def test_extremes_then_render_everything(self, capsys, tmp_path):
@@ -210,6 +223,15 @@ class TestExport:
                            "--what", "graph")
         assert code == 0
         assert out == "graph tilings {\n  0;\n  1;\n  0 -- 1;\n}\n"
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_graph_of_untileable_exits_2(self, capsys, tmp_path, fmt):
+        code, out, err = run(capsys, "export", "--shape",
+                             mutilated_board(tmp_path), "--what", "graph",
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: region is untileable\n"
 
     def test_voxels(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "export", "--shape", "rect:7x4",

@@ -1,9 +1,73 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dominoflip import (DominoError, diameter_aztec_closed, diameter_bfs,
-                        diameter_levels, diameter_rectangle_closed,
-                        diameter_square_closed, is_saturnian, make_aztec,
-                        make_holed_square, make_rectangle)
+import dominoflip.diameter
+from dominoflip import (DominoError, FlipGraph, Region, UntileableError,
+                        bfs_distances, build_flip_graph,
+                        diameter_aztec_closed, diameter_bfs, diameter_levels,
+                        diameter_of_graph, diameter_rectangle_closed,
+                        diameter_square_closed, enumerate_tilings,
+                        is_saturnian, make_aztec, make_holed_square,
+                        make_rectangle)
+
+
+def all_pairs_diameter(graph):
+    """Oracle: one search from every node, keeping the first pair (in
+    index order) that attains each new maximum."""
+    if not graph.nodes:
+        raise UntileableError("region has no tiling")
+    best = 0
+    pair = (0, 0)
+    for i in range(len(graph.nodes)):
+        for j, d in enumerate(bfs_distances(graph, i)):
+            if d is None:
+                raise DominoError(
+                    "flip graph is disconnected; diameter undefined")
+            if d > best:
+                best = d
+                pair = (i, j)
+    return best, (graph.nodes[pair[0]], graph.nodes[pair[1]])
+
+
+def bounded_diameter(graph):
+    report = diameter_of_graph(graph)
+    return report.value, report.realizers
+
+
+def outcome(search, graph):
+    """The search's (value, realizers), or the type and message it raised."""
+    try:
+        return search(graph)
+    except DominoError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def small_graphs(draw):
+    """A random tree on up to 40 nodes plus random extra edges, minus at
+    most one tree edge: mostly connected, sometimes not, with many ties
+    in eccentricity and distance."""
+    n = draw(st.integers(1, 40))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    if n > 1 and draw(st.booleans()):
+        edges.discard(sorted(edges)[draw(st.integers(0, n - 2))])
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=n)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    adjacency = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    nodes = list(range(n))
+    return FlipGraph(None, nodes, [sorted(nbs) for nbs in adjacency],
+                     {v: v for v in nodes})
+
+
+# deleting dominoes from a tiling of the 6x4 box leaves a tileable region
+# whose flip graph (at most 281 nodes) may or may not be connected
+BOX_TILINGS = [sorted(t) for t in enumerate_tilings(make_rectangle(6, 4))]
 
 
 class TestClosedForms:
@@ -62,6 +126,7 @@ class TestBfs:
         (make_rectangle(2, 2), 1),
         (make_rectangle(6, 2), 5),
         (make_aztec(2), 5),
+        (make_rectangle(6, 6), 35),
     ])
     def test_examples(self, region, value):
         report = diameter_bfs(region)
@@ -84,6 +149,44 @@ class TestBfs:
                        make_aztec(1), make_aztec(2), make_aztec(3)):
             assert is_saturnian(region)
             assert diameter_bfs(region).value == diameter_levels(region)
+
+    @pytest.mark.parametrize("region", [
+        make_rectangle(4, 4), make_rectangle(7, 4), make_rectangle(2, 14),
+        make_aztec(3), make_rectangle(1, 1), make_holed_square(3),
+    ], ids=["4x4", "7x4", "2x14", "aztec3", "untileable", "disconnected"])
+    def test_matches_all_pairs_oracle(self, region):
+        graph = build_flip_graph(region)
+        assert (outcome(bounded_diameter, graph)
+                == outcome(all_pairs_diameter, graph))
+
+    @given(st.sampled_from(BOX_TILINGS),
+           st.sets(st.integers(0, 11), max_size=4))
+    def test_random_regions_match_all_pairs_oracle(self, tiling, removed):
+        cells = {c for k, d in enumerate(tiling) if k not in removed
+                 for c in d}
+        graph = build_flip_graph(Region(cells))
+        assert (outcome(bounded_diameter, graph)
+                == outcome(all_pairs_diameter, graph))
+
+    @given(small_graphs())
+    def test_random_graphs_match_all_pairs_oracle(self, graph):
+        assert (outcome(bounded_diameter, graph)
+                == outcome(all_pairs_diameter, graph))
+
+    @pytest.mark.parametrize("region", [make_rectangle(8, 4), make_aztec(4)],
+                             ids=["8x4", "aztec4"])
+    def test_few_searches(self, region, monkeypatch):
+        graph = build_flip_graph(region)
+        sources = []
+
+        def counting(g, source):
+            sources.append(source)
+            return bfs_distances(g, source)
+
+        monkeypatch.setattr(dominoflip.diameter, "bfs_distances", counting)
+        diameter_of_graph(graph)
+        assert len(sources) == len(set(sources))
+        assert 100 * len(sources) <= len(graph.nodes)
 
     def test_levels_upper_bound_simply_connected(self):
         for region in (make_rectangle(4, 3), make_rectangle(5, 2),

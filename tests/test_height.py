@@ -259,3 +259,17 @@ class TestFlipLocality:
         for v in before:
             if v != anchor:
                 assert after[v] == before[v]
+
+    @pytest.mark.parametrize("region", [
+        make_rectangle(4, 4), make_aztec(3), make_rectangle(5, 4),
+    ], ids=["4x4", "aztec3", "5x4"])
+    def test_flip_direction_read_off_the_block(self, region):
+        # up by 4 when the block holds its vertical pair at an even
+        # anchor or its horizontal pair at an odd one, else down by 4
+        from dominoflip.height import _flip_step
+        for t in enumerate_tilings(region):
+            before = height_function(region, t)
+            for anchor in available_flips(region, t):
+                after = height_function(region, apply_flip(region, t, anchor))
+                assert (after[anchor] - before[anchor]
+                        == _flip_step(region, t, anchor))
