@@ -57,21 +57,9 @@ def height_function(region: Region, tiling: Tiling) -> HeightValues:
                 queue.append(v)
     if len(values) != len(region.vertex_set):
         raise DominoError("height propagation failed to reach every vertex")
-    _check_edge_rules(region, tiling, values)
+    if tiling_from_height(region, values) != tiling:
+        raise DominoError("height labels do not reproduce the tiling")
     return values
-
-
-def _check_edge_rules(region: Region, tiling: Tiling, values: HeightValues) -> None:
-    """Every positively traversed edge must step by +1 (free) or -3 (crossed)."""
-    for u, edges in region.vertex_edges.items():
-        for v, sign, flank in edges:
-            if sign != 1:
-                continue
-            expected = -3 if (flank is not None and flank in tiling) else 1
-            if values[v] - values[u] != expected:
-                raise DominoError(
-                    f"edge rule violated on {u}->{v}: "
-                    f"got {values[v] - values[u]}, expected {expected}")
 
 
 def distance_height(region: Region, t1: Tiling, t2: Tiling) -> int:

@@ -49,20 +49,11 @@ def cells_around(vertex: Vertex) -> tuple[Cell, Cell, Cell, Cell]:
     return ((x - 1, y - 1), (x, y - 1), (x - 1, y), (x, y))
 
 
-def _edge_sign(cells: frozenset[Cell], u: Vertex, v: Vertex) -> int:
-    """+1 when u -> v is the positive traversal (black cell on the right)."""
-    dx, dy = v[0] - u[0], v[1] - u[1]
-    if dx == 1:
-        right, left = (u[0], u[1] - 1), (u[0], u[1])
-    elif dx == -1:
-        right, left = (v[0], v[1]), (v[0], v[1] - 1)
-    elif dy == 1:
-        right, left = (u[0], u[1]), (u[0] - 1, u[1])
-    else:
-        right, left = (v[0] - 1, v[1]), (v[0], v[1])
-    if right in cells:
-        return 1 if is_black(right) else -1
-    return -1 if is_black(left) else 1
+def _edge_sign(u: Vertex, v: Vertex) -> int:
+    """+1 when u -> v is the positive traversal (black cell on the right):
+    exactly when u has an odd coordinate sum and the edge is horizontal,
+    or an even sum and the edge is vertical."""
+    return 1 if ((u[0] + u[1]) % 2 == 1) == (u[1] == v[1]) else -1
 
 
 def _flank_pair(cells: frozenset[Cell], u: Vertex, v: Vertex):
@@ -148,7 +139,7 @@ class Region:
                     continue
                 seen.add(key)
                 a, b = key
-                sign = _edge_sign(self.cells, a, b)
+                sign = _edge_sign(a, b)
                 flank = _flank_pair(self.cells, a, b)
                 adj[a].append((b, sign, flank))
                 adj[b].append((a, -sign, flank))
@@ -227,21 +218,18 @@ def _connected(cells: frozenset[Cell] | set[Cell], seeds: Iterable[Cell]) -> set
 def is_simply_connected(region: Region) -> bool:
     """True when the cells are edge-connected and enclose no hole.
 
-    The hole test flood-fills the complement of the cell set inside the
-    bounding box padded by one: the region is hole-free exactly when
-    every complement cell is reachable from the outside.
+    The union of a connected cell set has Euler characteristic
+    V - E + F = 1 - (number of holes).  With F cells, A edge-adjacent
+    cell pairs and V corner points, E = 4F - A, so the region is
+    hole-free exactly when V - 3F + A == 1.
     """
     cells = region.cells
     start = next(iter(cells))
     if len(_connected(cells, [start])) != len(cells):
         return False
-    x0, y0, x1, y1 = region.bounds
-    box = {(x, y)
-           for x in range(x0 - 1, x1 + 2)
-           for y in range(y0 - 1, y1 + 2)}
-    complement = box - cells
-    outside = _connected(complement, [(x0 - 1, y0 - 1)])
-    return len(outside) == len(complement)
+    adjacent = sum(((x + 1, y) in cells) + ((x, y + 1) in cells)
+                   for x, y in cells)
+    return len(region.vertex_set) - 3 * len(cells) + adjacent == 1
 
 
 @dataclass(frozen=True)

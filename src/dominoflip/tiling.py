@@ -12,10 +12,11 @@ cell, trying its right partner before its upper partner.  That fixes a
 canonical order of tilings which everything downstream reuses (flip
 graph node ids, serialized output), so runs are reproducible.
 
-Counting never enumerates: it sweeps the bounding box cell by cell with
-a broken-profile bitmask recording which cells of the current window
-are already covered, so boards far beyond enumeration range stay exact
-(Python integers keep the counts arbitrary precision).
+Counting never enumerates: it steps through the region's own cells in
+sweep order with a broken-profile bitmask recording which of the next
+cells are already covered, so boards far beyond enumeration range stay
+exact (Python integers keep the counts arbitrary precision) and the
+cost follows the cells, not the bounding box.
 """
 
 from __future__ import annotations
@@ -24,11 +25,16 @@ import math
 from collections import defaultdict
 from typing import Iterator
 
-from .errors import InvalidMoveError, NumericInstabilityError
+from .errors import (InvalidMoveError, NumericInstabilityError,
+                     ResourceLimitError)
 from .surface import Cell, Region, Vertex, is_black
 
 Domino = tuple[Cell, Cell]
 Tiling = frozenset  # frozenset[Domino]
+
+# live profiles count_tilings may hold; refusing square:40 at this cap
+# peaks near 200 MB
+MAX_PROFILE_STATES = 1 << 20
 
 
 def domino(a: Cell, b: Cell) -> Domino:
@@ -68,30 +74,38 @@ def iter_tilings(region: Region) -> Iterator[Tiling]:
     order = sorted(region.cells)
     if 2 * sum(map(is_black, order)) != len(order):
         return  # every domino covers one black and one white cell
-    cells = region.cells
-    covered: set[Cell] = set()
+    index = {cell: i for i, cell in enumerate(order)}
+    # per cell: (partner index, domino), right partner before upper
+    partners = [[(index[p], (cell, p))
+                 for p in ((cell[0] + 1, cell[1]), (cell[0], cell[1] + 1))
+                 if p in index] for cell in order]
+    n = len(order)
+    covered = [False] * n
     chosen: list[Domino] = []
-
-    def extend(start: int) -> Iterator[Tiling]:
-        idx = start
-        while idx < len(order) and order[idx] in covered:
-            idx += 1
-        if idx == len(order):
+    # one frame per chosen domino: [cell index, untried partners, partner]
+    stack = [[0, iter(partners[0]), 0]]
+    while stack:
+        frame = stack[-1]
+        i = frame[0]
+        if len(chosen) == len(stack):  # undo this level's last choice
+            chosen.pop()
+            covered[i] = covered[frame[2]] = False
+        for j, dom in frame[1]:
+            if not covered[j]:
+                break
+        else:
+            stack.pop()
+            continue
+        covered[i] = covered[j] = True
+        chosen.append(dom)
+        frame[2] = j
+        k = i + 1
+        while k < n and covered[k]:
+            k += 1
+        if k == n:
             yield frozenset(chosen)
-            return
-        cell = order[idx]
-        x, y = cell
-        for partner in ((x + 1, y), (x, y + 1)):
-            if partner in cells and partner not in covered:
-                covered.add(cell)
-                covered.add(partner)
-                chosen.append((cell, partner))
-                yield from extend(idx + 1)
-                chosen.pop()
-                covered.discard(cell)
-                covered.discard(partner)
-
-    yield from extend(0)
+        else:
+            stack.append([k, iter(partners[k]), 0])
 
 
 def enumerate_tilings(region: Region) -> list[Tiling]:
@@ -105,45 +119,47 @@ def first_tiling(region: Region) -> Tiling | None:
 
 
 def count_tilings(region: Region) -> int:
-    """Exact number of tilings via a broken-profile bitmask sweep."""
+    """Exact number of tilings via a broken-profile bitmask sweep.
+
+    The sweep runs along the region's narrow axis and visits only its
+    cells.  Bit k of a profile says that the k-th region cell after the
+    current one in sweep order is already covered, so a profile spans
+    at most one row's width of cells however sparse the region is.
+    More than ``MAX_PROFILE_STATES`` live profiles raise
+    ``ResourceLimitError``.
+    """
     cells = region.cells
     if len(cells) % 2:
         return 0
     x0, y0, x1, y1 = region.bounds
     w, h = x1 - x0 + 1, y1 - y0 + 1
     if w <= h:
-        points = [(x - x0, y - y0) for x, y in cells]
+        order = sorted((y - y0) * w + x - x0 for x, y in cells)
     else:
-        # sweep along the narrow axis so the mask stays small
-        points = [(y - y0, x - x0) for x, y in cells]
-        w, h = h, w
-    n = w * h
-    present = bytearray(n)
-    for x, y in points:
-        present[y * w + x] = 1
-    top = 1 << (w - 1)
-    full = (1 << w) - 1
-    start = 0
-    for j in range(w):
-        if not present[j]:
-            start |= 1 << j
-    dp: dict[int, int] = {start: 1}
-    for p in range(n):
-        q = p + w
-        enter = 0 if q < n and present[q] else top
-        vertical_ok = q < n and present[q]
-        last_in_row = (p + 1) % w == 0
+        # sweep along the narrow axis so the profile stays small
+        order = sorted((x - x0) * h + y - y0 for x, y in cells)
+        w = h
+    rank = {p: i for i, p in enumerate(order)}
+    dp: dict[int, int] = {0: 1}
+    for i, p in enumerate(order):
+        right = (p + 1) % w != 0 and p + 1 in rank
+        up = rank.get(p + w)
+        up_bit = 0 if up is None else 1 << (up - i)
         ndp: dict[int, int] = defaultdict(int)
         for mask, ways in dp.items():
             if mask & 1:
-                ndp[(mask >> 1) | enter] += ways
+                ndp[mask >> 1] += ways
             else:
-                if not last_in_row and not (mask & 2):
-                    ndp[((mask | 2) >> 1) | enter] += ways
-                if vertical_ok:
-                    ndp[(mask >> 1) | top] += ways
+                if right and not mask & 2:
+                    ndp[(mask | 2) >> 1] += ways
+                if up_bit:
+                    ndp[(mask | up_bit) >> 1] += ways
         dp = ndp
-    return dp.get(full, 0)
+        if len(dp) > MAX_PROFILE_STATES:
+            raise ResourceLimitError(
+                f"counting needs more than {MAX_PROFILE_STATES} profile states: "
+                f"{len(dp)} after {i + 1} of {len(order)} cells")
+    return dp.get(0, 0)
 
 
 def count_rectangle_closed_form(m: int, n: int) -> int:

@@ -1,9 +1,13 @@
 import json
+import re
 
 import pytest
 
+import dominoflip.tiling
 from dominoflip import region_to_json, make_from_cells
 from dominoflip.cli import main
+
+from conftest import run_capped
 
 
 def run(capsys, *args):
@@ -42,6 +46,24 @@ class TestCount:
         assert code == 2
         assert out.strip() == "0"
         assert "untileable" in err
+
+    def test_state_cap_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(dominoflip.tiling, "MAX_PROFILE_STATES", 1000)
+        code, out, err = run(capsys, "count", "--shape", "rect:16x16")
+        assert code == 4
+        assert out == ""
+        cap, reached = map(int, re.findall(r"\d+", err)[:2])
+        assert cap == 1000 and reached > 1000
+
+    def test_sparse_region_in_bounded_memory(self, tmp_path):
+        # six cells whose bounding box holds about 10^10 cells
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({"cells": [
+            [0, 0], [1, 0], [50000, 0], [50001, 0],
+            [100000, 100000], [100001, 100000]]}))
+        done = run_capped("-m", "dominoflip.cli", "count",
+                          "--shape", f"file:{path}")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
 
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "count", "--shape", "aztec:2", "--json")
@@ -166,6 +188,11 @@ class TestComponents:
     def test_holed_square_3_sizes(self, capsys):
         code, out, _ = run(capsys, "components", "--shape", "holed-square:3")
         assert out.splitlines()[1] == "1 1"
+
+    def test_single_tiling_deeper_than_the_recursion_limit(self, capsys):
+        code, out, _ = run(capsys, "components", "--shape", "rect:2200x1")
+        assert code == 0
+        assert out.split() == ["1", "1"]
 
     def test_untileable_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "components", "--shape",

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,9 +8,41 @@ from dominoflip import (Region, is_black, is_saturnian, is_simply_connected,
                         make_aztec, make_from_cells, make_holed_square,
                         make_rectangle, region_from_json, region_to_json,
                         ring_decomposition)
+from dominoflip.surface import _connected
+
+from conftest import punched_boxes, region_grid, run_capped
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
+
+
+def flood_is_simply_connected(region):
+    """Oracle: edge-connected, and every cell of the bounding box padded
+    by one that is not in the region is reachable from outside."""
+    cells = region.cells
+    if len(_connected(cells, [min(cells)])) != len(cells):
+        return False
+    x0, y0, x1, y1 = region.bounds
+    box = {(x, y) for x in range(x0 - 1, x1 + 2) for y in range(y0 - 1, y1 + 2)}
+    complement = box - cells
+    return len(_connected(complement, [(x0 - 1, y0 - 1)])) == len(complement)
+
+
+def membership_edge_sign(cells, u, v):
+    """Oracle: +1 when the cell on the right of u -> v is black, reading
+    the colour off whichever flanking cell is in the region."""
+    dx, dy = v[0] - u[0], v[1] - u[1]
+    if dx == 1:
+        right, left = (u[0], u[1] - 1), (u[0], u[1])
+    elif dx == -1:
+        right, left = (v[0], v[1]), (v[0], v[1] - 1)
+    elif dy == 1:
+        right, left = (u[0], u[1]), (u[0] - 1, u[1])
+    else:
+        right, left = (v[0] - 1, v[1]), (v[0], v[1])
+    if right in cells:
+        return 1 if is_black(right) else -1
+    return -1 if is_black(left) else 1
 
 
 class TestConstructors:
@@ -112,6 +146,50 @@ class TestSimplyConnected:
         cells = [(x, y) for x in range(8) for y in range(8)
                  if (x, y) not in ((0, 0), (7, 7))]
         assert is_simply_connected(make_from_cells(cells))
+
+    @pytest.mark.parametrize("rows", [
+        # rings closed only through the corner their two ends share
+        ("###", "#.#", ".##"),
+        ("####", "#..#", "#..#", ".###"),
+        # two holes meeting at a corner
+        ("####", "##.#", "#.##", "####"),
+    ])
+    def test_corner_pinch_encloses_a_hole(self, rows):
+        r = region_grid(len(rows[0]), len(rows), " ".join(rows))
+        assert len(_connected(r.cells, [min(r.cells)])) == len(r.cells)
+        assert not is_simply_connected(r)
+        assert not flood_is_simply_connected(r)
+
+    def test_all_subsets_of_3x3_match_flood_oracle(self):
+        box = [(x, y) for x in range(3) for y in range(3)]
+        for bits in product((False, True), repeat=9):
+            cells = [c for c, keep in zip(box, bits) if keep]
+            if cells:
+                r = Region(cells)
+                assert is_simply_connected(r) == flood_is_simply_connected(r)
+
+    @given(punched_boxes(7))
+    def test_matches_flood_oracle(self, cells):
+        r = Region(cells)
+        assert is_simply_connected(r) == flood_is_simply_connected(r)
+
+    def test_long_thin_l_in_bounded_memory(self):
+        code = ("from dominoflip import Region, is_simply_connected\n"
+                "n = 5000\n"
+                "cells = [(x, y) for x in range(n) for y in range(2)]\n"
+                "cells += [(x, y) for x in range(2) for y in range(2, n)]\n"
+                "print(is_simply_connected(Region(cells)))\n")
+        done = run_capped("-c", code)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+class TestEdgeSigns:
+    @given(cells_strategy)
+    def test_coordinate_rule_matches_membership_rule(self, cells):
+        r = make_from_cells(cells)
+        for u, edges in r.vertex_edges.items():
+            for v, sign, _ in edges:
+                assert sign == membership_edge_sign(r.cells, u, v), (u, v)
 
 
 class TestRings:

@@ -1,18 +1,94 @@
+import re
+from collections import defaultdict
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dominoflip import (InvalidMoveError, NumericInstabilityError, apply_flip,
-                        available_flips, count_aztec_closed_form,
-                        count_rectangle_closed_form, count_tilings, domino,
-                        enumerate_tilings, is_valid_tiling, make_aztec,
+import dominoflip.tiling
+from dominoflip import (InvalidMoveError, NumericInstabilityError,
+                        ResourceLimitError, apply_flip, available_flips,
+                        count_aztec_closed_form, count_rectangle_closed_form,
+                        count_tilings, domino, enumerate_tilings, first_tiling,
+                        is_black, is_valid_tiling, iter_tilings, make_aztec,
                         make_from_cells, make_holed_square, make_rectangle,
                         tiling_from_json, tiling_to_json)
 
-from conftest import load_tiling
+from conftest import load_tiling, punched_boxes
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
+
+
+def box_count_tilings(region):
+    """Oracle: the profile DP over the whole bounding box, absent cells
+    pre-marked as covered."""
+    cells = region.cells
+    if len(cells) % 2:
+        return 0
+    x0, y0, x1, y1 = region.bounds
+    w, h = x1 - x0 + 1, y1 - y0 + 1
+    if w <= h:
+        points = [(x - x0, y - y0) for x, y in cells]
+    else:
+        points = [(y - y0, x - x0) for x, y in cells]
+        w, h = h, w
+    n = w * h
+    present = bytearray(n)
+    for x, y in points:
+        present[y * w + x] = 1
+    top = 1 << (w - 1)
+    full = (1 << w) - 1
+    start = 0
+    for j in range(w):
+        if not present[j]:
+            start |= 1 << j
+    dp = {start: 1}
+    for p in range(n):
+        q = p + w
+        enter = 0 if q < n and present[q] else top
+        vertical_ok = q < n and present[q]
+        last_in_row = (p + 1) % w == 0
+        ndp = defaultdict(int)
+        for mask, ways in dp.items():
+            if mask & 1:
+                ndp[(mask >> 1) | enter] += ways
+            else:
+                if not last_in_row and not (mask & 2):
+                    ndp[((mask | 2) >> 1) | enter] += ways
+                if vertical_ok:
+                    ndp[(mask >> 1) | top] += ways
+        dp = ndp
+    return dp.get(full, 0)
+
+
+def recursive_tilings(region):
+    """Oracle for the canonical order: backtrack recursively on the
+    smallest uncovered cell, right partner before upper partner."""
+    order = sorted(region.cells)
+    if 2 * sum(map(is_black, order)) != len(order):
+        return
+    covered = set()
+    chosen = []
+
+    def extend(start):
+        idx = start
+        while idx < len(order) and order[idx] in covered:
+            idx += 1
+        if idx == len(order):
+            yield frozenset(chosen)
+            return
+        cell = order[idx]
+        x, y = cell
+        for partner in ((x + 1, y), (x, y + 1)):
+            if partner in region.cells and partner not in covered:
+                covered.update((cell, partner))
+                chosen.append((cell, partner))
+                yield from extend(idx + 1)
+                chosen.pop()
+                covered.difference_update((cell, partner))
+
+    yield from extend(0)
 
 
 def brick(n):
@@ -83,6 +159,22 @@ class TestEnumeration:
         for t in tilings:
             assert is_valid_tiling(r, t)
 
+    @given(cells_strategy)
+    def test_order_matches_recursive_oracle(self, cells):
+        r = make_from_cells(cells)
+        assert list(iter_tilings(r)) == list(recursive_tilings(r))
+
+    @pytest.mark.parametrize("region", [
+        make_rectangle(6, 6), make_aztec(4), make_holed_square(5),
+    ], ids=["6x6", "aztec4", "holed5"])
+    def test_order_matches_recursive_oracle_on_boards(self, region):
+        assert list(iter_tilings(region)) == list(recursive_tilings(region))
+
+    def test_deeper_than_the_recursion_limit(self):
+        first = first_tiling(make_rectangle(2, 1100))
+        assert len(first) == 1100
+        assert ((0, 0), (1, 0)) in first
+
 
 class TestCounting:
     @pytest.mark.parametrize("region,count", [
@@ -92,6 +184,19 @@ class TestCounting:
     ])
     def test_examples(self, region, count):
         assert count_tilings(region) == count
+
+    @given(punched_boxes(10))
+    def test_matches_box_oracle(self, cells):
+        r = make_from_cells(cells)
+        assert count_tilings(r) == box_count_tilings(r)
+
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(dominoflip.tiling, "MAX_PROFILE_STATES", 1000)
+        with pytest.raises(ResourceLimitError) as info:
+            count_tilings(make_rectangle(16, 16))
+        cap, reached = map(int, re.findall(r"\d+", str(info.value))[:2])
+        assert cap == 1000 and reached > 1000
+        assert count_tilings(make_rectangle(8, 8)) == 12988816
 
     def test_closed_form_rectangles(self):
         for n in range(1, 9):
