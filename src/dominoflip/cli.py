@@ -29,8 +29,8 @@ from .render import RenderOptions, render
 from .surface import (Region, make_aztec, make_holed_square, make_rectangle,
                       region_from_json)
 from .tiling import (count_aztec_closed_form, count_rectangle_closed_form,
-                     count_tilings, is_valid_tiling, tiling_from_json,
-                     tiling_to_json)
+                     count_tilings, is_tileable, is_valid_tiling,
+                     tiling_from_json, tiling_to_json)
 
 EXIT_DISAGREE = 1
 EXIT_UNTILEABLE = 2
@@ -151,7 +151,7 @@ def cmd_distance(args) -> int:
 def cmd_diameter(args) -> int:
     shape = ShapeSpec(args.shape)
     region = shape.region
-    if count_tilings(region) == 0:
+    if not is_tileable(region):
         print("error: region is untileable", file=sys.stderr)
         return EXIT_UNTILEABLE
     values: dict[str, int] = {}

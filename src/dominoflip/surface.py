@@ -21,7 +21,6 @@ after i peels.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -29,8 +28,6 @@ from typing import Iterable
 Cell = tuple[int, int]
 Vertex = tuple[int, int]
 EdgeInfo = tuple[Vertex, int, tuple[Cell, Cell] | None]
-
-DUAL_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def is_black(cell: Cell) -> bool:
@@ -199,20 +196,18 @@ def make_from_cells(cells: Iterable[Cell]) -> Region:
     return Region(cells)
 
 
-def _connected(cells: frozenset[Cell] | set[Cell], seeds: Iterable[Cell]) -> set[Cell]:
-    """Cells reachable from the seeds by unit steps inside the given set."""
-    seen = set()
-    queue = deque(seeds)
-    for s in queue:
-        seen.add(s)
-    while queue:
-        x, y = queue.popleft()
-        for dx, dy in DUAL_STEPS:
-            nb = (x + dx, y + dy)
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return seen
+def _connected(cells: frozenset[Cell] | set[Cell], seeds: Iterable[Cell]) -> list[Cell]:
+    """Cells reachable from the seeds by unit steps inside the given set,
+    each once, in the order a breadth-first flood reaches them."""
+    seen = set(seeds)
+    queue = list(seen)
+    add, push = seen.add, queue.append
+    for x, y in queue:
+        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if nb not in seen and nb in cells:
+                add(nb)
+                push(nb)
+    return queue
 
 
 def is_simply_connected(region: Region) -> bool:
@@ -310,7 +305,7 @@ def _has_covering_cycle(cells: frozenset[Cell]) -> bool:
 def is_saturnian(region: Region) -> bool:
     """True when every ring tours as a single dual cycle and every peel
     leaves a tileable (or empty) remainder."""
-    from .tiling import count_tilings  # local import, tiling depends on surface
+    from .tiling import is_tileable  # local import, tiling depends on surface
 
     decomposition = ring_decomposition(region)
     remaining = set(region.cells)
@@ -318,7 +313,7 @@ def is_saturnian(region: Region) -> bool:
         if not _has_covering_cycle(ring):
             return False
         remaining -= ring
-        if remaining and count_tilings(Region(remaining)) == 0:
+        if remaining and not is_tileable(Region(remaining)):
             return False
     return True
 

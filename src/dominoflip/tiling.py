@@ -12,29 +12,55 @@ cell, trying its right partner before its upper partner.  That fixes a
 canonical order of tilings which everything downstream reuses (flip
 graph node ids, serialized output), so runs are reproducible.
 
-Counting never enumerates: it steps through the region's own cells in
-sweep order with a broken-profile bitmask recording which of the next
-cells are already covered, so boards far beyond enumeration range stay
-exact (Python integers keep the counts arbitrary precision) and the
-cost follows the cells, not the bounding box.
+Counting never enumerates, and Python integers keep counts exact at
+any size.  Each edge-connected component is counted on its own, swept
+along its own narrow side, and the counts multiply.  A component's band
+b, the largest gap in sweep order between a cell and its upper
+neighbour, bounds the work of both counting paths.  A hole-free
+component takes the Kasteleyn determinant when its estimated work,
+N * b^2 * (e // 64 + 1) for N black cells and a prime 2^e - 1, is
+below three times the profile DP's cells * C(b, b // 2), where the two
+paths measure about even: one sparse elimination modulo the smallest
+listed Mersenne prime above 2^(N+1), which fixes the count because
+|det| <= 2^N.  Thin strips and components with holes take the
+broken-profile DP, whose bitmask records which of the next cells in
+sweep order are already covered.  The DP refuses once it holds more
+than ``MAX_PROFILE_STATES`` live profiles, the determinant before it
+starts when its estimate is above ``MAX_DETERMINANT_WORK`` and the DP
+could not hold C(b, b // 2) profiles either.  Telling whether a region
+tiles needs no count: a nonzero determinant modulo 2^61 - 1 proves a
+tiling exists, and only a zero residue is settled by counting.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from typing import Iterator
 
 from .errors import (InvalidMoveError, NumericInstabilityError,
                      ResourceLimitError)
-from .surface import Cell, Region, Vertex, is_black
+from .surface import (Cell, Region, Vertex, _connected, is_black,
+                      is_simply_connected)
 
 Domino = tuple[Cell, Cell]
 Tiling = frozenset  # frozenset[Domino]
 
-# live profiles count_tilings may hold; refusing square:40 at this cap
-# peaks near 200 MB
+# live profiles the DP may hold; refusing 40x40 with a hole at this
+# cap peaks near 200 MB
 MAX_PROFILE_STATES = 1 << 20
+# estimated work the determinant may take (_determinant_work): square:40
+# is estimated at 2.6e7 and answers in about 2.6 s, square:200 at 2.7e11
+MAX_DETERMINANT_WORK = 1 << 25
+# time of one unit of the DP's estimate in units of the determinant's:
+# timed on rectangles from 9x40 to 24x12, both paths take as long where
+# the determinant's estimate is about three times the DP's
+PROFILE_UNIT_COST = 3
+# exponents e of the Mersenne primes 2^e - 1, up to one that no count
+# within MAX_DETERMINANT_WORK can outgrow
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                      4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
+                      44497, 86243)
+TILEABILITY_PRIME = (1 << 61) - 1
 
 
 def domino(a: Cell, b: Cell) -> Domino:
@@ -119,47 +145,234 @@ def first_tiling(region: Region) -> Tiling | None:
 
 
 def count_tilings(region: Region) -> int:
-    """Exact number of tilings via a broken-profile bitmask sweep.
+    """Exact number of tilings: the product of the counts of the
+    region's edge-connected components.
 
-    The sweep runs along the region's narrow axis and visits only its
-    cells.  Bit k of a profile says that the k-th region cell after the
-    current one in sweep order is already covered, so a profile spans
-    at most one row's width of cells however sparse the region is.
-    More than ``MAX_PROFILE_STATES`` live profiles raise
-    ``ResourceLimitError``.
+    Each component is swept along its own narrow side, and its band b
+    is the largest gap in sweep order between a cell and its upper
+    neighbour: that bounds both the DP's profiles and the determinant's
+    fill.  With N black cells and e the exponent of the determinant's
+    Mersenne prime, a component takes the cheaper of two exact paths by
+    an up-front work estimate, a unit of the DP's weighing
+    ``PROFILE_UNIT_COST`` of the determinant's:
+
+    - the broken-profile DP (``_count_by_profile``), estimated at
+      ``cells * C(b, b // 2)``, its worst count of live profiles times
+      the cells it steps through;
+    - the Kasteleyn determinant (``_count_by_determinant``), estimated
+      at ``N * b**2 * (e // 64 + 1)``: N pivots, each updating about b
+      rows of b entries of e bits.  It counts hole-free components only.
+
+    So thin strips and components with holes stay on the DP, and wide
+    hole-free boards take the determinant.  A determinant estimated
+    above ``MAX_DETERMINANT_WORK`` raises ``ResourceLimitError`` before
+    it starts, unless the DP's ``C(b, b // 2)`` fits
+    ``MAX_PROFILE_STATES``: then the DP counts instead, and raises once
+    it holds more than ``MAX_PROFILE_STATES`` live profiles.
     """
-    cells = region.cells
-    if len(cells) % 2:
+    parts = _balanced_components(region.cells)
+    if parts is None:
         return 0
-    x0, y0, x1, y1 = region.bounds
-    w, h = x1 - x0 + 1, y1 - y0 + 1
+    total = 1
+    for part in parts:
+        w, order = _sweep(part)
+        band = _band(w, order)
+        n = len(order) // 2
+        work = _determinant_work(n, band, _mersenne_exponent(n))
+        profiles = math.comb(band, band // 2)
+        if (work < PROFILE_UNIT_COST * len(order) * profiles
+                and (work <= MAX_DETERMINANT_WORK
+                     or profiles > MAX_PROFILE_STATES)
+                and is_simply_connected(Region(part))):
+            if work > MAX_DETERMINANT_WORK:
+                raise ResourceLimitError(
+                    f"determinant elimination needs an estimated {work} "
+                    f"work units, cap is {MAX_DETERMINANT_WORK}")
+            total *= _count_by_determinant(w, order)
+        else:
+            total *= _count_by_profile(w, order)
+        if not total:
+            return 0
+    return total
+
+
+def is_tileable(region: Region) -> bool:
+    """True when the region has a tiling, found without counting them.
+
+    A nonzero determinant modulo ``TILEABILITY_PRIME`` of a matrix whose
+    nonzero entries are the dual edges proves that a perfect matching
+    exists, whatever the signs and holes; only a zero residue, or an
+    elimination estimated above ``MAX_DETERMINANT_WORK``, is settled by
+    the exact count.
+    """
+    parts = _balanced_components(region.cells)
+    if parts is None:
+        return False
+    e = TILEABILITY_PRIME.bit_length()
+    for part in parts:
+        w, order = _sweep(part)
+        work = _determinant_work(len(order) // 2, _band(w, order), e)
+        if ((work > MAX_DETERMINANT_WORK
+             or not _kasteleyn_residue(w, order, TILEABILITY_PRIME))
+                and not count_tilings(Region(part))):
+            return False
+    return True
+
+
+def _balanced_components(cells) -> list[list[Cell]] | None:
+    """The edge-connected components of the cells, or None when one of
+    them has unequal black and white cells and so no tiling."""
+    left = set(cells)
+    parts = []
+    while left:
+        part = _connected(left, [next(iter(left))])
+        if 2 * sum(map(is_black, part)) != len(part):
+            return None  # every domino covers one black and one white cell
+        left.difference_update(part)
+        parts.append(part)
+    return parts
+
+
+def _sweep(cells) -> tuple[int, list[int]]:
+    """The narrow side w of the cells' bounding box, and the cells'
+    positions ``row * w + col``, sorted, in rows running across it."""
+    xs = [x for x, _ in cells]
+    ys = [y for _, y in cells]
+    x0, y0 = min(xs), min(ys)
+    w, h = max(xs) - x0 + 1, max(ys) - y0 + 1
     if w <= h:
-        order = sorted((y - y0) * w + x - x0 for x, y in cells)
-    else:
-        # sweep along the narrow axis so the profile stays small
-        order = sorted((x - x0) * h + y - y0 for x, y in cells)
-        w = h
+        return w, sorted((y - y0) * w + x - x0 for x, y in cells)
+    return h, sorted((x - x0) * h + y - y0 for x, y in cells)
+
+
+def _band(w: int, order: list[int]) -> int:
+    """The largest gap in sweep order between a cell and its upper
+    neighbour: at most w, and 1 on a staircase however wide its box."""
     rank = {p: i for i, p in enumerate(order)}
-    dp: dict[int, int] = {0: 1}
+    return max((rank.get(p + w, i) - i for i, p in enumerate(order)),
+               default=0)
+
+
+def _count_by_profile(w: int, order: list[int]) -> int:
+    """Tilings by a broken-profile bitmask sweep over a ``_sweep``.
+
+    Bit k of a profile says that the k-th cell after the current one
+    in sweep order is already covered, so a profile spans at most the
+    ``_band``, which is at most one row's width however sparse the
+    cells are.
+    """
+    n = len(order)
+    rank = {p: i for i, p in enumerate(order)}
+    dp = {0: 1}
     for i, p in enumerate(order):
-        right = (p + 1) % w != 0 and p + 1 in rank
+        right = (p + 1) % w and i + 1 < n and order[i + 1] == p + 1
         up = rank.get(p + w)
         up_bit = 0 if up is None else 1 << (up - i)
-        ndp: dict[int, int] = defaultdict(int)
+        ndp: dict[int, int] = {}
+        get = ndp.get
         for mask, ways in dp.items():
             if mask & 1:
-                ndp[mask >> 1] += ways
+                key = mask >> 1
+                ndp[key] = get(key, 0) + ways
             else:
                 if right and not mask & 2:
-                    ndp[(mask | 2) >> 1] += ways
+                    key = (mask >> 1) | 1
+                    ndp[key] = get(key, 0) + ways
                 if up_bit:
-                    ndp[(mask | up_bit) >> 1] += ways
+                    key = (mask | up_bit) >> 1
+                    ndp[key] = get(key, 0) + ways
         dp = ndp
         if len(dp) > MAX_PROFILE_STATES:
             raise ResourceLimitError(
                 f"counting needs more than {MAX_PROFILE_STATES} profile states: "
-                f"{len(dp)} after {i + 1} of {len(order)} cells")
+                f"{len(dp)} after {i + 1} of {n} cells")
     return dp.get(0, 0)
+
+
+def _count_by_determinant(w: int, order: list[int]) -> int:
+    """Tilings of a hole-free, balanced ``_sweep`` as |det K| of its
+    Kasteleyn matrix (Kasteleyn 1961, Temperley and Fisher 1961).
+
+    A row of K has at most four unit entries, so |det K| <= 2^N by
+    Hadamard's bound, N being the rows.  One residue r modulo the
+    smallest Mersenne prime p above 2^(N+1) therefore fixes it: the
+    count is r or p - r, whichever is smaller.
+    """
+    p = (1 << _mersenne_exponent(len(order) // 2)) - 1
+    r = _kasteleyn_residue(w, order, p)
+    return min(r, p - r)
+
+
+def _mersenne_exponent(n: int) -> int:
+    """The smallest listed exponent e > n + 1, so that 2^e - 1 is more
+    than twice any count of n black cells; the last one when none is,
+    whose work estimate is over the cap for any n that needs it."""
+    return next((e for e in MERSENNE_EXPONENTS if e > n + 1),
+                MERSENNE_EXPONENTS[-1])
+
+
+def _determinant_work(n: int, band: int, bits: int) -> int:
+    """Estimated work of eliminating n rows in a band that wide: n
+    pivots, each updating about band rows of band entries of
+    (bits // 64 + 1) words."""
+    return n * band * band * (bits // 64 + 1)
+
+
+def _kasteleyn_residue(w: int, order: list[int], p: int) -> int:
+    """det K modulo p, up to sign, for a ``_sweep`` of a region with as
+    many black cells as white ones.
+
+    In the sweep frame, K has a row per cell of even ``row + col`` and a
+    column per odd cell, both in sweep order, and one nonzero entry per
+    dual edge: +1 on a horizontal edge and (-1)^x on a vertical edge in
+    column x.  Every 2x2 block then carries the product -1 that makes
+    |det K| the number of perfect matchings of a hole-free region.  The
+    elimination pivots each column, in sweep order, on the first row in
+    sweep order that holds it, so fill stays within the ``_band``.
+    """
+    black = [q for q in order if (q // w + q % w) % 2 == 0]
+    white = [q for q in order if (q // w + q % w) % 2]
+    column = {q: j for j, q in enumerate(white)}
+    rows: list[dict[int, int]] = []
+    holders: list[set[int]] = [set() for _ in white]  # rows per column
+    for i, q in enumerate(black):
+        x = q % w
+        vertical = p - 1 if x % 2 else 1
+        edges = [(q - w, vertical), (q + w, vertical)]
+        if x:
+            edges.append((q - 1, 1))
+        if x + 1 < w:
+            edges.append((q + 1, 1))
+        row = {}
+        for neighbour, entry in edges:
+            j = column.get(neighbour)
+            if j is not None:
+                row[j] = entry
+                holders[j].add(i)
+        rows.append(row)
+    det = 1
+    for j in range(len(white)):
+        if not holders[j]:
+            return 0
+        i = min(holders[j])
+        pivot = rows[i]
+        for k in pivot:
+            holders[k].discard(i)
+        lead = pivot.pop(j)
+        det = det * lead % p
+        inverse = pow(lead, -1, p)
+        for r in holders[j]:
+            row = rows[r]
+            factor = row.pop(j) * inverse % p
+            for k, entry in pivot.items():
+                value = (row.get(k, 0) - factor * entry) % p
+                if value:
+                    row[k] = value
+                    holders[k].add(r)
+                elif k in row:
+                    del row[k]
+                    holders[k].discard(r)
+    return det
 
 
 def count_rectangle_closed_form(m: int, n: int) -> int:

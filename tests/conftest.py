@@ -41,6 +41,13 @@ def region_grid(w, h, mask):
     return Region(cells)
 
 
+def domino_hole_board(side=16):
+    """A side-by-side square with the domino (7, 7)-(8, 7) cut out of its
+    interior: a hole, so counting it takes the profile DP."""
+    return Region((x, y) for x in range(side) for y in range(side)
+                  if (x, y) not in ((7, 7), (8, 7)))
+
+
 @st.composite
 def punched_boxes(draw, max_side):
     """A box of up to max_side x max_side cells anywhere on the grid

@@ -7,7 +7,7 @@ import dominoflip.tiling
 from dominoflip import region_to_json, make_from_cells
 from dominoflip.cli import main
 
-from conftest import run_capped
+from conftest import domino_hole_board, run_capped
 
 
 def run(capsys, *args):
@@ -47,13 +47,34 @@ class TestCount:
         assert out.strip() == "0"
         assert "untileable" in err
 
-    def test_state_cap_exits_4(self, capsys, monkeypatch):
+    def test_state_cap_exits_4(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(dominoflip.tiling, "MAX_PROFILE_STATES", 1000)
-        code, out, err = run(capsys, "count", "--shape", "rect:16x16")
+        path = tmp_path / "holed.json"
+        path.write_text(json.dumps(region_to_json(domino_hole_board())))
+        code, out, err = run(capsys, "count", "--shape", f"file:{path}")
         assert code == 4
         assert out == ""
         cap, reached = map(int, re.findall(r"\d+", err)[:2])
         assert cap == 1000 and reached > 1000
+
+    def test_determinant_cap_exits_4(self):
+        done = run_capped("-m", "dominoflip.cli", "count",
+                          "--shape", "square:200", timeout=60)
+        assert (done.returncode, done.stdout) == (4, "")
+        estimate, cap = map(int, re.findall(r"\d+", done.stderr))
+        assert cap == dominoflip.tiling.MAX_DETERMINANT_WORK < estimate
+
+    def test_components_counted_on_their_own_axes(self, tmp_path):
+        # a 2x40 block and a domino far away: swept together along one
+        # axis the block's profiles pass the state cap
+        path = tmp_path / "apart.json"
+        path.write_text(json.dumps({"cells": [
+            *([x, y] for x in range(2) for y in range(40)),
+            [100000, 100000], [100001, 100000]]}))
+        done = run_capped("-m", "dominoflip.cli", "count",
+                          "--shape", f"file:{path}")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "165580141\n", "")
 
     def test_sparse_region_in_bounded_memory(self, tmp_path):
         # six cells whose bounding box holds about 10^10 cells
@@ -125,6 +146,22 @@ class TestDiameter:
         code, out, _ = run(capsys, "diameter", "--shape", "square:6",
                            "--method", "closed")
         assert code == 0 and out.strip() == "35"
+
+    def test_levels_past_the_count_cap(self):
+        # tileability is one elimination modulo 2^61 - 1, not a count
+        done = run_capped("-m", "dominoflip.cli", "diameter", "--method",
+                          "levels", "--shape", "rect:40x40")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "10660\n", "")
+
+    def test_levels_on_a_wide_staircase(self, capsys, tmp_path):
+        # 500 dominoes in a 501x500 box: its band, not its box, sizes
+        # the tileability check
+        path = tmp_path / "stair.json"
+        path.write_text(json.dumps({"cells": [
+            list(c) for i in range(500) for c in ((i, i), (i + 1, i))]}))
+        code, out, err = run(capsys, "diameter", "--method", "levels",
+                             "--shape", f"file:{path}")
+        assert (code, out, err) == (0, "0\n", "")
 
     def test_aztec_4_levels(self, capsys):
         code, out, _ = run(capsys, "diameter", "--shape", "aztec:4",

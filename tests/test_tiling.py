@@ -6,15 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dominoflip.tiling
-from dominoflip import (InvalidMoveError, NumericInstabilityError,
+from dominoflip import (InvalidMoveError, NumericInstabilityError, Region,
                         ResourceLimitError, apply_flip, available_flips,
                         count_aztec_closed_form, count_rectangle_closed_form,
                         count_tilings, domino, enumerate_tilings, first_tiling,
-                        is_black, is_valid_tiling, iter_tilings, make_aztec,
-                        make_from_cells, make_holed_square, make_rectangle,
-                        tiling_from_json, tiling_to_json)
+                        is_black, is_simply_connected, is_valid_tiling,
+                        iter_tilings, make_aztec, make_from_cells,
+                        make_holed_square, make_rectangle, tiling_from_json,
+                        tiling_to_json)
+from dominoflip.surface import _connected
+from dominoflip.tiling import (MAX_DETERMINANT_WORK, TILEABILITY_PRIME,
+                               _band, _count_by_determinant, _count_by_profile,
+                               _determinant_work, _kasteleyn_residue,
+                               _mersenne_exponent, _sweep, is_tileable)
 
-from conftest import load_tiling, punched_boxes
+from conftest import domino_hole_board, load_tiling, punched_boxes
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
@@ -193,7 +199,7 @@ class TestCounting:
     def test_state_cap(self, monkeypatch):
         monkeypatch.setattr(dominoflip.tiling, "MAX_PROFILE_STATES", 1000)
         with pytest.raises(ResourceLimitError) as info:
-            count_tilings(make_rectangle(16, 16))
+            count_tilings(domino_hole_board())
         cap, reached = map(int, re.findall(r"\d+", str(info.value))[:2])
         assert cap == 1000 and reached > 1000
         assert count_tilings(make_rectangle(8, 8)) == 12988816
@@ -228,6 +234,131 @@ class TestCounting:
             count_rectangle_closed_form(12, 12)
         with pytest.raises(NumericInstabilityError):
             count_rectangle_closed_form(64, 64)  # product overflows
+
+
+# a one-cell-wide staircase of 300 steps: a single tiling in a 301x300 box
+STAIRCASE = make_from_cells([c for i in range(300) for c in ((i, i), (i + 1, i))])
+
+
+def record_paths(monkeypatch, region):
+    """The counting paths count_tilings runs on the region, in order."""
+    ran = []
+    for name in ("profile", "determinant"):
+        def record(w, order, name=name):
+            ran.append(name)
+            return 1
+        monkeypatch.setattr(dominoflip.tiling, f"_count_by_{name}", record)
+    count_tilings(region)
+    return ran
+
+
+class TestTwoCountingPaths:
+    """The Kasteleyn determinant and the profile DP, called directly."""
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_agree_on_rectangles(self, m):
+        # the paths take balanced cells; count_tilings answers 0 for
+        # the odd areas before either runs
+        for n in range(1 + m % 2, 11, 1 + m % 2):
+            sweep = _sweep(make_rectangle(m, n).cells)
+            assert _count_by_determinant(*sweep) == _count_by_profile(*sweep)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_agree_on_aztec_diamonds(self, n):
+        sweep = _sweep(make_aztec(n).cells)
+        assert _count_by_determinant(*sweep) == _count_by_profile(*sweep)
+        assert _count_by_profile(*sweep) == 2 ** (n * (n + 1) // 2)
+
+    @given(punched_boxes(10))
+    def test_agree_on_hole_free_components(self, cells):
+        left = set(cells)
+        while left:
+            part = _connected(left, [next(iter(left))])
+            left.difference_update(part)
+            balanced = 2 * sum(map(is_black, part)) == len(part)
+            if balanced and is_simply_connected(Region(part)):
+                sweep = _sweep(part)
+                assert (_count_by_determinant(*sweep)
+                        == _count_by_profile(*sweep))
+
+    @pytest.mark.parametrize("region,path", [
+        (make_rectangle(2, 8000), "profile"),
+        (make_rectangle(8, 1000), "profile"),
+        (make_holed_square(9), "profile"),
+        (make_from_cells([(x, y) for x in range(8) for y in range(8)
+                          if (x, y) not in ((0, 0), (7, 7))]), None),
+        (STAIRCASE, "profile"),
+        (make_rectangle(8, 50), "profile"),
+        # the determinant's estimate is 1.8x the DP's, and it runs in
+        # half the DP's time
+        (make_rectangle(10, 40), "determinant"),
+        (make_rectangle(16, 16), "determinant"),
+        (make_aztec(10), "determinant"),
+    ], ids=["2x8000", "8x1000", "holed9", "mutilated8x8", "staircase",
+            "8x50", "10x40", "16x16", "aztec10"])
+    def test_dispatch(self, monkeypatch, region, path):
+        assert record_paths(monkeypatch, region) == (
+            [] if path is None else [path])
+
+    def test_staircase_counted_by_its_band(self):
+        # its box is 301 wide, but no cell is more than one step in sweep
+        # order below its upper neighbour
+        assert _band(*_sweep(STAIRCASE.cells)) == 1
+        assert count_tilings(STAIRCASE) == 1
+        assert is_tileable(STAIRCASE)
+
+    def test_over_the_cap_falls_back_to_a_dp_that_fits(self, monkeypatch):
+        # 16x16's C(16, 8) profiles fit the DP's cap, 200x200's do not
+        monkeypatch.setattr(dominoflip.tiling, "MAX_DETERMINANT_WORK", 1000)
+        assert record_paths(monkeypatch, make_rectangle(16, 16)) == ["profile"]
+        with pytest.raises(ResourceLimitError, match="determinant"):
+            record_paths(monkeypatch, make_rectangle(200, 200))
+
+    def test_components_counted_on_their_own_axes(self):
+        # swept together along one axis, the block's rows run across its
+        # 40-cell side and need more than 2^20 live profiles
+        cells = [(x, y) for x in range(40) for y in range(2)]
+        cells += [(100000, 100000), (100000, 100001)]
+        assert count_tilings(make_from_cells(cells)) == 165580141
+
+    def test_determinant_cap(self):
+        with pytest.raises(ResourceLimitError) as info:
+            count_tilings(make_rectangle(200, 200))
+        estimate, cap = map(int, re.findall(r"\d+", str(info.value)))
+        # 20000 black cells need the prime 2^21701 - 1
+        assert estimate == 20000 * 200 ** 2 * (21701 // 64 + 1)
+        assert cap == MAX_DETERMINANT_WORK < estimate
+
+    def test_every_count_within_the_cap_has_its_prime(self):
+        # n black cells need a Mersenne exponent above n + 1; from the
+        # n that no listed exponent serves, even a band of 1 is over the cap
+        last = dominoflip.tiling.MERSENNE_EXPONENTS[-1]
+        assert _mersenne_exponent(last - 2) == last
+        assert _determinant_work(last - 1, 1, last) > MAX_DETERMINANT_WORK
+
+
+class TestTileability:
+    @given(punched_boxes(8))
+    def test_matches_count(self, cells):
+        region = make_from_cells(cells)
+        assert is_tileable(region) == (count_tilings(region) > 0)
+
+    def test_zero_residue_falls_back_to_the_count(self):
+        # the hole flips the sign of one of the two tilings, so the
+        # determinant cancels to 0 although the region tiles
+        region = make_holed_square(3)
+        assert _kasteleyn_residue(*_sweep(region.cells),
+                                  TILEABILITY_PRIME) == 0
+        assert is_tileable(region)
+
+    def test_untileable(self):
+        mutilated = make_from_cells([(x, y) for x in range(8) for y in range(8)
+                                     if (x, y) not in ((0, 0), (7, 7))])
+        assert not is_tileable(mutilated)
+        assert not is_tileable(make_from_cells([(0, 0), (2, 0)]))
+
+    def test_beyond_the_count_cap(self):
+        assert is_tileable(make_rectangle(40, 40))
 
 
 class TestFlips:
