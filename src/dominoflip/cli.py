@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .cycles import cycle_collection, cycles_to_json, distance_cycles
 from .diameter import (diameter_aztec_closed, diameter_levels,
@@ -39,6 +40,11 @@ EXIT_BUDGET = 4
 EXIT_IO = 5
 
 
+# cells a --shape may hold; a spec's count is read off it before any
+# cell is built
+MAX_SHAPE_CELLS = 1 << 20
+
+
 class ShapeSpec:
     """Parsed --shape argument; remembers the kind for closed forms."""
 
@@ -48,26 +54,35 @@ class ShapeSpec:
         if not sep:
             raise ValueError(f"bad shape spec {text!r}; expected kind:params")
         self.kind = kind
-        if kind == "rect":
-            w, sep, h = rest.partition("x")
+        # count the cells first, clamping what a builder would reject
+        if kind in ("rect", "square"):
+            w, sep, h = (rest.partition("x") if kind == "rect"
+                         else (rest, "x", rest))
             if not sep:
                 raise ValueError(f"bad rectangle spec {text!r}; expected rect:MxN")
             self.dims = (int(w), int(h))
-            self.region = make_rectangle(*self.dims)
-        elif kind == "square":
-            side = int(rest)
-            self.dims = (side, side)
-            self.region = make_rectangle(side, side)
+            cells = max(self.dims[0], 0) * max(self.dims[1], 0)
+            build = partial(make_rectangle, *self.dims)
         elif kind == "aztec":
             self.order = int(rest)
-            self.region = make_aztec(self.order)
+            cells = 2 * max(self.order, 0) * (self.order + 1)
+            build = partial(make_aztec, self.order)
         elif kind == "holed-square":
-            self.region = make_holed_square(int(rest))
+            side = int(rest)
+            cells = max(side, 0) ** 2 - 1
+            build = partial(make_holed_square, side)
         elif kind == "file":
             with open(rest, "r", encoding="utf-8") as handle:
-                self.region = region_from_json(json.load(handle))
+                data = json.load(handle)
+            raw = data.get("cells") if isinstance(data, dict) else None
+            cells = len(raw) if isinstance(raw, list) else 0
+            build = partial(region_from_json, data)
         else:
             raise ValueError(f"unknown shape kind {kind!r}")
+        if cells > MAX_SHAPE_CELLS:
+            raise ResourceLimitError(
+                f"shape {text!r} has {cells} cells, cap is {MAX_SHAPE_CELLS}")
+        self.region = build()
 
     def closed_form_count(self) -> int:
         if self.kind in ("rect", "square"):
@@ -340,6 +355,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNTILEABLE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

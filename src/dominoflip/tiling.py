@@ -13,23 +13,13 @@ canonical order of tilings which everything downstream reuses (flip
 graph node ids, serialized output), so runs are reproducible.
 
 Counting never enumerates, and Python integers keep counts exact at
-any size.  Each edge-connected component is counted on its own, swept
-along its own narrow side, and the counts multiply.  A component's band
-b, the largest gap in sweep order between a cell and its upper
-neighbour, bounds the work of both counting paths.  A hole-free
-component takes the Kasteleyn determinant when its estimated work,
-N * b^2 * (e // 64 + 1) for N black cells and a prime 2^e - 1, is
-below three times the profile DP's cells * C(b, b // 2), where the two
-paths measure about even: one sparse elimination modulo the smallest
-listed Mersenne prime above 2^(N+1), which fixes the count because
-|det| <= 2^N.  Thin strips and components with holes take the
-broken-profile DP, whose bitmask records which of the next cells in
-sweep order are already covered.  The DP refuses once it holds more
-than ``MAX_PROFILE_STATES`` live profiles, the determinant before it
-starts when its estimate is above ``MAX_DETERMINANT_WORK`` and the DP
-could not hold C(b, b // 2) profiles either.  Telling whether a region
-tiles needs no count: a nonzero determinant modulo 2^61 - 1 proves a
-tiling exists, and only a zero residue is settled by counting.
+any size.  Each edge-connected component is counted on its own by the
+cheaper of two exact paths (``count_tilings``), and the counts
+multiply: a Kasteleyn determinant, whose signs read off the cells'
+coordinates alone, holes or not, or on thin strips a broken-profile DP.
+Telling whether a region tiles needs no count: a nonzero determinant
+modulo 2^61 - 1 proves a tiling exists, and only a zero residue, which
+needs a count divisible by that prime, is settled by counting.
 """
 
 from __future__ import annotations
@@ -39,8 +29,7 @@ from typing import Iterator
 
 from .errors import (InvalidMoveError, NumericInstabilityError,
                      ResourceLimitError)
-from .surface import (Cell, Region, Vertex, _connected, is_black,
-                      is_simply_connected)
+from .surface import Cell, Region, Vertex, _connected, is_black
 
 Domino = tuple[Cell, Cell]
 Tiling = frozenset  # frozenset[Domino]
@@ -97,9 +86,9 @@ def is_valid_tiling(region: Region, tiling: Tiling) -> bool:
 
 def iter_tilings(region: Region) -> Iterator[Tiling]:
     """Yield every tiling once, in canonical backtracking order."""
+    if not is_tileable(region):
+        return
     order = sorted(region.cells)
-    if 2 * sum(map(is_black, order)) != len(order):
-        return  # every domino covers one black and one white cell
     index = {cell: i for i, cell in enumerate(order)}
     # per cell: (partner index, domino), right partner before upper
     partners = [[(index[p], (cell, p))
@@ -161,14 +150,14 @@ def count_tilings(region: Region) -> int:
       the cells it steps through;
     - the Kasteleyn determinant (``_count_by_determinant``), estimated
       at ``N * b**2 * (e // 64 + 1)``: N pivots, each updating about b
-      rows of b entries of e bits.  It counts hole-free components only.
+      rows of b entries of e bits.
 
-    So thin strips and components with holes stay on the DP, and wide
-    hole-free boards take the determinant.  A determinant estimated
-    above ``MAX_DETERMINANT_WORK`` raises ``ResourceLimitError`` before
-    it starts, unless the DP's ``C(b, b // 2)`` fits
-    ``MAX_PROFILE_STATES``: then the DP counts instead, and raises once
-    it holds more than ``MAX_PROFILE_STATES`` live profiles.
+    So thin strips stay on the DP, and wide boards, holes or not, take
+    the determinant.  A determinant estimated above
+    ``MAX_DETERMINANT_WORK`` raises ``ResourceLimitError`` before it
+    starts, unless the DP's ``C(b, b // 2)`` fits ``MAX_PROFILE_STATES``:
+    then the DP counts instead, and raises once it holds more than
+    ``MAX_PROFILE_STATES`` live profiles.
     """
     parts = _balanced_components(region.cells)
     if parts is None:
@@ -182,8 +171,7 @@ def count_tilings(region: Region) -> int:
         profiles = math.comb(band, band // 2)
         if (work < PROFILE_UNIT_COST * len(order) * profiles
                 and (work <= MAX_DETERMINANT_WORK
-                     or profiles > MAX_PROFILE_STATES)
-                and is_simply_connected(Region(part))):
+                     or profiles > MAX_PROFILE_STATES)):
             if work > MAX_DETERMINANT_WORK:
                 raise ResourceLimitError(
                     f"determinant elimination needs an estimated {work} "
@@ -201,9 +189,10 @@ def is_tileable(region: Region) -> bool:
 
     A nonzero determinant modulo ``TILEABILITY_PRIME`` of a matrix whose
     nonzero entries are the dual edges proves that a perfect matching
-    exists, whatever the signs and holes; only a zero residue, or an
-    elimination estimated above ``MAX_DETERMINANT_WORK``, is settled by
-    the exact count.
+    exists.  With Kasteleyn signs it is the count modulo that prime, up
+    to sign, so it is zero on a tileable component only when the prime
+    divides the count; a zero residue, or an elimination estimated above
+    ``MAX_DETERMINANT_WORK``, is settled by the exact count.
     """
     parts = _balanced_components(region.cells)
     if parts is None:
@@ -290,8 +279,8 @@ def _count_by_profile(w: int, order: list[int]) -> int:
 
 
 def _count_by_determinant(w: int, order: list[int]) -> int:
-    """Tilings of a hole-free, balanced ``_sweep`` as |det K| of its
-    Kasteleyn matrix (Kasteleyn 1961, Temperley and Fisher 1961).
+    """Tilings of a balanced ``_sweep`` as |det K| of its Kasteleyn
+    matrix (Kasteleyn 1961, Temperley and Fisher 1961).
 
     A row of K has at most four unit entries, so |det K| <= 2^N by
     Hadamard's bound, N being the rows.  One residue r modulo the
@@ -319,17 +308,24 @@ def _determinant_work(n: int, band: int, bits: int) -> int:
 
 
 def _kasteleyn_residue(w: int, order: list[int], p: int) -> int:
-    """det K modulo p, up to sign, for a ``_sweep`` of a region with as
-    many black cells as white ones.
+    """det K modulo p, up to sign, for a ``_sweep`` of a component with
+    as many black cells as white ones.
 
     In the sweep frame, K has a row per cell of even ``row + col`` and a
-    column per odd cell, both in sweep order, and one nonzero entry per
-    dual edge: +1 on a horizontal edge and (-1)^x on a vertical edge in
-    column x.  Every 2x2 block then carries the product -1 that makes
-    |det K| the number of perfect matchings of a hole-free region.  The
-    elimination pivots each column, in sweep order, on the first row in
-    sweep order that holds it, so fill stays within the ``_band``.
+    column per odd cell, both in sweep order, and one entry per dual
+    edge: +1 on a horizontal edge, (-1)^r on a vertical edge whose upper
+    cell is the r-th (from 0) of the component's cells in its row.  That
+    is (-1)^x in column x times, per cell missing from the row, a seam
+    running right along its lower edge, which crosses the face holding
+    that cell an odd number of times and any other face an even number.
+    So a 2x2 face carries -1 and a hole face holding m missing cells
+    (-1)^m more, as Kasteleyn's theorem asks of a face that long.  Each
+    column pivots, in sweep order, on the first row in sweep order that
+    holds it, so fill stays within the ``_band``.
     """
+    first: dict[int, int] = {}  # row -> index in order of its first cell
+    sign = {q: p - 1 if (i - first.setdefault(q // w, i)) % 2 else 1
+            for i, q in enumerate(order)}
     black = [q for q in order if (q // w + q % w) % 2 == 0]
     white = [q for q in order if (q // w + q % w) % 2]
     column = {q: j for j, q in enumerate(white)}
@@ -337,8 +333,7 @@ def _kasteleyn_residue(w: int, order: list[int], p: int) -> int:
     holders: list[set[int]] = [set() for _ in white]  # rows per column
     for i, q in enumerate(black):
         x = q % w
-        vertical = p - 1 if x % 2 else 1
-        edges = [(q - w, vertical), (q + w, vertical)]
+        edges = [(q - w, sign[q]), (q + w, sign.get(q + w))]
         if x:
             edges.append((q - 1, 1))
         if x + 1 < w:

@@ -41,11 +41,21 @@ def region_grid(w, h, mask):
     return Region(cells)
 
 
-def domino_hole_board(side=16):
-    """A side-by-side square with the domino (7, 7)-(8, 7) cut out of its
-    interior: a hole, so counting it takes the profile DP."""
-    return Region((x, y) for x in range(side) for y in range(side)
-                  if (x, y) not in ((7, 7), (8, 7)))
+# connected regions whose holes meet the outside or each other only at
+# a corner, rows listed top to bottom as for region_grid; the tileable
+# ones hold three holes in one corner-joined chain, and in a V
+TILEABLE_CORNER_PINCHES = [
+    (".#####", "######", "###.##", "##.##.", "#.####", "###.##"),
+    (".#####", "##.##.", "###.##", "##.###", "######", "###.##"),
+]
+CORNER_PINCHES = [
+    # rings closed only through the corner their two ends share
+    ("###", "#.#", ".##"),
+    ("####", "#..#", "#..#", ".###"),
+    # two holes meeting at a corner
+    ("####", "##.#", "#.##", "####"),
+    *TILEABLE_CORNER_PINCHES,
+]
 
 
 @st.composite

@@ -3,11 +3,12 @@ import re
 
 import pytest
 
+import dominoflip.cli
 import dominoflip.tiling
 from dominoflip import region_to_json, make_from_cells
 from dominoflip.cli import main
 
-from conftest import domino_hole_board, run_capped
+from conftest import run_capped
 
 
 def run(capsys, *args):
@@ -47,11 +48,10 @@ class TestCount:
         assert out.strip() == "0"
         assert "untileable" in err
 
-    def test_state_cap_exits_4(self, capsys, monkeypatch, tmp_path):
+    def test_state_cap_exits_4(self, capsys, monkeypatch):
+        # a strip 14 cells across: too thin for the determinant to pay
         monkeypatch.setattr(dominoflip.tiling, "MAX_PROFILE_STATES", 1000)
-        path = tmp_path / "holed.json"
-        path.write_text(json.dumps(region_to_json(domino_hole_board())))
-        code, out, err = run(capsys, "count", "--shape", f"file:{path}")
+        code, out, err = run(capsys, "count", "--shape", "rect:14x2000")
         assert code == 4
         assert out == ""
         cap, reached = map(int, re.findall(r"\d+", err)[:2])
@@ -85,6 +85,46 @@ class TestCount:
         done = run_capped("-m", "dominoflip.cli", "count",
                           "--shape", f"file:{path}")
         assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
+    @pytest.mark.parametrize("shape,cells", [
+        ("square:6000", 36000000), ("aztec:100000", 20000200000),
+        ("square:99999999999", 99999999999 ** 2),
+    ], ids=["square:6000", "aztec:100000", "square:99999999999"])
+    def test_shape_over_the_cell_cap_exits_4(self, shape, cells):
+        # the cell count is read off the spec before any cell is built
+        done = run_capped("-m", "dominoflip.cli", "count", "--shape", shape,
+                          timeout=30)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert "Traceback" not in done.stderr
+        count, cap = map(int, re.findall(r"\d+", done.stderr)[-2:])
+        assert (count, cap) == (cells, dominoflip.cli.MAX_SHAPE_CELLS)
+
+    def test_file_over_the_cell_cap_exits_4(self, capsys, monkeypatch,
+                                            tmp_path):
+        monkeypatch.setattr(dominoflip.cli, "MAX_SHAPE_CELLS", 5)
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps({"cells": [[x, 0] for x in range(6)]}))
+        code, out, err = run(capsys, "count", "--shape", f"file:{path}")
+        assert (code, out) == (4, "")
+        assert re.findall(r"\d+", err)[-2:] == ["6", "5"]
+
+    def test_out_of_memory_exits_4(self, capsys, monkeypatch):
+        def exhausted(region):
+            raise MemoryError
+
+        monkeypatch.setattr(dominoflip.cli, "count_tilings", exhausted)
+        code, out, err = run(capsys, "count", "--shape", "rect:4x4")
+        assert (code, out, err) == (4, "", "error: out of memory\n")
+
+    @pytest.mark.parametrize("command", [
+        ["count"], ["diameter", "--method", "levels"]],
+        ids=["count", "levels"])
+    def test_holed_square_23_answers(self, command):
+        # the determinant counts components with holes
+        done = run_capped("-m", "dominoflip.cli", *command,
+                          "--shape", "holed-square:23", timeout=30)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.strip().isdigit()
 
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "count", "--shape", "aztec:2", "--json")
@@ -279,6 +319,19 @@ class TestRenderAndExtremes:
         code, _, _ = run(capsys, "extremes", "--shape", "rect:3x3",
                          "--out", str(tmp_path / "x"))
         assert code == 2
+
+    def test_balanced_untileable_exits_2_without_backtracking(self, tmp_path):
+        # colour-balanced and hole-free, yet no tiling: backtracking over
+        # the 12x6 block would take minutes to find that out
+        cells = [[x, y] for x in range(12) for y in range(6)]
+        cells += [[12, 0], [12, 4], [13, 4], [14, 3], [14, 4], [14, 5]]
+        path = tmp_path / "spur.json"
+        path.write_text(json.dumps({"cells": cells}))
+        done = run_capped("-m", "dominoflip.cli", "extremes", "--shape",
+                          f"file:{path}", "--out", str(tmp_path / "x"),
+                          timeout=20)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: region has no tiling\n"
 
 
 class TestExport:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dominoflip.diameter
@@ -7,8 +7,9 @@ from dominoflip import (DominoError, FlipGraph, Region, UntileableError,
                         bfs_distances, build_flip_graph,
                         diameter_aztec_closed, diameter_bfs, diameter_levels,
                         diameter_of_graph, diameter_rectangle_closed,
-                        diameter_square_closed, enumerate_tilings,
-                        is_saturnian, make_aztec, make_holed_square,
+                        diameter_square_closed, distance_height,
+                        enumerate_tilings, extremal_tilings, is_saturnian,
+                        is_simply_connected, make_aztec, make_holed_square,
                         make_rectangle)
 
 
@@ -167,6 +168,19 @@ class TestBfs:
         graph = build_flip_graph(Region(cells))
         assert (outcome(bounded_diameter, graph)
                 == outcome(all_pairs_diameter, graph))
+
+    @given(st.sampled_from(BOX_TILINGS),
+           st.sets(st.integers(0, 11), max_size=5))
+    def test_simply_connected_regions_match_the_height_oracle(self, tiling,
+                                                              removed):
+        # the tilings of a simply connected region form a distributive
+        # lattice under flips (Propp 2002), whose diameter is the height
+        # distance from its bottom to its top
+        region = Region({c for k, d in enumerate(tiling) if k not in removed
+                         for c in d})
+        assume(is_simply_connected(region))
+        assert (diameter_of_graph(build_flip_graph(region)).value
+                == distance_height(region, *extremal_tilings(region)))
 
     @given(small_graphs())
     def test_random_graphs_match_all_pairs_oracle(self, graph):

@@ -10,7 +10,8 @@ from dominoflip import (Region, is_black, is_saturnian, is_simply_connected,
                         ring_decomposition)
 from dominoflip.surface import _connected
 
-from conftest import punched_boxes, region_grid, run_capped
+from conftest import (CORNER_PINCHES, punched_boxes, region_grid,
+                      run_capped)
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
@@ -147,13 +148,7 @@ class TestSimplyConnected:
                  if (x, y) not in ((0, 0), (7, 7))]
         assert is_simply_connected(make_from_cells(cells))
 
-    @pytest.mark.parametrize("rows", [
-        # rings closed only through the corner their two ends share
-        ("###", "#.#", ".##"),
-        ("####", "#..#", "#..#", ".###"),
-        # two holes meeting at a corner
-        ("####", "##.#", "#.##", "####"),
-    ])
+    @pytest.mark.parametrize("rows", CORNER_PINCHES)
     def test_corner_pinch_encloses_a_hole(self, rows):
         r = region_grid(len(rows[0]), len(rows), " ".join(rows))
         assert len(_connected(r.cells, [min(r.cells)])) == len(r.cells)

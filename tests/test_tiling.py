@@ -6,21 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dominoflip.tiling
-from dominoflip import (InvalidMoveError, NumericInstabilityError, Region,
+from dominoflip import (InvalidMoveError, NumericInstabilityError,
                         ResourceLimitError, apply_flip, available_flips,
                         count_aztec_closed_form, count_rectangle_closed_form,
                         count_tilings, domino, enumerate_tilings, first_tiling,
-                        is_black, is_simply_connected, is_valid_tiling,
-                        iter_tilings, make_aztec, make_from_cells,
-                        make_holed_square, make_rectangle, tiling_from_json,
-                        tiling_to_json)
+                        is_black, is_valid_tiling, iter_tilings, make_aztec,
+                        make_from_cells, make_holed_square, make_rectangle,
+                        tiling_from_json, tiling_to_json)
 from dominoflip.surface import _connected
 from dominoflip.tiling import (MAX_DETERMINANT_WORK, TILEABILITY_PRIME,
                                _band, _count_by_determinant, _count_by_profile,
                                _determinant_work, _kasteleyn_residue,
                                _mersenne_exponent, _sweep, is_tileable)
 
-from conftest import domino_hole_board, load_tiling, punched_boxes
+from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, punched_boxes,
+                      region_grid)
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
@@ -197,9 +197,10 @@ class TestCounting:
         assert count_tilings(r) == box_count_tilings(r)
 
     def test_state_cap(self, monkeypatch):
+        # a strip 14 cells across: too thin for the determinant to pay
         monkeypatch.setattr(dominoflip.tiling, "MAX_PROFILE_STATES", 1000)
         with pytest.raises(ResourceLimitError) as info:
-            count_tilings(domino_hole_board())
+            count_tilings(make_rectangle(14, 2000))
         cap, reached = map(int, re.findall(r"\d+", str(info.value))[:2])
         assert cap == 1000 and reached > 1000
         assert count_tilings(make_rectangle(8, 8)) == 12988816
@@ -270,21 +271,31 @@ class TestTwoCountingPaths:
         assert _count_by_profile(*sweep) == 2 ** (n * (n + 1) // 2)
 
     @given(punched_boxes(10))
-    def test_agree_on_hole_free_components(self, cells):
+    def test_agree_on_every_component(self, cells):
         left = set(cells)
         while left:
             part = _connected(left, [next(iter(left))])
             left.difference_update(part)
-            balanced = 2 * sum(map(is_black, part)) == len(part)
-            if balanced and is_simply_connected(Region(part)):
+            if 2 * sum(map(is_black, part)) == len(part):
                 sweep = _sweep(part)
                 assert (_count_by_determinant(*sweep)
                         == _count_by_profile(*sweep))
 
+    @pytest.mark.parametrize("k", range(3, 16, 2))
+    def test_agree_on_holed_squares(self, k):
+        sweep = _sweep(make_holed_square(k).cells)
+        assert _count_by_determinant(*sweep) == _count_by_profile(*sweep)
+
+    @pytest.mark.parametrize("rows", TILEABLE_CORNER_PINCHES)
+    def test_agree_on_corner_pinches(self, rows):
+        cells = region_grid(len(rows[0]), len(rows), " ".join(rows)).cells
+        sweep = _sweep(cells)
+        assert _count_by_determinant(*sweep) == _count_by_profile(*sweep) > 0
+
     @pytest.mark.parametrize("region,path", [
         (make_rectangle(2, 8000), "profile"),
         (make_rectangle(8, 1000), "profile"),
-        (make_holed_square(9), "profile"),
+        (make_holed_square(9), "determinant"),
         (make_from_cells([(x, y) for x in range(8) for y in range(8)
                           if (x, y) not in ((0, 0), (7, 7))]), None),
         (STAIRCASE, "profile"),
@@ -337,19 +348,44 @@ class TestTwoCountingPaths:
         assert _determinant_work(last - 1, 1, last) > MAX_DETERMINANT_WORK
 
 
+def spy_on_counts(monkeypatch):
+    """The regions is_tileable hands to count_tilings, as a list that
+    fills while the test runs."""
+    counted = []
+    count = dominoflip.tiling.count_tilings
+
+    def spy(region):
+        counted.append(region)
+        return count(region)
+
+    monkeypatch.setattr(dominoflip.tiling, "count_tilings", spy)
+    return counted
+
+
 class TestTileability:
     @given(punched_boxes(8))
     def test_matches_count(self, cells):
         region = make_from_cells(cells)
         assert is_tileable(region) == (count_tilings(region) > 0)
 
-    def test_zero_residue_falls_back_to_the_count(self):
-        # the hole flips the sign of one of the two tilings, so the
-        # determinant cancels to 0 although the region tiles
-        region = make_holed_square(3)
-        assert _kasteleyn_residue(*_sweep(region.cells),
-                                  TILEABILITY_PRIME) == 0
+    def test_zero_residue_falls_back_to_the_count(self, monkeypatch):
+        # rect:3x2 has 3 tilings, so its determinant vanishes modulo 3
+        # although the region tiles
+        monkeypatch.setattr(dominoflip.tiling, "TILEABILITY_PRIME", 3)
+        counted = spy_on_counts(monkeypatch)
+        region = make_rectangle(3, 2)
+        assert _kasteleyn_residue(*_sweep(region.cells), 3) == 0
         assert is_tileable(region)
+        assert counted == [region]
+
+    @pytest.mark.parametrize("k", range(3, 24, 2))
+    def test_holed_squares_need_no_count(self, monkeypatch, k):
+        counted = spy_on_counts(monkeypatch)
+        region = make_holed_square(k)
+        assert _kasteleyn_residue(*_sweep(region.cells),
+                                  TILEABILITY_PRIME) != 0
+        assert is_tileable(region)
+        assert counted == []
 
     def test_untileable(self):
         mutilated = make_from_cells([(x, y) for x in range(8) for y in range(8)
