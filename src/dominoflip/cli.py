@@ -199,7 +199,7 @@ def cmd_diameter(args) -> int:
 
 def _tileable_graph(region: Region, budget: int) -> FlipGraph:
     graph = build_flip_graph(region, budget)
-    if not graph.nodes:
+    if not len(graph):
         raise UntileableError("region is untileable")
     return graph
 

@@ -50,7 +50,7 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
     the smallest node whose eccentricity is the diameter, and the
     smallest node that far from it.
     """
-    n = len(graph.nodes)
+    n = len(graph)
     if not n:
         raise UntileableError("region has no tiling")
     rows: dict[int, list[int]] = {}
@@ -81,7 +81,8 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
         hi = [min(high, e + d) for high, d in zip(hi, dist)]
     best = max(lo)
     i = next(i for i in range(n) if hi[i] >= best and max(row(i)) == best)
-    pair = (graph.nodes[i], graph.nodes[rows[i].index(best)])
+    pair = (graph.region.decode(graph.masks[i]),
+            graph.region.decode(graph.masks[rows[i].index(best)]))
     return DiameterReport(best, "bfs", pair)
 
 

@@ -1,18 +1,19 @@
 """Explicit flip graphs: one node per tiling, one edge per flip.
 
 Nodes follow the canonical enumeration order, so node ids are stable
-across runs.  Neighbors are generated by applying each available flip
-rather than comparing tilings pairwise.
+across runs.  A node is its tiling's mask, and its neighbours are the
+masks one flip away, found by value.  Building, searching and DOT
+export never decode a tiling; ``FlipGraph.nodes`` does on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ResourceLimitError
 from .surface import Region
-from .tiling import (Tiling, apply_flip, available_flips, count_tilings,
-                     enumerate_tilings, tiling_to_json)
+from .tiling import Tiling, count_tilings, iter_tiling_masks, tiling_to_json
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -20,15 +21,20 @@ DEFAULT_NODE_BUDGET = 2_000_000
 @dataclass
 class FlipGraph:
     region: Region
-    nodes: list[Tiling]
+    masks: list[int]
     adjacency: list[list[int]]
-    index: dict[Tiling, int] = field(repr=False)
+    index: dict[int, int] = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.masks)
+
+    @cached_property
+    def nodes(self) -> list[Tiling]:
+        """The tilings, decoded from the masks on first access."""
+        return list(map(self.region.decode, self.masks))
 
     def node_index(self, tiling: Tiling) -> int:
-        return self.index[tiling]
+        return self.index[self.region.encode(tiling)]
 
 
 def build_flip_graph(region: Region,
@@ -38,12 +44,13 @@ def build_flip_graph(region: Region,
     if total > budget:
         raise ResourceLimitError(
             f"flip graph would have {total} nodes, budget is {budget}")
-    nodes = enumerate_tilings(region) if total else []
-    index = {t: i for i, t in enumerate(nodes)}
-    adjacency = [sorted(index[apply_flip(region, t, anchor)]
-                        for anchor in available_flips(region, t))
-                 for t in nodes]
-    return FlipGraph(region, nodes, adjacency, index)
+    masks = list(iter_tiling_masks(region)) if total else []
+    index = {m: i for i, m in enumerate(masks)}
+    blocks = [(s, h, v, h | v) for s, h, v in region.flip_blocks.values()]
+    adjacency = [sorted(index[m ^ hv << s] for s, h, v, hv in blocks
+                        if (t := m >> s) & h == h or t & v == v)
+                 for m in masks]
+    return FlipGraph(region, masks, adjacency, index)
 
 
 def _bfs(graph: FlipGraph, source: int, dist: list[int | None]) -> list[int]:
@@ -62,16 +69,16 @@ def _bfs(graph: FlipGraph, source: int, dist: list[int | None]) -> list[int]:
 
 def bfs_distances(graph: FlipGraph, source: int) -> list[int | None]:
     """Unweighted distances from a node; None marks other components."""
-    if not 0 <= source < len(graph.nodes):
+    if not 0 <= source < len(graph):
         raise IndexError(f"node index {source} out of range")
-    dist: list[int | None] = [None] * len(graph.nodes)
+    dist: list[int | None] = [None] * len(graph)
     _bfs(graph, source, dist)
     return dist
 
 
 def bfs_distance(graph: FlipGraph, i: int, j: int) -> int | None:
     """Shortest path length between two nodes, None when unreachable."""
-    if not 0 <= j < len(graph.nodes):
+    if not 0 <= j < len(graph):
         raise IndexError(f"node index {j} out of range")
     return bfs_distances(graph, i)[j]
 
@@ -79,9 +86,9 @@ def bfs_distance(graph: FlipGraph, i: int, j: int) -> int | None:
 def connected_components(graph: FlipGraph) -> list[list[int]]:
     """Node partition, components ordered by smallest member."""
     # one list for every search keeps the whole partition linear
-    seen: list[int | None] = [None] * len(graph.nodes)
+    seen: list[int | None] = [None] * len(graph)
     return [sorted(_bfs(graph, start, seen))
-            for start in range(len(graph.nodes)) if seen[start] is None]
+            for start in range(len(graph)) if seen[start] is None]
 
 
 def _edge_list(graph: FlipGraph) -> list[tuple[int, int]]:
@@ -94,7 +101,7 @@ def export_graph(graph: FlipGraph, format: str = "dot") -> str:
     """Render the graph as DOT or JSON text (newline-terminated)."""
     if format == "dot":
         lines = ["graph tilings {"]
-        lines.extend(f"  {i};" for i in range(len(graph.nodes)))
+        lines.extend(f"  {i};" for i in range(len(graph)))
         lines.extend(f"  {i} -- {j};" for i, j in _edge_list(graph))
         lines.append("}")
         return "\n".join(lines) + "\n"

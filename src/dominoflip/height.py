@@ -13,7 +13,8 @@ label (its anchor's) by 4, and the pointwise max and min of two
 labelings are again labelings of tilings.  That last fact makes the set
 of tilings a distributive lattice whose extremes realize the flip-graph
 diameter; it also yields geodesics, by flipping monotonically up to the
-pointwise max and back down.
+pointwise max and back down.  Those walks flip tiling masks, and after
+each flip they re-check only the blocks that share a domino with it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Callable
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
                      UntileableError)
 from .surface import Region, Vertex, is_simply_connected
-from .tiling import (Tiling, apply_flip, available_flips, first_tiling,
-                     is_valid_tiling)
+from .tiling import Tiling, first_tiling, is_valid_tiling
 
 HeightValues = dict[Vertex, int]
 
@@ -109,36 +109,64 @@ def meet(region: Region, t1: Tiling, t2: Tiling) -> Tiling:
     return tiling_from_height(region, {v: min(h1[v], h2[v]) for v in h1})
 
 
-def _flip_step(region: Region, tiling: Tiling, anchor: Vertex) -> int:
-    """How a flip at the anchor moves its label: +4 when the block holds
-    its vertical pair and the anchor's coordinate sum is even, or its
-    horizontal pair and the sum is odd; -4 otherwise."""
-    vertical = region.flip_blocks[anchor][1] <= tiling
-    return 4 if vertical == (sum(anchor) % 2 == 0) else -4
+def _flip_step(mask: int, block: tuple[int, int, int], anchor: Vertex) -> int:
+    """How a flip at the anchor, whose flip block is block, moves its
+    label in the tiling of the mask: +4 when the block holds its vertical
+    pair and the anchor's sum is even, or its horizontal pair and the
+    sum is odd; -4 when it holds a pair otherwise; 0 when it holds none."""
+    s, h, v = block
+    held = mask >> s
+    if held & h != h and held & v != v:
+        return 0
+    return 4 if (held & v == v) == (sum(anchor) % 2 == 0) else -4
 
 
-def _walk(region: Region, tiling: Tiling, values: HeightValues,
-          goal: Callable[[Vertex, int], int], moves: list[Vertex]) -> Tiling:
-    """Flip at the lexicographically smallest available anchor whose
-    label moves the way the sign of goal(anchor, label) says, rescanning
-    after every move, until no anchor does.  Updates values in place and
-    appends each flipped anchor to moves."""
-    while True:
-        for anchor in available_flips(region, tiling):
-            step = _flip_step(region, tiling, anchor)
-            if step * goal(anchor, values[anchor]) > 0:
-                tiling = apply_flip(region, tiling, anchor)
-                values[anchor] += step
-                moves.append(anchor)
-                break
-        else:
-            return tiling
+def _walk(region: Region, mask: int, values: HeightValues,
+          goal: Callable[[Vertex, int], int], moves: list[Vertex]) -> int:
+    """Flip the tiling of the mask at the lexicographically smallest
+    anchor whose label a flip moves the way the sign of goal(anchor,
+    label) says, until no anchor's does; return the final mask.  Updates
+    values in place and appends each flipped anchor to moves.
+
+    Only a flip's own anchor and its four edge neighbours, whose blocks
+    share a domino with it, are checked again after it; a heap of the
+    ranks that qualify yields the smallest.
+    """
+    from heapq import heappop, heappush  # only walks pay for loading it
+
+    anchors = list(region.flip_blocks)
+    blocks = list(region.flip_blocks.values())
+    rank = {anchor: i for i, anchor in enumerate(anchors)}
+    near = [[rank[b] for b in ((x, y), (x + 1, y), (x - 1, y), (x, y + 1),
+                               (x, y - 1)) if b in rank] for x, y in anchors]
+
+    def qualifies(i: int) -> bool:
+        anchor = anchors[i]
+        step = _flip_step(mask, blocks[i], anchor)
+        return step * goal(anchor, values[anchor]) > 0
+
+    ready = list(map(qualifies, range(len(anchors))))
+    heap = [i for i, ok in enumerate(ready) if ok]  # sorted, so a heap
+    while heap:
+        i = heappop(heap)
+        if ready[i]:  # else it stopped qualifying after it was pushed
+            anchor, (s, h, v) = anchors[i], blocks[i]
+            values[anchor] += _flip_step(mask, blocks[i], anchor)
+            mask ^= (h | v) << s
+            moves.append(anchor)
+            ready[i] = False
+            for j in near[i]:
+                was, ready[j] = ready[j], qualifies(j)
+                if ready[j] and not was:
+                    heappush(heap, j)
+    return mask
 
 
 def _monotone_sweep(region: Region, tiling: Tiling, direction: int) -> Tiling:
     """Apply height-raising (direction=+1) or -lowering flips until stuck."""
-    return _walk(region, tiling, height_function(region, tiling),
-                 lambda anchor, label: direction, [])
+    return region.decode(_walk(region, region.encode(tiling),
+                               height_function(region, tiling),
+                               lambda anchor, label: direction, []))
 
 
 def extremal_tilings(region: Region) -> tuple[Tiling, Tiling]:
@@ -164,11 +192,11 @@ def geodesic(region: Region, t1: Tiling, t2: Tiling) -> list[Vertex]:
     h2 = height_function(region, t2)
     mid = {v: max(h1[v], h2[v]) for v in h1}
     moves: list[Vertex] = []
-    current = t1
+    mask = region.encode(t1)
     values = dict(h1)
     for target in (mid, h2):
-        current = _walk(region, current, values,
-                        lambda anchor, label: target[anchor] - label, moves)
+        mask = _walk(region, mask, values,
+                     lambda anchor, label: target[anchor] - label, moves)
         if values != target:
             raise DominoError("geodesic search stalled; inputs inconsistent")
     return moves

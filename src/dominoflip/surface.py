@@ -23,11 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
+
+from .errors import ResourceLimitError
 
 Cell = tuple[int, int]
 Vertex = tuple[int, int]
 EdgeInfo = tuple[Vertex, int, tuple[Cell, Cell] | None]
+
+# steps _has_covering_cycle may take, about a second of search: deciding
+# whether a grid graph has a Hamiltonian cycle is NP-complete
+MAX_CYCLE_STEPS = 1 << 22
+# binary digits "0" and "1" as the bytes 0 and 1, for itertools.compress
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def is_black(cell: Cell) -> bool:
@@ -51,20 +60,6 @@ def _edge_sign(u: Vertex, v: Vertex) -> int:
     exactly when u has an odd coordinate sum and the edge is horizontal,
     or an even sum and the edge is vertical."""
     return 1 if ((u[0] + u[1]) % 2 == 1) == (u[1] == v[1]) else -1
-
-
-def _flank_pair(cells: frozenset[Cell], u: Vertex, v: Vertex):
-    """The domino that would cross edge {u, v}, or None on the boundary.
-    Its cells come out in canonical (lexicographic) order."""
-    if u[1] == v[1]:
-        x = min(u[0], v[0])
-        a, b = (x, u[1] - 1), (x, u[1])
-    else:
-        y = min(u[1], v[1])
-        a, b = (u[0] - 1, y), (u[0], y)
-    if a in cells and b in cells:
-        return (a, b)
-    return None
 
 
 class Region:
@@ -109,14 +104,46 @@ class Region:
         return self.vertex_set - self.interior_vertices
 
     @cached_property
-    def flip_blocks(self) -> dict[Vertex, tuple[frozenset, frozenset]]:
-        """Per interior vertex, in sorted order: the horizontal and the
-        vertical domino pair of the 2x2 block around it."""
+    def dominoes(self) -> dict[tuple[Cell, Cell], int]:
+        """The region's dominoes, each to its bit in a tiling's mask, in
+        bit order.  Each follows its first cell in a breadth-first flood
+        of each component from its smallest cell, so the four of a 2x2
+        block lie a few flood levels apart however long the region is."""
+        flood: dict[Cell, None] = {}
+        for cell in sorted(self.cells):
+            if cell not in flood:
+                flood.update(dict.fromkeys(_connected(self.cells, [cell])))
+        pairs = (((x, y), p) for x, y in flood
+                 for p in ((x + 1, y), (x, y + 1)) if p in self.cells)
+        return {d: i for i, d in enumerate(pairs)}
+
+    def encode(self, tiling: Iterable[tuple[Cell, Cell]]) -> int:
+        """The mask of a set of the region's dominoes."""
+        digits = bytearray(b"0" * (len(self.dominoes) + 1))  # bit i at [~i]
+        for d in tiling:
+            digits[~self.dominoes[d]] = 49  # "1"
+        return int(digits, 2)
+
+    def decode(self, mask: int) -> frozenset:
+        """The set of dominoes whose bits the mask sets."""
+        digits = f"{mask:b}"[::-1].encode().translate(_BITS)  # lowest first
+        return frozenset(compress(self.dominoes, digits))
+
+    @cached_property
+    def flip_blocks(self) -> dict[Vertex, tuple[int, int, int]]:
+        """Per interior vertex, in sorted order: (s, h, v), the masks of
+        the horizontal and the vertical domino pair of the 2x2 block
+        around it shifted down by s, the lowest of their bits.  A tiling
+        m holds the pair h when (m >> s) & h == h, and a flip there is
+        m ^ ((h | v) << s).  Shifted, an entry takes a few flood levels'
+        worth of bits rather than one bit per domino of the region."""
+        bit = self.dominoes
         blocks = {}
         for v in sorted(self.interior_vertices):
             ll, lr, ul, ur = cells_around(v)
-            blocks[v] = (frozenset({(ll, lr), (ul, ur)}),
-                         frozenset({(ll, ul), (lr, ur)}))
+            pairs = ((bit[ll, lr], bit[ul, ur]), (bit[ll, ul], bit[lr, ur]))
+            s = min(map(min, pairs))
+            blocks[v] = (s, *((1 << a - s) | (1 << b - s) for a, b in pairs))
         return blocks
 
     @cached_property
@@ -137,7 +164,9 @@ class Region:
                 seen.add(key)
                 a, b = key
                 sign = _edge_sign(a, b)
-                flank = _flank_pair(self.cells, a, b)
+                # the cell with corner a and the one across the edge
+                pair = ((a[0], a[1] - 1) if a[1] == b[1] else (a[0] - 1, a[1]), a)
+                flank = pair if pair in self.dominoes else None
                 adj[a].append((b, sign, flank))
                 adj[b].append((a, -sign, flank))
         return {v: tuple(edges) for v, edges in adj.items()}
@@ -273,7 +302,9 @@ def ring_decomposition(region: Region) -> RingDecomposition:
 
 
 def _has_covering_cycle(cells: frozenset[Cell]) -> bool:
-    """True when the cells admit a closed dual-graph tour visiting each once."""
+    """True when the cells admit a closed dual-graph tour visiting each
+    once.  The search backtracks, and raises ``ResourceLimitError``
+    rather than take more than ``MAX_CYCLE_STEPS`` steps."""
     n = len(cells)
     if n < 4 or n % 2:
         return False
@@ -286,7 +317,9 @@ def _has_covering_cycle(cells: frozenset[Cell]) -> bool:
     path = [start]
     visited = {start}
     iters = [iter(adj[start])]
-    while iters:
+    for _ in range(MAX_CYCLE_STEPS):
+        if not iters:
+            return False
         try:
             nb = next(iters[-1])
         except StopIteration:
@@ -299,7 +332,8 @@ def _has_covering_cycle(cells: frozenset[Cell]) -> bool:
             visited.add(nb)
             path.append(nb)
             iters.append(iter(adj[nb]))
-    return False
+    raise ResourceLimitError(f"covering-cycle search took {MAX_CYCLE_STEPS}"
+                             f" steps unsettled, cap is {MAX_CYCLE_STEPS}")
 
 
 def is_saturnian(region: Region) -> bool:

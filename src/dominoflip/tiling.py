@@ -2,15 +2,17 @@
 
 A domino is a dual edge, stored as its two cells in lexicographic
 order, and a tiling is a frozenset of dominoes covering every cell of
-the region exactly once.  A flip is then a set operation: when a 2x2
-block holds one of its two parallel domino pairs, the flipped tiling is
-the symmetric difference with all four of the block's dominoes
-(``Region.flip_blocks`` lists those pairs per anchor).
+the region exactly once.  Inside the flip graph and the height walk a
+tiling is an int instead, its mask, with bit i set when it holds the
+i-th of ``Region.dominoes``.  A flip is then one xor: when a 2x2 block
+holds one of its two parallel domino pairs, the flipped tiling toggles
+all four of the block's dominoes (``Region.flip_blocks``).
 
 Enumeration backtracks on the lexicographically smallest uncovered
-cell, trying its right partner before its upper partner.  That fixes a
-canonical order of tilings which everything downstream reuses (flip
-graph node ids, serialized output), so runs are reproducible.
+cell, trying its right partner before its upper partner, and yields
+masks (``iter_tiling_masks``).  That fixes a canonical order of tilings
+which everything downstream reuses (flip graph node ids, serialized
+output), so runs are reproducible.
 
 Counting never enumerates, and Python integers keep counts exact at
 any size.  Each edge-connected component is counted on its own by the
@@ -67,60 +69,60 @@ def partner_map(tiling: Tiling) -> dict[Cell, Cell]:
 
 
 def is_valid_tiling(region: Region, tiling: Tiling) -> bool:
-    """True when the dominoes form a perfect matching of the region."""
-    covered: set[Cell] = set()
-    for d in tiling:
-        if not (isinstance(d, tuple) and len(d) == 2):
-            return False
-        a, b = d
-        if a not in region.cells or b not in region.cells:
-            return False
-        if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-            return False
-        if a in covered or b in covered:
-            return False
-        covered.add(a)
-        covered.add(b)
-    return covered == set(region.cells)
+    """True when the dominoes, each one of the region's, cover every
+    cell of the region once."""
+    covered = {c for d in tiling if d in region.dominoes for c in d}
+    return len(covered) == 2 * len(tiling) == len(region.cells)
 
 
 def iter_tilings(region: Region) -> Iterator[Tiling]:
     """Yield every tiling once, in canonical backtracking order."""
+    return map(region.decode, iter_tiling_masks(region))
+
+
+def iter_tiling_masks(region: Region) -> Iterator[int]:
+    """The masks of ``iter_tilings``'s tilings, in the same order."""
     if not is_tileable(region):
         return
     order = sorted(region.cells)
     index = {cell: i for i, cell in enumerate(order)}
-    # per cell: (partner index, domino), right partner before upper
-    partners = [[(index[p], (cell, p))
+    bit = region.dominoes
+    # per cell: (partner index, digit of their domino), right partner
+    # before upper
+    partners = [[(index[p], ~bit[cell, p])
                  for p in ((cell[0] + 1, cell[1]), (cell[0], cell[1] + 1))
                  if p in index] for cell in order]
     n = len(order)
     covered = [False] * n
-    chosen: list[Domino] = []
-    # one frame per chosen domino: [cell index, untried partners, partner]
-    stack = [[0, iter(partners[0]), 0]]
+    digits = bytearray(b"0" * (len(region.dominoes) + 1))  # as in encode
+    # one frame per chosen domino: [cell index, untried partners,
+    # partner, digit]
+    stack = [[0, iter(partners[0]), 0, 0]]
+    chosen = 0
     while stack:
         frame = stack[-1]
         i = frame[0]
-        if len(chosen) == len(stack):  # undo this level's last choice
-            chosen.pop()
+        if chosen == len(stack):  # undo this level's last choice
+            chosen -= 1
             covered[i] = covered[frame[2]] = False
-        for j, dom in frame[1]:
+            digits[frame[3]] = 48  # "0"
+        for j, digit in frame[1]:
             if not covered[j]:
                 break
         else:
             stack.pop()
             continue
         covered[i] = covered[j] = True
-        chosen.append(dom)
-        frame[2] = j
+        digits[digit] = 49  # "1"
+        chosen += 1
+        frame[2], frame[3] = j, digit
         k = i + 1
         while k < n and covered[k]:
             k += 1
         if k == n:
-            yield frozenset(chosen)
+            yield int(digits, 2)
         else:
-            stack.append([k, iter(partners[k]), 0])
+            stack.append([k, iter(partners[k]), 0, 0])
 
 
 def enumerate_tilings(region: Region) -> list[Tiling]:
@@ -192,7 +194,8 @@ def is_tileable(region: Region) -> bool:
     exists.  With Kasteleyn signs it is the count modulo that prime, up
     to sign, so it is zero on a tileable component only when the prime
     divides the count; a zero residue, or an elimination estimated above
-    ``MAX_DETERMINANT_WORK``, is settled by the exact count.
+    ``MAX_DETERMINANT_WORK``, is settled by the exact count.  When that
+    count refuses too, so does the check, stating its own estimate.
     """
     parts = _balanced_components(region.cells)
     if parts is None:
@@ -201,10 +204,17 @@ def is_tileable(region: Region) -> bool:
     for part in parts:
         w, order = _sweep(part)
         work = _determinant_work(len(order) // 2, _band(w, order), e)
-        if ((work > MAX_DETERMINANT_WORK
-             or not _kasteleyn_residue(w, order, TILEABILITY_PRIME))
-                and not count_tilings(Region(part))):
-            return False
+        if (work <= MAX_DETERMINANT_WORK
+                and _kasteleyn_residue(w, order, TILEABILITY_PRIME)):
+            continue
+        try:
+            if not count_tilings(Region(part)):
+                return False
+        except ResourceLimitError:
+            raise ResourceLimitError(
+                f"tileability check of a {len(order)}-cell component needs "
+                f"an estimated {work} work units, cap is "
+                f"{MAX_DETERMINANT_WORK}, and counting it refuses too") from None
     return True
 
 
@@ -407,16 +417,20 @@ def count_aztec_closed_form(n: int) -> int:
 def available_flips(region: Region, tiling: Tiling) -> list[Vertex]:
     """Anchors of all 2x2 blocks covered by two parallel dominoes, in
     lexicographic order."""
-    return [anchor for anchor, (h, v) in region.flip_blocks.items()
-            if h <= tiling or v <= tiling]
+    m = region.encode(tiling)
+    return [anchor for anchor, (s, h, v) in region.flip_blocks.items()
+            if (m >> s) & h == h or (m >> s) & v == v]
 
 
 def apply_flip(region: Region, tiling: Tiling, anchor: Vertex) -> Tiling:
     """Rotate the 2x2 block at the anchor a quarter turn."""
     block = region.flip_blocks.get(anchor)
-    if block is None or not (block[0] <= tiling or block[1] <= tiling):
-        raise InvalidMoveError(f"vertex {anchor} is not a flippable anchor")
-    return tiling ^ block[0] ^ block[1]
+    if block is not None:
+        s, h, v = block
+        m = region.encode(tiling)
+        if (m >> s) & h == h or (m >> s) & v == v:
+            return region.decode(m ^ (h | v) << s)
+    raise InvalidMoveError(f"vertex {anchor} is not a flippable anchor")
 
 
 def tiling_to_json(tiling: Tiling) -> dict:

@@ -333,6 +333,18 @@ class TestRenderAndExtremes:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: region has no tiling\n"
 
+    def test_tileability_check_names_its_estimate(self, tmp_path):
+        # too wide for the 61-bit elimination and for the count it falls
+        # back on, so the check refuses in its own words
+        done = run_capped("-m", "dominoflip.cli", "extremes", "--shape",
+                          "square:100", "--out", str(tmp_path / "x"),
+                          timeout=30)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr.startswith("error: tileability check of a ")
+        cells, estimate, cap = map(int, re.findall(r"\d+", done.stderr))
+        assert cells == 10000 and estimate == 5000 * 100 * 100
+        assert cap == dominoflip.tiling.MAX_DETERMINANT_WORK < estimate
+
 
 class TestExport:
     def test_graph_dot(self, capsys):

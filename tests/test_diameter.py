@@ -62,8 +62,17 @@ def small_graphs(draw):
         adjacency[a].append(b)
         adjacency[b].append(a)
     nodes = list(range(n))
-    return FlipGraph(None, nodes, [sorted(nbs) for nbs in adjacency],
+    return FlipGraph(PlainMasks, nodes, [sorted(nbs) for nbs in adjacency],
                      {v: v for v in nodes})
+
+
+class PlainMasks:
+    """Stands in for the region of a graph whose node masks are the
+    nodes themselves."""
+
+    @staticmethod
+    def decode(mask):
+        return mask
 
 
 # deleting dominoes from a tiling of the 6x4 box leaves a tileable region

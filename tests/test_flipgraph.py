@@ -4,8 +4,8 @@ import pytest
 
 from dominoflip import (ResourceLimitError, available_flips, bfs_distance,
                         bfs_distances, build_flip_graph, connected_components,
-                        export_graph, make_aztec, make_holed_square,
-                        make_rectangle)
+                        diameter_of_graph, enumerate_tilings, export_graph,
+                        make_aztec, make_holed_square, make_rectangle)
 
 
 def differ_by_one_block(t1, t2):
@@ -118,6 +118,21 @@ class TestComponents:
         comps = connected_components(g)
         nodes = [i for comp in comps for i in comp]
         assert sorted(nodes) == list(range(len(g)))
+
+
+class TestMasks:
+    def test_queries_decode_no_node(self):
+        r = make_rectangle(4, 4)
+        g = build_flip_graph(r)
+        assert g.node_index(enumerate_tilings(r)[7]) == 7
+        bfs_distance(g, 0, 5)
+        bfs_distances(g, 3)
+        connected_components(g)
+        diameter_of_graph(g)
+        export_graph(g, "dot")
+        assert "nodes" not in vars(g)
+        assert g.nodes == enumerate_tilings(r)
+        assert "nodes" in vars(g)
 
 
 class TestExport:

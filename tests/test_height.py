@@ -1,16 +1,18 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dominoflip import (InvalidHeightError, UnsupportedRegionError,
+from dominoflip import (InvalidHeightError, Region, UnsupportedRegionError,
                         apply_flip, available_flips, base_vertex,
                         build_flip_graph, bfs_distances, distance_height,
-                        enumerate_tilings, extremal_tilings, geodesic,
-                        height_function, join, make_aztec, make_from_cells,
-                        make_holed_square, make_rectangle, meet,
-                        tiling_from_height, tiling_from_json)
+                        enumerate_tilings, extremal_tilings, first_tiling,
+                        geodesic, height_function, is_simply_connected, join,
+                        make_aztec, make_from_cells, make_holed_square,
+                        make_rectangle, meet, tiling_from_height,
+                        tiling_from_json)
+from dominoflip.tiling import is_tileable
 
-from conftest import load_tiling
+from conftest import load_tiling, punched_boxes
 
 # an L-shaped 16-cell region with a reference tiling and the height
 # labels it must produce (base vertex (0, 0))
@@ -265,11 +267,80 @@ class TestFlipLocality:
     ], ids=["4x4", "aztec3", "5x4"])
     def test_flip_direction_read_off_the_block(self, region):
         # up by 4 when the block holds its vertical pair at an even
-        # anchor or its horizontal pair at an odd one, else down by 4
+        # anchor or its horizontal pair at an odd one, down by 4 when it
+        # holds a pair otherwise, 0 when it holds neither
         from dominoflip.height import _flip_step
         for t in enumerate_tilings(region):
             before = height_function(region, t)
-            for anchor in available_flips(region, t):
+            mask = region.encode(t)
+            flips = available_flips(region, t)
+            for anchor, block in region.flip_blocks.items():
+                step = _flip_step(mask, block, anchor)
+                if anchor not in flips:
+                    assert step == 0
+                    continue
                 after = height_function(region, apply_flip(region, t, anchor))
-                assert (after[anchor] - before[anchor]
-                        == _flip_step(region, t, anchor))
+                assert after[anchor] - before[anchor] == step
+
+
+def rescanning_walk(region, tiling, values, goal, moves):
+    """Oracle for ``height._walk``, on sets of dominoes: flip at the
+    smallest available anchor whose label moves the way the sign of
+    goal(anchor, label) says, rescanning every anchor after each flip."""
+    while True:
+        for anchor in available_flips(region, tiling):
+            x, y = anchor
+            vertical = ((x - 1, y - 1), (x - 1, y)) in tiling
+            step = 4 if vertical == ((x + y) % 2 == 0) else -4
+            if step * goal(anchor, values[anchor]) > 0:
+                tiling = apply_flip(region, tiling, anchor)
+                values[anchor] += step
+                moves.append(anchor)
+                break
+        else:
+            return tiling
+
+
+def rescanning_extremes(region):
+    seed = first_tiling(region)
+    return tuple(rescanning_walk(region, seed, height_function(region, seed),
+                                 lambda anchor, label, d=d: d, [])
+                 for d in (-1, 1))
+
+
+def rescanning_geodesic(region, t1, t2):
+    h1, h2 = height_function(region, t1), height_function(region, t2)
+    mid = {v: max(h1[v], h2[v]) for v in h1}
+    values, moves, current = dict(h1), [], t1
+    for target in (mid, h2):
+        current = rescanning_walk(region, current, values,
+                                  lambda anchor, label: target[anchor] - label,
+                                  moves)
+    assert current == t2 and values == h2
+    return moves
+
+
+def assert_walks_match_the_oracle(region):
+    extremes = extremal_tilings(region)
+    assert extremes == rescanning_extremes(region)
+    tmin, tmax = extremes
+    seed = first_tiling(region)
+    for a, b in ((tmin, tmax), (tmax, tmin), (seed, tmin), (tmax, seed)):
+        assert geodesic(region, a, b) == rescanning_geodesic(region, a, b)
+
+
+class TestLocalWalk:
+    """The walk that re-checks only a flip's block and its neighbours
+    against the full rescan it replaced: same tilings, same flip lists."""
+
+    @given(punched_boxes(7))
+    def test_simply_connected_regions(self, cells):
+        region = Region(cells)
+        assume(is_simply_connected(region) and is_tileable(region))
+        assert_walks_match_the_oracle(region)
+
+    @pytest.mark.parametrize("region", [
+        make_rectangle(7, 4), make_rectangle(16, 16), make_aztec(8),
+    ], ids=["7x4", "16x16", "aztec8"])
+    def test_long_walks(self, region):
+        assert_walks_match_the_oracle(region)

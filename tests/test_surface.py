@@ -1,10 +1,13 @@
+import re
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dominoflip import (Region, is_black, is_saturnian, is_simply_connected,
+import dominoflip.surface
+from dominoflip import (Region, ResourceLimitError, enumerate_tilings,
+                        is_black, is_saturnian, is_simply_connected,
                         make_aztec, make_from_cells, make_holed_square,
                         make_rectangle, region_from_json, region_to_json,
                         ring_decomposition)
@@ -237,6 +240,50 @@ class TestSaturnian:
     ])
     def test_cases(self, region, expected):
         assert is_saturnian(region) is expected
+
+    def test_cycle_search_budget(self, monkeypatch):
+        # touring the 28-cell outer ring of 8x8 takes more than 10 steps
+        monkeypatch.setattr(dominoflip.surface, "MAX_CYCLE_STEPS", 10)
+        with pytest.raises(ResourceLimitError,
+                           match="covering-cycle search") as info:
+            is_saturnian(make_rectangle(8, 8))
+        assert list(map(int, re.findall(r"\d+", str(info.value)))) == [10, 10]
+        monkeypatch.undo()
+        assert is_saturnian(make_rectangle(8, 8))
+
+
+def cross(arm):
+    """Two 2-cell-wide bars, 2 * arm cells long, crossing at the origin."""
+    bar = [(x, y) for x in range(-arm, arm) for y in (0, 1)]
+    return Region(bar + [(y, x) for x, y in bar])
+
+
+class TestDominoMasks:
+    @given(cells_strategy)
+    def test_dominoes_are_the_dual_edges(self, cells):
+        r = make_from_cells(cells)
+        edges = {(c, nb) for c in r.cells for nb in r.neighbors(c) if c < nb}
+        assert len(r.dominoes) == len(edges) and set(r.dominoes) == edges
+        assert list(r.dominoes.values()) == list(range(len(edges)))
+
+    @pytest.mark.parametrize("region", [
+        make_rectangle(4, 4), make_aztec(3), make_holed_square(5),
+    ], ids=["4x4", "aztec3", "holed5"])
+    def test_round_trip(self, region):
+        for t in enumerate_tilings(region):
+            mask = region.encode(t)
+            assert bin(mask).count("1") == len(t)
+            assert region.decode(mask) == t
+
+    @pytest.mark.parametrize("region", [
+        make_rectangle(2, 3000), make_rectangle(3000, 2), cross(1500),
+    ], ids=["tall", "wide", "cross"])
+    def test_blocks_span_few_bits_on_long_regions(self, region):
+        # a block's masks are shifted down to its lowest bit, and the
+        # flood order keeps its four dominoes close, so the table does
+        # not grow with the square of the region's length
+        assert max((h | v).bit_length()
+                   for _, h, v in region.flip_blocks.values()) <= 16
 
 
 class TestJson:
