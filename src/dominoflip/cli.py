@@ -17,21 +17,41 @@ import json
 import sys
 from functools import partial
 
-from .cycles import cycle_collection, cycles_to_json, distance_cycles
-from .diameter import (diameter_aztec_closed, diameter_levels,
-                       diameter_of_graph, diameter_rectangle_closed)
-from .errors import (DominoError, ResourceLimitError, UnsupportedRegionError,
-                     UntileableError)
-from .filling import export_voxels, filling_shape, voxels_to_json
-from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, bfs_distance,
-                        build_flip_graph, connected_components, export_graph)
-from .height import distance_height, extremal_tilings, geodesic
-from .render import RenderOptions, render
+from .errors import (DEFAULT_NODE_BUDGET, DominoError, ResourceLimitError,
+                     UnsupportedRegionError, UntileableError)
 from .surface import (Region, make_aztec, make_holed_square, make_rectangle,
                       region_from_json)
 from .tiling import (count_aztec_closed_form, count_rectangle_closed_form,
                      count_tilings, is_tileable, is_valid_tiling,
                      tiling_from_json, tiling_to_json)
+
+# Library names that only some commands call.  Each is imported from its
+# module on first use through __getattr__ below, so a job loads only the
+# modules its command needs.  Commands read them as attributes of this
+# module (``_lib.render``), which finds a name replaced on the module too.
+_LAZY = {
+    "cycles": ("cycle_collection", "cycles_to_json", "distance_cycles"),
+    "diameter": ("diameter_aztec_closed", "diameter_levels",
+                 "diameter_of_graph", "diameter_rectangle_closed"),
+    "filling": ("export_voxels", "filling_shape", "voxels_to_json"),
+    "flipgraph": ("FlipGraph", "bfs_distance", "build_flip_graph",
+                  "connected_components", "export_graph"),
+    "height": ("distance_height", "extremal_tilings", "geodesic"),
+    "render": ("RenderOptions", "render"),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `from .module import name` spelled out, so -X importtime lists it
+    module = __import__(_OWNER[name], globals(), None, (name,), 1)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+_lib = sys.modules[__name__]
 
 EXIT_DISAGREE = 1
 EXIT_UNTILEABLE = 2
@@ -72,8 +92,7 @@ class ShapeSpec:
             cells = max(side, 0) ** 2 - 1
             build = partial(make_holed_square, side)
         elif kind == "file":
-            with open(rest, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+            data = _read_json(rest)
             raw = data.get("cells") if isinstance(data, dict) else None
             cells = len(raw) if isinstance(raw, list) else 0
             build = partial(region_from_json, data)
@@ -94,15 +113,25 @@ class ShapeSpec:
     def closed_form_diameter(self) -> int:
         if self.kind in ("rect", "square"):
             m, n = sorted(self.dims, reverse=True)
-            return diameter_rectangle_closed(m, n)
+            return _lib.diameter_rectangle_closed(m, n)
         if self.kind == "aztec":
-            return diameter_aztec_closed(self.order)
+            return _lib.diameter_aztec_closed(self.order)
         raise ValueError(f"no closed-form diameter for shape {self.text!r}")
 
 
+def _read_json(path: str):
+    """An input file's JSON.  A file that cannot be read is bad input
+    (exit 3), where a file that cannot be written is an I/O failure
+    (exit 5), so read errors leave here as ValueError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _load_tiling(path: str, region: Region):
-    with open(path, "r", encoding="utf-8") as handle:
-        tiling = tiling_from_json(json.load(handle))
+    tiling = tiling_from_json(_read_json(path))
     if not is_valid_tiling(region, tiling):
         raise ValueError(f"{path} is not a valid tiling of the region")
     return tiling
@@ -139,15 +168,15 @@ def cmd_distance(args) -> int:
     t2 = _load_tiling(args.t2, region)
     values: dict[str, int | None] = {}
     if args.method in ("height", "all"):
-        values["height"] = distance_height(region, t1, t2)
+        values["height"] = _lib.distance_height(region, t1, t2)
     if args.method in ("cycles", "all"):
-        values["cycles"] = distance_cycles(region, t1, t2)
+        values["cycles"] = _lib.distance_cycles(region, t1, t2)
     if args.method in ("bfs", "all"):
-        graph = build_flip_graph(region, args.budget)
-        values["bfs"] = bfs_distance(graph, graph.node_index(t1),
-                                     graph.node_index(t2))
+        graph = _lib.build_flip_graph(region, args.budget)
+        values["bfs"] = _lib.bfs_distance(graph, graph.node_index(t1),
+                                          graph.node_index(t2))
     if args.emit_path is not None:
-        path = geodesic(region, t1, t2)
+        path = _lib.geodesic(region, t1, t2)
         with open(args.emit_path, "w", encoding="utf-8") as handle:
             json.dump({"flips": [[x, y] for x, y in path]}, handle)
             handle.write("\n")
@@ -172,7 +201,7 @@ def cmd_diameter(args) -> int:
     values: dict[str, int] = {}
     realizers = None
     if args.method in ("levels", "all"):
-        values["levels"] = diameter_levels(region)
+        values["levels"] = _lib.diameter_levels(region)
     if args.method in ("closed", "all"):
         try:
             values["closed"] = shape.closed_form_diameter()
@@ -181,7 +210,8 @@ def cmd_diameter(args) -> int:
             if args.method == "closed":
                 raise
     if args.method in ("bfs", "all"):
-        report = diameter_of_graph(build_flip_graph(region, args.budget))
+        report = _lib.diameter_of_graph(
+            _lib.build_flip_graph(region, args.budget))
         values["bfs"] = report.value
         realizers = [tiling_to_json(t) for t in report.realizers]
     result = {"diameter": next(iter(values.values())), "method": args.method}
@@ -198,7 +228,7 @@ def cmd_diameter(args) -> int:
 
 
 def _tileable_graph(region: Region, budget: int) -> FlipGraph:
-    graph = build_flip_graph(region, budget)
+    graph = _lib.build_flip_graph(region, budget)
     if not len(graph):
         raise UntileableError("region is untileable")
     return graph
@@ -207,7 +237,7 @@ def _tileable_graph(region: Region, budget: int) -> FlipGraph:
 def cmd_components(args) -> int:
     shape = ShapeSpec(args.shape)
     graph = _tileable_graph(shape.region, args.budget)
-    components = connected_components(graph)
+    components = _lib.connected_components(graph)
     sizes = [len(c) for c in components]
     _emit(args, "components", {"components": len(components), "sizes": sizes},
           [str(len(components)), " ".join(str(s) for s in sizes)])
@@ -217,10 +247,10 @@ def cmd_components(args) -> int:
 def cmd_render(args) -> int:
     shape = ShapeSpec(args.shape)
     region = shape.region
-    options = RenderOptions(mode=args.mode, cell_size=args.cell_size)
+    options = _lib.RenderOptions(mode=args.mode, cell_size=args.cell_size)
     t1 = _load_tiling(args.t1, region)
     t2 = _load_tiling(args.t2, region) if args.t2 else None
-    svg = render(region, options, t1, t2)
+    svg = _lib.render(region, options, t1, t2)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(svg)
     _emit(args, "render", {"written": args.out}, [])
@@ -230,13 +260,13 @@ def cmd_render(args) -> int:
 def cmd_extremes(args) -> int:
     shape = ShapeSpec(args.shape)
     region = shape.region
-    tmin, tmax = extremal_tilings(region)
+    tmin, tmax = _lib.extremal_tilings(region)
     paths = (f"{args.out}.tmin.json", f"{args.out}.tmax.json")
     for path, tiling in zip(paths, (tmin, tmax)):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(tiling_to_json(tiling), handle)
             handle.write("\n")
-    spread = distance_height(region, tmin, tmax)
+    spread = _lib.distance_height(region, tmin, tmax)
     _emit(args, "extremes",
           {"tmin": paths[0], "tmax": paths[1], "distance": spread},
           [str(spread)])
@@ -247,15 +277,19 @@ def cmd_export(args) -> int:
     shape = ShapeSpec(args.shape)
     region = shape.region
     if args.what == "graph":
-        text = export_graph(_tileable_graph(region, args.budget), args.format)
-        payload = text
+        payload = _lib.export_graph(_tileable_graph(region, args.budget),
+                                    args.format)
     else:
+        for flag in ("t1", "t2"):
+            if getattr(args, flag) is None:
+                raise ValueError(f"export --what {args.what} needs --{flag}")
         t1 = _load_tiling(args.t1, region)
         t2 = _load_tiling(args.t2, region)
         if args.what == "cycles":
-            data = cycles_to_json(cycle_collection(region, t1, t2))
+            data = _lib.cycles_to_json(_lib.cycle_collection(region, t1, t2))
         else:
-            data = voxels_to_json(export_voxels(filling_shape(region, t1, t2)))
+            data = _lib.voxels_to_json(
+                _lib.export_voxels(_lib.filling_shape(region, t1, t2)))
         payload = json.dumps(data) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -359,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OSError as exc:

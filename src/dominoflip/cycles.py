@@ -21,19 +21,18 @@ vertices gives the flip distance between the two tilings.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 
 from .surface import Cell, Region, Vertex, is_black
 from .tiling import Tiling, is_valid_tiling, partner_map
 
 
-@dataclass(frozen=True)
 class OrientedCycle:
     """Cyclic cell sequence with a fixed traversal direction."""
 
-    cells: tuple[Cell, ...]
-    orientation: int  # +1 counterclockwise, -1 clockwise
+    def __init__(self, cells: tuple[Cell, ...], orientation: int):
+        self.cells = cells
+        self.orientation = orientation  # +1 counterclockwise, -1 clockwise
 
     def steps(self) -> list[tuple[Cell, Cell]]:
         """Consecutive cell pairs, wrapping around."""
@@ -41,9 +40,9 @@ class OrientedCycle:
         return [(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))]
 
 
-@dataclass(frozen=True)
 class CycleCollection:
-    cycles: tuple[OrientedCycle, ...]
+    def __init__(self, cycles: tuple[OrientedCycle, ...]):
+        self.cycles = cycles
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -52,12 +51,13 @@ class CycleCollection:
         return iter(self.cycles)
 
 
-@dataclass(frozen=True)
 class ValueMap:
     """Per-vertex counts of surrounding positive and negative cycles."""
 
-    nu_plus: dict[Vertex, int]
-    nu_minus: dict[Vertex, int]
+    def __init__(self, nu_plus: dict[Vertex, int],
+                 nu_minus: dict[Vertex, int]):
+        self.nu_plus = nu_plus
+        self.nu_minus = nu_minus
 
     def signed(self, v: Vertex) -> int:
         return self.nu_plus.get(v, 0) - self.nu_minus.get(v, 0)

@@ -14,8 +14,6 @@ closed forms specialize that sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DominoError, UntileableError
 from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, bfs_distances,
                         build_flip_graph)
@@ -23,11 +21,12 @@ from .surface import Region, ring_decomposition
 from .tiling import Tiling
 
 
-@dataclass
 class DiameterReport:
-    value: int
-    method: str
-    realizers: tuple[Tiling, Tiling] | None = None
+    def __init__(self, value: int, method: str,
+                 realizers: tuple[Tiling, Tiling] | None = None):
+        self.value = value
+        self.method = method
+        self.realizers = realizers
 
 
 def diameter_bfs(region: Region,

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default flip-graph
+budget, which the CLI reads without importing the graph code."""
+
+# flip-graph nodes a build may hold unless told otherwise
+DEFAULT_NODE_BUDGET = 2_000_000
 
 
 class DominoError(Exception):

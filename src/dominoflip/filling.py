@@ -10,16 +10,14 @@ so the shape is stored directly as that column map.  Total volume
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cycles import cycle_collection, value_map
 from .surface import Region, Vertex
 from .tiling import Tiling
 
 
-@dataclass(frozen=True)
 class FillingShape:
-    columns: dict[Vertex, int]
+    def __init__(self, columns: dict[Vertex, int]):
+        self.columns = columns
 
 
 def filling_shape(region: Region, t1: Tiling, t2: Tiling) -> FillingShape:

@@ -8,22 +8,20 @@ export never decode a tiling; ``FlipGraph.nodes`` does on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
 from .surface import Region
 from .tiling import Tiling, count_tilings, iter_tiling_masks, tiling_to_json
 
-DEFAULT_NODE_BUDGET = 2_000_000
 
-
-@dataclass
 class FlipGraph:
-    region: Region
-    masks: list[int]
-    adjacency: list[list[int]]
-    index: dict[int, int] = field(repr=False)
+    def __init__(self, region: Region, masks: list[int],
+                 adjacency: list[list[int]], index: dict[int, int]):
+        self.region = region
+        self.masks = masks
+        self.adjacency = adjacency
+        self.index = index
 
     def __len__(self) -> int:
         return len(self.masks)

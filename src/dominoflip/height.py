@@ -20,7 +20,7 @@ each flip they re-check only the blocks that share a domino with it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
                      UntileableError)

@@ -3,8 +3,6 @@ filling shapes (the latter as isometric cube stacks)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cycles import cycle_collection
 from .filling import export_voxels, filling_shape
 from .surface import Region, is_black
@@ -17,16 +15,14 @@ POSITIVE = "#1f6feb"
 NEGATIVE = "#d73a49"
 
 
-@dataclass(frozen=True)
 class RenderOptions:
-    mode: str = "tiling"  # tiling | cycles | filling
-    cell_size: int = 24
-
-    def __post_init__(self):
-        if self.cell_size <= 0:
+    def __init__(self, mode: str = "tiling", cell_size: int = 24):
+        if cell_size <= 0:
             raise ValueError("cell size must be positive")
-        if self.mode not in ("tiling", "cycles", "filling"):
-            raise ValueError(f"unknown render mode {self.mode!r}")
+        if mode not in ("tiling", "cycles", "filling"):
+            raise ValueError(f"unknown render mode {mode!r}")
+        self.mode = mode  # tiling | cycles | filling
+        self.cell_size = cell_size
 
 
 def _fmt(value: float) -> str:

@@ -21,10 +21,9 @@ after i peels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import compress
-from typing import Iterable
 
 from .errors import ResourceLimitError
 
@@ -256,12 +255,13 @@ def is_simply_connected(region: Region) -> bool:
     return len(region.vertex_set) - 3 * len(cells) + adjacent == 1
 
 
-@dataclass(frozen=True)
 class RingDecomposition:
     """Boundary peels of a region plus the induced vertex levels."""
 
-    rings: tuple[frozenset[Cell], ...]
-    levels: dict[Vertex, int]
+    def __init__(self, rings: tuple[frozenset[Cell], ...],
+                 levels: dict[Vertex, int]):
+        self.rings = rings
+        self.levels = levels
 
     @cached_property
     def level_classes(self) -> dict[int, frozenset[Vertex]]:

@@ -27,7 +27,7 @@ needs a count divisible by that prime, is settled by counting.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import (InvalidMoveError, NumericInstabilityError,
                      ResourceLimitError)

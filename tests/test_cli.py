@@ -181,6 +181,40 @@ class TestDistance:
         assert "not a valid tiling" in err
 
 
+class TestFileErrors:
+    """An input file that cannot be read is bad input (exit 3); an output
+    file that cannot be written is an I/O failure (exit 5)."""
+
+    def test_tiling_that_is_a_directory_exits_3(self, capsys, tmp_path,
+                                                fixtures_dir):
+        code, out, err = run(capsys, "distance", "--shape", "rect:6x2",
+                             "--t1", str(tmp_path),
+                             "--t2", str(fixtures_dir / "brick_6x2.json"))
+        assert (code, out) == (3, "")
+        assert "Is a directory" in err
+
+    def test_shape_file_that_is_a_directory_exits_3(self, capsys, tmp_path):
+        code, out, err = run(capsys, "count", "--shape", f"file:{tmp_path}")
+        assert (code, out) == (3, "")
+        assert "Is a directory" in err
+
+    def test_out_into_a_missing_directory_exits_5(self, capsys, tmp_path):
+        code, out, err = run(capsys, "extremes", "--shape", "rect:2x2",
+                             "--out", str(tmp_path / "missing" / "x"))
+        assert (code, out) == (5, "")
+        assert "No such file or directory" in err
+
+    def test_emit_path_into_a_missing_directory_exits_5(self, capsys,
+                                                         tmp_path,
+                                                         fixtures_dir):
+        code, out, err = run(capsys, "distance", "--shape", "rect:6x2",
+                             "--t1", str(fixtures_dir / "brick_6x2.json"),
+                             "--t2", str(fixtures_dir / "staggered_6x2.json"),
+                             "--emit-path", str(tmp_path / "missing" / "p"))
+        assert (code, out) == (5, "")
+        assert "No such file or directory" in err
+
+
 class TestDiameter:
     def test_square_6_closed(self, capsys):
         code, out, _ = run(capsys, "diameter", "--shape", "square:6",
@@ -369,3 +403,15 @@ class TestExport:
                            "--t2", str(fixtures_dir / "pair_7x4_b.json"))
         assert code == 0
         assert len(json.loads(out)["voxels"]) == 16
+
+    @pytest.mark.parametrize("what", ["cycles", "voxels"])
+    @pytest.mark.parametrize("given,missing", [
+        ((), "--t1"), (("--t1",), "--t2"), (("--t2",), "--t1")])
+    def test_pair_without_a_tiling_exits_3(self, capsys, fixtures_dir, what,
+                                           given, missing):
+        tiling = str(fixtures_dir / "brick_6x2.json")
+        flags = [arg for flag in given for arg in (flag, tiling)]
+        code, out, err = run(capsys, "export", "--shape", "rect:6x2",
+                             "--what", what, *flags)
+        assert (code, out) == (3, "")
+        assert err == f"error: export --what {what} needs {missing}\n"
