@@ -17,7 +17,8 @@ _PUBLIC = {
                "UntileableError"),
     "filling": ("FillingShape", "export_voxels", "filling_shape", "volumes"),
     "flipgraph": ("FlipGraph", "bfs_distance", "bfs_distances",
-                  "build_flip_graph", "connected_components", "export_graph"),
+                  "build_flip_graph", "connected_components", "distance_bfs",
+                  "export_graph"),
     "height": ("base_vertex", "distance_height", "extremal_tilings",
                "geodesic", "height_function", "join", "meet",
                "tiling_from_height"),

@@ -27,15 +27,15 @@ from .tiling import (count_aztec_closed_form, count_rectangle_closed_form,
 
 # Library names that only some commands call.  Each is imported from its
 # module on first use through __getattr__ below, so a job loads only the
-# modules its command needs.  Commands read them as attributes of this
-# module (``_lib.render``), which finds a name replaced on the module too.
+# modules its command needs.  Commands read them as ``_lib.render``,
+# which finds a name replaced on the module too.
 _LAZY = {
     "cycles": ("cycle_collection", "cycles_to_json", "distance_cycles"),
     "diameter": ("diameter_aztec_closed", "diameter_levels",
                  "diameter_of_graph", "diameter_rectangle_closed"),
     "filling": ("export_voxels", "filling_shape", "voxels_to_json"),
     "flipgraph": ("FlipGraph", "bfs_distance", "build_flip_graph",
-                  "connected_components", "export_graph"),
+                  "connected_components", "distance_bfs", "export_graph"),
     "height": ("distance_height", "extremal_tilings", "geodesic"),
     "render": ("RenderOptions", "render"),
 }
@@ -51,7 +51,17 @@ def __getattr__(name: str):
     return value
 
 
-_lib = sys.modules[__name__]
+class _Names:
+    """This module's names as attributes, lazy ones bound on first use.
+    It reads the namespace the code runs in, which is not always a
+    registered module: runpy without alter_sys runs it in a bare dict."""
+
+    def __getattr__(self, name: str):
+        scope = globals()
+        return scope[name] if name in scope else scope["__getattr__"](name)
+
+
+_lib = _Names()
 
 EXIT_DISAGREE = 1
 EXIT_UNTILEABLE = 2
@@ -120,14 +130,16 @@ class ShapeSpec:
 
 
 def _read_json(path: str):
-    """An input file's JSON.  A file that cannot be read is bad input
-    (exit 3), where a file that cannot be written is an I/O failure
-    (exit 5), so read errors leave here as ValueError."""
+    """An input file's JSON.  A file that cannot be read or decoded is
+    bad input (exit 3), where a file that cannot be written is an I/O
+    failure (exit 5), so read errors leave here as ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise ValueError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_tiling(path: str, region: Region):
@@ -172,9 +184,7 @@ def cmd_distance(args) -> int:
     if args.method in ("cycles", "all"):
         values["cycles"] = _lib.distance_cycles(region, t1, t2)
     if args.method in ("bfs", "all"):
-        graph = _lib.build_flip_graph(region, args.budget)
-        values["bfs"] = _lib.bfs_distance(graph, graph.node_index(t1),
-                                          graph.node_index(t2))
+        values["bfs"] = _lib.distance_bfs(region, t1, t2, args.budget)
     if args.emit_path is not None:
         path = _lib.geodesic(region, t1, t2)
         with open(args.emit_path, "w", encoding="utf-8") as handle:

@@ -4,6 +4,7 @@ Nodes follow the canonical enumeration order, so node ids are stable
 across runs.  A node is its tiling's mask, and its neighbours are the
 masks one flip away, found by value.  Building, searching and DOT
 export never decode a tiling; ``FlipGraph.nodes`` does on first use.
+``distance_bfs`` searches the same graph without building it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from functools import cached_property
 
 from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
 from .surface import Region
-from .tiling import Tiling, count_tilings, iter_tiling_masks, tiling_to_json
+from .tiling import (Tiling, count_tilings, is_valid_tiling,
+                     iter_tiling_masks, tiling_to_json)
 
 
 class FlipGraph:
@@ -35,20 +37,73 @@ class FlipGraph:
         return self.index[self.region.encode(tiling)]
 
 
-def build_flip_graph(region: Region,
-                     budget: int = DEFAULT_NODE_BUDGET) -> FlipGraph:
-    """The complete flip graph of the region; refuses above the budget."""
+def _check_budget(region: Region, budget: int) -> int:
+    """The region's tiling count; refuses when it is above the budget."""
     total = count_tilings(region)
     if total > budget:
         raise ResourceLimitError(
             f"flip graph would have {total} nodes, budget is {budget}")
+    return total
+
+
+def _flip_table(region: Region) -> list[tuple[int, int, int, int]]:
+    """The region's flip blocks as (s, h, v, h | v), for ``_flips``."""
+    return [(s, h, v, h | v) for s, h, v in region.flip_blocks.values()]
+
+
+def _flips(table: list[tuple[int, int, int, int]], m: int) -> list[int]:
+    """The masks one flip away from the tiling mask m, in block order."""
+    return [m ^ hv << s for s, h, v, hv in table
+            if (t := m >> s) & h == h or t & v == v]
+
+
+def build_flip_graph(region: Region,
+                     budget: int = DEFAULT_NODE_BUDGET) -> FlipGraph:
+    """The complete flip graph of the region; refuses above the budget."""
+    total = _check_budget(region, budget)
     masks = list(iter_tiling_masks(region)) if total else []
     index = {m: i for i, m in enumerate(masks)}
-    blocks = [(s, h, v, h | v) for s, h, v in region.flip_blocks.values()]
-    adjacency = [sorted(index[m ^ hv << s] for s, h, v, hv in blocks
-                        if (t := m >> s) & h == h or t & v == v)
+    table = _flip_table(region)
+    adjacency = [sorted(map(index.__getitem__, _flips(table, m)))
                  for m in masks]
     return FlipGraph(region, masks, adjacency, index)
+
+
+def distance_bfs(region: Region, t1: Tiling, t2: Tiling,
+                 budget: int = DEFAULT_NODE_BUDGET) -> int | None:
+    """Flip distance by breadth-first search from both tilings at once
+    (bidirectional search), None when no flips join them.
+
+    Each round expands the smaller frontier by one whole level, so the
+    first tiling one side reaches that the other has seen closes a
+    shortest path.  Only the tilings within about half the distance of
+    either end are visited; a pair in different components visits one
+    of the two components whole.  The budget is on the region's tiling
+    count, as for ``build_flip_graph``.
+    """
+    for tiling in (t1, t2):
+        if not is_valid_tiling(region, tiling):
+            raise ValueError("not a valid tiling of the region")
+    _check_budget(region, budget)
+    table = _flip_table(region)
+    near, far = [region.encode(t1)], [region.encode(t2)]
+    near_seen, far_seen = set(near), set(far)
+    if near_seen == far_seen:
+        return 0
+    levels = 0
+    while near and far:
+        if len(near) > len(far):
+            near, far, near_seen, far_seen = far, near, far_seen, near_seen
+        levels += 1
+        frontier, near = near, []
+        for m in frontier:
+            for n in _flips(table, m):
+                if n in far_seen:
+                    return levels
+                if n not in near_seen:
+                    near_seen.add(n)
+                    near.append(n)
+    return None
 
 
 def _bfs(graph: FlipGraph, source: int, dist: list[int | None]) -> list[int]:

@@ -171,6 +171,27 @@ class TestDistance:
         flips = json.loads(out_file.read_text())["flips"]
         assert len(flips) == 5
 
+    def test_bfs_builds_no_flip_graph(self, capsys, fixtures_dir,
+                                      monkeypatch):
+        def refuse(region, budget):
+            raise AssertionError("distance built the whole flip graph")
+
+        monkeypatch.setattr(dominoflip.cli, "build_flip_graph", refuse)
+        code, out, _ = run(capsys, "distance", "--shape", "rect:6x2",
+                           "--t1", str(fixtures_dir / "brick_6x2.json"),
+                           "--t2", str(fixtures_dir / "staggered_6x2.json"),
+                           "--method", "all")
+        assert (code, out) == (0, "5 5 5\n")
+
+    def test_budget_below_the_tiling_count_exits_4(self, capsys,
+                                                   fixtures_dir):
+        t = str(fixtures_dir / "brick_6x2.json")
+        code, out, err = run(capsys, "distance", "--shape", "rect:6x2",
+                             "--t1", t, "--t2", t, "--method", "bfs",
+                             "--budget", "12")
+        assert (code, out) == (4, "")
+        assert err == "error: flip graph would have 13 nodes, budget is 12\n"
+
     def test_invalid_tiling_file_exits_3(self, capsys, tmp_path, fixtures_dir):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"dominoes\": [[[0,0],[5,5]]]}")
@@ -197,6 +218,23 @@ class TestFileErrors:
         code, out, err = run(capsys, "count", "--shape", f"file:{tmp_path}")
         assert (code, out) == (3, "")
         assert "Is a directory" in err
+
+    def test_deeply_nested_shape_file_exits_3(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(capsys, "count", "--shape", f"file:{deep}")
+        assert (code, out) == (3, "")
+        assert err == f"error: {deep}: JSON nested too deeply\n"
+
+    def test_deeply_nested_tiling_file_exits_3(self, capsys, tmp_path,
+                                               fixtures_dir):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(capsys, "distance", "--shape", "rect:6x2",
+                             "--t1", str(fixtures_dir / "brick_6x2.json"),
+                             "--t2", str(deep), "--method", "all")
+        assert (code, out) == (3, "")
+        assert err == f"error: {deep}: JSON nested too deeply\n"
 
     def test_out_into_a_missing_directory_exits_5(self, capsys, tmp_path):
         code, out, err = run(capsys, "extremes", "--shape", "rect:2x2",

@@ -1,11 +1,17 @@
 import json
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from dominoflip import (ResourceLimitError, available_flips, bfs_distance,
-                        bfs_distances, build_flip_graph, connected_components,
-                        diameter_of_graph, enumerate_tilings, export_graph,
-                        make_aztec, make_holed_square, make_rectangle)
+from dominoflip import (Region, ResourceLimitError, available_flips,
+                        bfs_distance, bfs_distances, build_flip_graph,
+                        connected_components, count_tilings,
+                        diameter_of_graph, distance_bfs, enumerate_tilings,
+                        export_graph, make_aztec, make_holed_square,
+                        make_rectangle)
+
+from conftest import punched_boxes
 
 
 def differ_by_one_block(t1, t2):
@@ -102,6 +108,56 @@ class TestBfs:
                 assert (dist[i][j] == 0) == (i == j)
                 for k in range(n):
                     assert dist[i][j] <= dist[i][k] + dist[k][j]
+
+
+class TestDistanceBfs:
+    """The two-ended search against one-source BFS over the built graph."""
+
+    @given(punched_boxes(6), st.data())
+    def test_matches_the_built_graph(self, cells, data):
+        region = Region(cells)
+        assume(0 < count_tilings(region) <= 2000)
+        g = build_flip_graph(region)
+        # each end from a component drawn on its own, so that the pairs
+        # of a disconnected graph (holed regions) often lie apart
+        components = connected_components(g)
+        i, j = (data.draw(st.sampled_from(data.draw(
+            st.sampled_from(components)))) for _ in range(2))
+        assert distance_bfs(region, g.nodes[i], g.nodes[j]) == \
+            bfs_distances(g, i)[j]
+
+    @pytest.mark.parametrize("region", [
+        make_holed_square(5),
+        # components of 142, 93, 4 and 1 tilings
+        Region([(x, y) for x in range(6) for y in range(5)
+                if (x, y) not in ((2, 2), (4, 3))]),
+    ], ids=["holed-square:5", "6x5-two-holes"])
+    def test_disconnected_graphs(self, region):
+        g = build_flip_graph(region)
+        components = connected_components(g)
+        assert len(components) > 1
+        for i in {c[k] for c in components for k in (0, -1)}:
+            dist = bfs_distances(g, i)
+            assert [distance_bfs(region, g.nodes[i], t)
+                    for t in g.nodes] == dist
+            assert None in dist
+
+    def test_foreign_tiling_raises_value_error(self):
+        r = make_rectangle(4, 2)
+        inside = enumerate_tilings(r)[0]
+        for other in (frozenset(), enumerate_tilings(make_rectangle(2, 4))[0]):
+            with pytest.raises(ValueError):
+                distance_bfs(r, inside, other)
+            with pytest.raises(ValueError):
+                distance_bfs(r, other, inside)
+
+    def test_budget_on_the_tiling_count(self):
+        r = make_rectangle(4, 4)
+        t = enumerate_tilings(r)[0]
+        with pytest.raises(ResourceLimitError,
+                           match="flip graph would have 36 nodes, budget is 35"):
+            distance_bfs(r, t, t, budget=35)
+        assert distance_bfs(r, t, t, budget=36) == 0
 
 
 class TestComponents:

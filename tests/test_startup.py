@@ -19,7 +19,8 @@ from dominoflip.cli import main
 
 from conftest import FIXTURES, PACKAGE_ROOT
 
-# `dominoflip.__all__` when the package imported every module up front
+# `dominoflip.__all__` when the package imported every module up front,
+# plus `distance_bfs`, added since
 PUBLIC_NAMES = [
     "Cell", "CycleCollection", "DEFAULT_NODE_BUDGET", "DiameterReport",
     "Domino", "DominoError", "FillingShape", "FlipGraph",
@@ -32,7 +33,8 @@ PUBLIC_NAMES = [
     "count_tilings", "cycle_collection", "cycles", "diameter",
     "diameter_aztec_closed", "diameter_bfs", "diameter_levels",
     "diameter_of_graph", "diameter_rectangle_closed",
-    "diameter_square_closed", "distance_cycles", "distance_height", "domino",
+    "diameter_square_closed", "distance_bfs", "distance_cycles",
+    "distance_height", "domino",
     "enumerate_tilings", "errors", "export_graph", "export_voxels",
     "extremal_tilings", "filling", "filling_shape", "first_tiling",
     "flipgraph", "geodesic", "height", "height_function", "is_black",
@@ -64,6 +66,16 @@ try:
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 print(" ".join(sorted(sys.modules)))
+"""
+
+# runs the CLI in a bare namespace: without alter_sys, runpy registers
+# no module for the code it runs
+BARE_PROBE = """
+import runpy
+try:
+    runpy.run_module("dominoflip.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
 """
 
 
@@ -187,6 +199,20 @@ print(*calls)
 
 BRICK = str(FIXTURES / "brick_6x2.json")
 STAGGERED = str(FIXTURES / "staggered_6x2.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["diameter", "--method", "levels", "--shape", "rect:4x4"],
+    ["distance", "--shape", "rect:6x2", "--t1", BRICK, "--t2", STAGGERED,
+     "--method", "all"],
+], ids=lambda argv: argv[0])
+def test_run_in_a_bare_namespace_matches_main(argv, capsys):
+    """Lazily bound names resolve when runpy runs the CLI's code in a
+    namespace that is not a registered module."""
+    done = python("-c", BARE_PROBE, *argv)
+    assert done.returncode == 0, done.stderr.decode()
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out.encode("utf-8")
 
 
 @pytest.mark.parametrize("argv", [
