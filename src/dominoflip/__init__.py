@@ -6,11 +6,15 @@ caller pays only for the modules it touches.
 """
 
 _PUBLIC = {
+    "counting": ("count_aztec_closed_form", "count_rectangle_closed_form",
+                 "count_tilings"),
     "cycles": ("CycleCollection", "OrientedCycle", "ValueMap",
                "cycle_collection", "distance_cycles", "value_map"),
-    "diameter": ("DiameterReport", "diameter_aztec_closed", "diameter_bfs",
-                 "diameter_levels", "diameter_of_graph",
-                 "diameter_rectangle_closed", "diameter_square_closed"),
+    "diameter": ("DiameterReport", "RingDecomposition",
+                 "diameter_aztec_closed", "diameter_bfs", "diameter_levels",
+                 "diameter_of_graph", "diameter_rectangle_closed",
+                 "diameter_square_closed", "is_saturnian",
+                 "ring_decomposition"),
     "errors": ("DEFAULT_NODE_BUDGET", "DominoError", "InvalidHeightError",
                "InvalidMoveError", "NumericInstabilityError",
                "ResourceLimitError", "UnsupportedRegionError",
@@ -22,15 +26,12 @@ _PUBLIC = {
     "height": ("base_vertex", "distance_height", "extremal_tilings",
                "geodesic", "height_function", "join", "meet",
                "tiling_from_height"),
-    "surface": ("Cell", "Region", "RingDecomposition", "Vertex", "is_black",
-                "is_saturnian", "is_simply_connected", "make_aztec",
-                "make_from_cells", "make_holed_square", "make_rectangle",
-                "region_from_json", "region_to_json", "ring_decomposition"),
-    "tiling": ("Domino", "Tiling", "apply_flip", "available_flips",
-               "count_aztec_closed_form", "count_rectangle_closed_form",
-               "count_tilings", "domino", "enumerate_tilings", "first_tiling",
-               "is_valid_tiling", "iter_tilings", "tiling_from_json",
-               "tiling_to_json"),
+    "surface": ("Cell", "Region", "Vertex", "is_black", "is_simply_connected",
+                "make_aztec", "make_from_cells", "make_holed_square",
+                "make_rectangle", "region_from_json", "region_to_json"),
+    "tiling": ("Domino", "Tiling", "apply_flip", "available_flips", "domino",
+               "enumerate_tilings", "first_tiling", "is_valid_tiling",
+               "iter_tilings", "tiling_from_json", "tiling_to_json"),
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
 

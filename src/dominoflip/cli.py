@@ -13,17 +13,15 @@ Exit codes: 0 ok, 1 cross-method disagreement or unreachable pair,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
 
+from .counting import (count_aztec_closed_form, count_rectangle_closed_form,
+                       count_tilings, is_tileable)
 from .errors import (DEFAULT_NODE_BUDGET, DominoError, ResourceLimitError,
                      UnsupportedRegionError, UntileableError)
 from .surface import (Region, make_aztec, make_holed_square, make_rectangle,
                       region_from_json)
-from .tiling import (count_aztec_closed_form, count_rectangle_closed_form,
-                     count_tilings, is_tileable, is_valid_tiling,
-                     tiling_from_json, tiling_to_json)
 
 # Library names that only some commands call.  Each is imported from its
 # module on first use through __getattr__ below, so a job loads only the
@@ -38,6 +36,7 @@ _LAZY = {
                   "connected_components", "distance_bfs", "export_graph"),
     "height": ("distance_height", "extremal_tilings", "geodesic"),
     "render": ("RenderOptions", "render"),
+    "tiling": ("is_valid_tiling", "tiling_from_json", "tiling_to_json"),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -133,6 +132,8 @@ def _read_json(path: str):
     """An input file's JSON.  A file that cannot be read or decoded is
     bad input (exit 3), where a file that cannot be written is an I/O
     failure (exit 5), so read errors leave here as ValueError."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -142,16 +143,28 @@ def _read_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
+def _json_line(data) -> str:
+    """The data as one line of JSON text, newline included."""
+    import json
+
+    return json.dumps(data) + "\n"
+
+
+def _write_json(path: str, data) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(_json_line(data))
+
+
 def _load_tiling(path: str, region: Region):
-    tiling = tiling_from_json(_read_json(path))
-    if not is_valid_tiling(region, tiling):
+    tiling = _lib.tiling_from_json(_read_json(path))
+    if not _lib.is_valid_tiling(region, tiling):
         raise ValueError(f"{path} is not a valid tiling of the region")
     return tiling
 
 
 def _emit(args, command: str, result, plain_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps({"command": command, "result": result}))
+        sys.stdout.write(_json_line({"command": command, "result": result}))
     else:
         for line in plain_lines:
             print(line)
@@ -187,9 +200,7 @@ def cmd_distance(args) -> int:
         values["bfs"] = _lib.distance_bfs(region, t1, t2, args.budget)
     if args.emit_path is not None:
         path = _lib.geodesic(region, t1, t2)
-        with open(args.emit_path, "w", encoding="utf-8") as handle:
-            json.dump({"flips": [[x, y] for x, y in path]}, handle)
-            handle.write("\n")
+        _write_json(args.emit_path, {"flips": [[x, y] for x, y in path]})
     _emit(args, "distance", values,
           [" ".join("unreachable" if values[k] is None else str(values[k])
                     for k in sorted(values))])
@@ -223,7 +234,7 @@ def cmd_diameter(args) -> int:
         report = _lib.diameter_of_graph(
             _lib.build_flip_graph(region, args.budget))
         values["bfs"] = report.value
-        realizers = [tiling_to_json(t) for t in report.realizers]
+        realizers = [_lib.tiling_to_json(t) for t in report.realizers]
     result = {"diameter": next(iter(values.values())), "method": args.method}
     if len(values) > 1:
         result["methods"] = values
@@ -273,9 +284,7 @@ def cmd_extremes(args) -> int:
     tmin, tmax = _lib.extremal_tilings(region)
     paths = (f"{args.out}.tmin.json", f"{args.out}.tmax.json")
     for path, tiling in zip(paths, (tmin, tmax)):
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(tiling_to_json(tiling), handle)
-            handle.write("\n")
+        _write_json(path, _lib.tiling_to_json(tiling))
     spread = _lib.distance_height(region, tmin, tmax)
     _emit(args, "extremes",
           {"tmin": paths[0], "tmax": paths[1], "distance": spread},
@@ -300,7 +309,7 @@ def cmd_export(args) -> int:
         else:
             data = _lib.voxels_to_json(
                 _lib.export_voxels(_lib.filling_shape(region, t1, t2)))
-        payload = json.dumps(data) + "\n"
+        payload = _json_line(data)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)

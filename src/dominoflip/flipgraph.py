@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .counting import count_tilings
 from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
 from .surface import Region
-from .tiling import (Tiling, count_tilings, is_valid_tiling,
-                     iter_tiling_masks, tiling_to_json)
+from .tiling import Tiling, _backtrack_masks, is_valid_tiling, tiling_to_json
 
 
 class FlipGraph:
@@ -61,7 +61,8 @@ def build_flip_graph(region: Region,
                      budget: int = DEFAULT_NODE_BUDGET) -> FlipGraph:
     """The complete flip graph of the region; refuses above the budget."""
     total = _check_budget(region, budget)
-    masks = list(iter_tiling_masks(region)) if total else []
+    # a nonzero count has proved the region tiles
+    masks = list(_backtrack_masks(region)) if total else []
     index = {m: i for i, m in enumerate(masks)}
     table = _flip_table(region)
     adjacency = [sorted(map(index.__getitem__, _flips(table, m)))

@@ -10,13 +10,6 @@ of the dual graph).
 The corner points of cells are the vertices of the region.  A vertex is
 interior when all four cells around it are present; every other vertex
 lies on the topological boundary of the union of cells.
-
-Rings peel the region like an onion: the first ring holds every cell
-touching the region's boundary, and removing it leaves a smaller region
-to peel again.  The level of a vertex counts how many peels it survives
-as an interior vertex, so boundary vertices sit at level 0 and the
-vertices of level i are exactly those that first stop being interior
-after i peels.
 """
 
 from __future__ import annotations
@@ -25,15 +18,10 @@ from collections.abc import Iterable
 from functools import cached_property
 from itertools import compress
 
-from .errors import ResourceLimitError
-
 Cell = tuple[int, int]
 Vertex = tuple[int, int]
 EdgeInfo = tuple[Vertex, int, tuple[Cell, Cell] | None]
 
-# steps _has_covering_cycle may take, about a second of search: deciding
-# whether a grid graph has a Hamiltonian cycle is NP-complete
-MAX_CYCLE_STEPS = 1 << 22
 # binary digits "0" and "1" as the bytes 0 and 1, for itertools.compress
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -253,103 +241,6 @@ def is_simply_connected(region: Region) -> bool:
     adjacent = sum(((x + 1, y) in cells) + ((x, y + 1) in cells)
                    for x, y in cells)
     return len(region.vertex_set) - 3 * len(cells) + adjacent == 1
-
-
-class RingDecomposition:
-    """Boundary peels of a region plus the induced vertex levels."""
-
-    def __init__(self, rings: tuple[frozenset[Cell], ...],
-                 levels: dict[Vertex, int]):
-        self.rings = rings
-        self.levels = levels
-
-    @cached_property
-    def level_classes(self) -> dict[int, frozenset[Vertex]]:
-        classes: dict[int, set[Vertex]] = {}
-        for v, lev in self.levels.items():
-            classes.setdefault(lev, set()).add(v)
-        return {lev: frozenset(vs) for lev, vs in classes.items()}
-
-
-def ring_decomposition(region: Region) -> RingDecomposition:
-    """Peel rings off the region and record when each vertex surfaces.
-
-    A vertex gets level i at the first peel depth i where it is no
-    longer an interior vertex of what remains (possibly because its
-    cells are gone altogether).
-    """
-    remaining = set(region.cells)
-    unassigned = set(region.vertex_set)
-    levels: dict[Vertex, int] = {}
-    rings: list[frozenset[Cell]] = []
-    depth = 0
-    while remaining:
-        corners = {v for c in remaining for v in cell_corners(c)}
-        interior = {v for v in corners
-                    if all(c in remaining for c in cells_around(v))}
-        for v in unassigned - interior:
-            levels[v] = depth
-        unassigned &= interior
-        ring = frozenset(c for c in remaining
-                         if any(v not in interior for v in cell_corners(c)))
-        rings.append(ring)
-        remaining -= ring
-        depth += 1
-    # vertices interior right up to the last peel surface only now
-    for v in unassigned:
-        levels[v] = depth
-    return RingDecomposition(tuple(rings), levels)
-
-
-def _has_covering_cycle(cells: frozenset[Cell]) -> bool:
-    """True when the cells admit a closed dual-graph tour visiting each
-    once.  The search backtracks, and raises ``ResourceLimitError``
-    rather than take more than ``MAX_CYCLE_STEPS`` steps."""
-    n = len(cells)
-    if n < 4 or n % 2:
-        return False
-    adj = {c: [nb for nb in ((c[0] + 1, c[1]), (c[0] - 1, c[1]),
-                             (c[0], c[1] + 1), (c[0], c[1] - 1)) if nb in cells]
-           for c in cells}
-    if any(len(nbs) < 2 for nbs in adj.values()):
-        return False
-    start = min(cells)
-    path = [start]
-    visited = {start}
-    iters = [iter(adj[start])]
-    for _ in range(MAX_CYCLE_STEPS):
-        if not iters:
-            return False
-        try:
-            nb = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            visited.discard(path.pop())
-            continue
-        if nb == start and len(path) == n:
-            return True
-        if nb not in visited:
-            visited.add(nb)
-            path.append(nb)
-            iters.append(iter(adj[nb]))
-    raise ResourceLimitError(f"covering-cycle search took {MAX_CYCLE_STEPS}"
-                             f" steps unsettled, cap is {MAX_CYCLE_STEPS}")
-
-
-def is_saturnian(region: Region) -> bool:
-    """True when every ring tours as a single dual cycle and every peel
-    leaves a tileable (or empty) remainder."""
-    from .tiling import is_tileable  # local import, tiling depends on surface
-
-    decomposition = ring_decomposition(region)
-    remaining = set(region.cells)
-    for ring in decomposition.rings:
-        if not _has_covering_cycle(ring):
-            return False
-        remaining -= ring
-        if remaining and not is_tileable(Region(remaining)):
-            return False
-    return True
 
 
 def region_to_json(region: Region) -> dict:

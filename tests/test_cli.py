@@ -4,7 +4,7 @@ import re
 import pytest
 
 import dominoflip.cli
-import dominoflip.tiling
+import dominoflip.counting
 from dominoflip import region_to_json, make_from_cells
 from dominoflip.cli import main
 
@@ -50,7 +50,7 @@ class TestCount:
 
     def test_state_cap_exits_4(self, capsys, monkeypatch):
         # a strip 14 cells across: too thin for the determinant to pay
-        monkeypatch.setattr(dominoflip.tiling, "MAX_PROFILE_STATES", 1000)
+        monkeypatch.setattr(dominoflip.counting, "MAX_PROFILE_STATES", 1000)
         code, out, err = run(capsys, "count", "--shape", "rect:14x2000")
         assert code == 4
         assert out == ""
@@ -62,7 +62,7 @@ class TestCount:
                           "--shape", "square:200", timeout=60)
         assert (done.returncode, done.stdout) == (4, "")
         estimate, cap = map(int, re.findall(r"\d+", done.stderr))
-        assert cap == dominoflip.tiling.MAX_DETERMINANT_WORK < estimate
+        assert cap == dominoflip.counting.MAX_DETERMINANT_WORK < estimate
 
     def test_components_counted_on_their_own_axes(self, tmp_path):
         # a 2x40 block and a domino far away: swept together along one
@@ -200,6 +200,15 @@ class TestDistance:
                            "--t2", str(fixtures_dir / "brick_6x2.json"))
         assert code == 3
         assert "not a valid tiling" in err
+
+    def test_domino_listed_twice_exits_3(self, capsys, tmp_path):
+        twice = tmp_path / "twice.json"
+        twice.write_text('{"dominoes": [[[0,0],[1,0]],[[0,0],[1,0]]]}')
+        code, out, err = run(capsys, "distance", "--shape", "rect:2x1",
+                             "--t1", str(twice), "--t2", str(twice))
+        assert (code, out) == (3, "")
+        assert err == ("error: domino entry [[0, 0], [1, 0]] is listed "
+                       "twice\n")
 
 
 class TestFileErrors:
@@ -415,7 +424,7 @@ class TestRenderAndExtremes:
         assert done.stderr.startswith("error: tileability check of a ")
         cells, estimate, cap = map(int, re.findall(r"\d+", done.stderr))
         assert cells == 10000 and estimate == 5000 * 100 * 100
-        assert cap == dominoflip.tiling.MAX_DETERMINANT_WORK < estimate
+        assert cap == dominoflip.counting.MAX_DETERMINANT_WORK < estimate
 
 
 class TestExport:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import dominoflip.tiling
 from dominoflip import (Region, ResourceLimitError, available_flips,
                         bfs_distance, bfs_distances, build_flip_graph,
                         connected_components, count_tilings,
@@ -68,6 +69,22 @@ class TestBuild:
     def test_budget_enforced(self):
         with pytest.raises(ResourceLimitError):
             build_flip_graph(make_rectangle(4, 4), budget=10)
+
+    def test_tileability_proved_once(self, monkeypatch):
+        # the budget's count has proved it, so the build backtracks at
+        # once, while enumeration on its own still asks
+        asked = []
+
+        def spy(region):
+            asked.append(region)
+            return True
+
+        monkeypatch.setattr(dominoflip.tiling, "is_tileable", spy)
+        region = make_rectangle(4, 3)
+        g = build_flip_graph(region)
+        assert asked == []
+        assert g.nodes == enumerate_tilings(region)
+        assert asked == [region]
 
 
 class TestBfs:

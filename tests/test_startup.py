@@ -20,7 +20,7 @@ from dominoflip.cli import main
 from conftest import FIXTURES, PACKAGE_ROOT
 
 # `dominoflip.__all__` when the package imported every module up front,
-# plus `distance_bfs`, added since
+# plus `distance_bfs` and the `counting` module, added since
 PUBLIC_NAMES = [
     "Cell", "CycleCollection", "DEFAULT_NODE_BUDGET", "DiameterReport",
     "Domino", "DominoError", "FillingShape", "FlipGraph",
@@ -30,7 +30,7 @@ PUBLIC_NAMES = [
     "Vertex", "apply_flip", "available_flips", "base_vertex", "bfs_distance",
     "bfs_distances", "build_flip_graph", "connected_components",
     "count_aztec_closed_form", "count_rectangle_closed_form",
-    "count_tilings", "cycle_collection", "cycles", "diameter",
+    "count_tilings", "counting", "cycle_collection", "cycles", "diameter",
     "diameter_aztec_closed", "diameter_bfs", "diameter_levels",
     "diameter_of_graph", "diameter_rectangle_closed",
     "diameter_square_closed", "distance_bfs", "distance_cycles",
@@ -89,23 +89,42 @@ def python(*args, cwd=None):
                           timeout=60, cwd=cwd, env=env)
 
 
-def modules_loaded_by(*argv):
+def run_probe(*argv):
+    """A CLI run's stdout, and the modules loaded by its end."""
     done = python("-c", MAIN_PROBE, *argv)
     assert done.returncode == 0, done.stderr.decode()
-    return set(done.stdout.decode().splitlines()[-1].split())
+    *out, loaded = done.stdout.decode().splitlines()
+    return out, set(loaded.split())
+
+
+def modules_loaded_by(*argv):
+    return run_probe(*argv)[1]
 
 
 class TestImportSet:
     def test_count_loads_no_graph_or_pair_module(self):
         loaded = modules_loaded_by("count", "--shape", "rect:2x1")
         assert "dataclasses" not in loaded
+        assert not loaded & {"json", "dominoflip.tiling"}
         assert not loaded & GRAPH_AND_PAIR_MODULES
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["--shape", f"file:{FIXTURES / 'region_4x3.json'}"], ["11"]),
+        (["--shape", "aztec:2", "--json"],
+         ['{"command": "count", "result": {"count": 8}}']),
+    ], ids=["file", "json"])
+    def test_count_loads_json_when_it_reads_or_writes_it(self, argv,
+                                                          expected):
+        out, loaded = run_probe("count", *argv)
+        assert out == expected
+        assert "json" in loaded
+        assert "dominoflip.tiling" not in loaded
 
     def test_levels_diameter_loads_only_its_own_modules(self):
         loaded = modules_loaded_by("diameter", "--method", "levels",
                                    "--shape", "rect:4x4")
         assert {"dominoflip.diameter", "dominoflip.flipgraph"} <= loaded
-        assert not loaded & {"dominoflip.height", "dominoflip.cycles",
+        assert not loaded & {"json", "dominoflip.height", "dominoflip.cycles",
                              "dominoflip.filling", "dominoflip.render"}
 
     def test_package_import_loads_no_module(self):

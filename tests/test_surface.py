@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import dominoflip.surface
+import dominoflip.diameter
 from dominoflip import (Region, ResourceLimitError, enumerate_tilings,
                         is_black, is_saturnian, is_simply_connected,
                         make_aztec, make_from_cells, make_holed_square,
@@ -243,7 +243,7 @@ class TestSaturnian:
 
     def test_cycle_search_budget(self, monkeypatch):
         # touring the 28-cell outer ring of 8x8 takes more than 10 steps
-        monkeypatch.setattr(dominoflip.surface, "MAX_CYCLE_STEPS", 10)
+        monkeypatch.setattr(dominoflip.diameter, "MAX_CYCLE_STEPS", 10)
         with pytest.raises(ResourceLimitError,
                            match="covering-cycle search") as info:
             is_saturnian(make_rectangle(8, 8))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import dominoflip.tiling
+import dominoflip.counting
 from dominoflip import (InvalidMoveError, NumericInstabilityError,
                         ResourceLimitError, apply_flip, available_flips,
                         count_aztec_closed_form, count_rectangle_closed_form,
@@ -13,11 +13,12 @@ from dominoflip import (InvalidMoveError, NumericInstabilityError,
                         is_black, is_valid_tiling, iter_tilings, make_aztec,
                         make_from_cells, make_holed_square, make_rectangle,
                         tiling_from_json, tiling_to_json)
+from dominoflip.counting import (MAX_DETERMINANT_WORK, TILEABILITY_PRIME,
+                                 _band, _count_by_determinant,
+                                 _count_by_profile, _determinant_work,
+                                 _kasteleyn_residue, _mersenne_exponent,
+                                 _sweep, is_tileable)
 from dominoflip.surface import _connected
-from dominoflip.tiling import (MAX_DETERMINANT_WORK, TILEABILITY_PRIME,
-                               _band, _count_by_determinant, _count_by_profile,
-                               _determinant_work, _kasteleyn_residue,
-                               _mersenne_exponent, _sweep, is_tileable)
 
 from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, punched_boxes,
                       region_grid)
@@ -198,7 +199,7 @@ class TestCounting:
 
     def test_state_cap(self, monkeypatch):
         # a strip 14 cells across: too thin for the determinant to pay
-        monkeypatch.setattr(dominoflip.tiling, "MAX_PROFILE_STATES", 1000)
+        monkeypatch.setattr(dominoflip.counting, "MAX_PROFILE_STATES", 1000)
         with pytest.raises(ResourceLimitError) as info:
             count_tilings(make_rectangle(14, 2000))
         cap, reached = map(int, re.findall(r"\d+", str(info.value))[:2])
@@ -248,7 +249,7 @@ def record_paths(monkeypatch, region):
         def record(w, order, name=name):
             ran.append(name)
             return 1
-        monkeypatch.setattr(dominoflip.tiling, f"_count_by_{name}", record)
+        monkeypatch.setattr(dominoflip.counting, f"_count_by_{name}", record)
     count_tilings(region)
     return ran
 
@@ -320,7 +321,7 @@ class TestTwoCountingPaths:
 
     def test_over_the_cap_falls_back_to_a_dp_that_fits(self, monkeypatch):
         # 16x16's C(16, 8) profiles fit the DP's cap, 200x200's do not
-        monkeypatch.setattr(dominoflip.tiling, "MAX_DETERMINANT_WORK", 1000)
+        monkeypatch.setattr(dominoflip.counting, "MAX_DETERMINANT_WORK", 1000)
         assert record_paths(monkeypatch, make_rectangle(16, 16)) == ["profile"]
         with pytest.raises(ResourceLimitError, match="determinant"):
             record_paths(monkeypatch, make_rectangle(200, 200))
@@ -343,7 +344,7 @@ class TestTwoCountingPaths:
     def test_every_count_within_the_cap_has_its_prime(self):
         # n black cells need a Mersenne exponent above n + 1; from the
         # n that no listed exponent serves, even a band of 1 is over the cap
-        last = dominoflip.tiling.MERSENNE_EXPONENTS[-1]
+        last = dominoflip.counting.MERSENNE_EXPONENTS[-1]
         assert _mersenne_exponent(last - 2) == last
         assert _determinant_work(last - 1, 1, last) > MAX_DETERMINANT_WORK
 
@@ -352,13 +353,13 @@ def spy_on_counts(monkeypatch):
     """The regions is_tileable hands to count_tilings, as a list that
     fills while the test runs."""
     counted = []
-    count = dominoflip.tiling.count_tilings
+    count = dominoflip.counting.count_tilings
 
     def spy(region):
         counted.append(region)
         return count(region)
 
-    monkeypatch.setattr(dominoflip.tiling, "count_tilings", spy)
+    monkeypatch.setattr(dominoflip.counting, "count_tilings", spy)
     return counted
 
 
@@ -371,7 +372,7 @@ class TestTileability:
     def test_zero_residue_falls_back_to_the_count(self, monkeypatch):
         # rect:3x2 has 3 tilings, so its determinant vanishes modulo 3
         # although the region tiles
-        monkeypatch.setattr(dominoflip.tiling, "TILEABILITY_PRIME", 3)
+        monkeypatch.setattr(dominoflip.counting, "TILEABILITY_PRIME", 3)
         counted = spy_on_counts(monkeypatch)
         region = make_rectangle(3, 2)
         assert _kasteleyn_residue(*_sweep(region.cells), 3) == 0
@@ -469,3 +470,11 @@ class TestJson:
     def test_rejects_malformed(self, data):
         with pytest.raises(ValueError):
             tiling_from_json(data)
+
+    @pytest.mark.parametrize("second", [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                             ids=["same", "reversed"])
+    def test_rejects_a_domino_listed_twice(self, second):
+        # as a set the two entries would collapse into one domino
+        with pytest.raises(ValueError, match=re.escape(
+                f"domino entry {second!r} is listed twice")):
+            tiling_from_json({"dominoes": [[[0, 0], [1, 0]], second]})
