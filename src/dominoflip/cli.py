@@ -20,8 +20,8 @@ from .counting import (count_aztec_closed_form, count_rectangle_closed_form,
                        count_tilings, is_tileable)
 from .errors import (DEFAULT_NODE_BUDGET, DominoError, ResourceLimitError,
                      UnsupportedRegionError, UntileableError)
-from .surface import (Region, make_aztec, make_holed_square, make_rectangle,
-                      region_from_json)
+from .surface import (Region, is_simply_connected, make_aztec,
+                      make_holed_square, make_rectangle, region_from_json)
 
 # Library names that only some commands call.  Each is imported from its
 # module on first use through __getattr__ below, so a job loads only the
@@ -256,12 +256,19 @@ def _tileable_graph(region: Region, budget: int) -> FlipGraph:
 
 
 def cmd_components(args) -> int:
-    shape = ShapeSpec(args.shape)
-    graph = _tileable_graph(shape.region, args.budget)
-    components = _lib.connected_components(graph)
-    sizes = [len(c) for c in components]
-    _emit(args, "components", {"components": len(components), "sizes": sizes},
-          [str(len(components)), " ".join(str(s) for s in sizes)])
+    region = ShapeSpec(args.shape).region
+    if is_simply_connected(region):
+        # flips join every two tilings of a simply connected region
+        # (Thurston 1990), so its one component holds them all
+        total = count_tilings(region)
+        if not total:
+            raise UntileableError("region is untileable")
+        sizes = [total]
+    else:
+        graph = _tileable_graph(region, args.budget)
+        sizes = [len(c) for c in _lib.connected_components(graph)]
+    _emit(args, "components", {"components": len(sizes), "sizes": sizes},
+          [str(len(sizes)), " ".join(str(s) for s in sizes)])
     return 0
 
 

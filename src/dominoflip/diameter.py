@@ -21,7 +21,11 @@ after i peels.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
+from itertools import compress
+from operator import and_, lt, sub
+from sys import byteorder
 
 from .counting import is_tileable
 from .errors import DominoError, ResourceLimitError, UntileableError
@@ -62,38 +66,75 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
     and Kosters 2011).  The realizers are those of an all-pairs scan:
     the smallest node whose eccentricity is the diameter, and the
     smallest node that far from it.
+
+    The bounds are packed one field per node into a single int, so
+    each update is a few whole-int operations (SIMD within a register)
+    rather than a Python step per node.
     """
     n = len(graph)
     if not n:
         raise UntileableError("region has no tiling")
-    rows: dict[int, list[int]] = {}
+    # every bound is below 2n, and a field keeps its top bit clear;
+    # 2^30 nodes would need far more memory than any budget allows
+    code = "H" if n < 1 << 14 else "I"
+    bits = 8 * array(code).itemsize
+    ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)  # 1 in every field
+    tops = ones << (bits - 1)
+    full = (1 << bits) - 1
 
-    def row(source: int) -> list[int]:
+    def unpack(packed: int) -> array:
+        return array(code, packed.to_bytes(n * bits // 8, byteorder))
+
+    def at_least(a: int, b: int) -> int:
+        """All ones in the fields where a's is at least b's: a top bit
+        set over each field of a keeps the subtraction inside it."""
+        return (((a | tops) - b & tops) >> (bits - 1)) * full
+
+    rows: dict[int, array] = {}
+
+    def row(source: int) -> array:
         if source not in rows:
             dist = bfs_distances(graph, source)
             if None in dist:
                 raise DominoError(
                     "flip graph is disconnected; diameter undefined")
-            rows[source] = dist
+            rows[source] = array(code, dist)
         return rows[source]
 
-    degree = [len(nbs) for nbs in graph.adjacency]
-    lo = [0] * n
-    hi = [n] * n  # every eccentricity is below the node count
+    offsets = graph.offsets
+    degree = array("i", map(sub, offsets[1:], offsets))
+    nodes = range(n)
+    lo = 0
+    hi = n * ones  # every eccentricity is below the node count
     widest = True
-    while max(lo) < max(hi):
-        unsettled = [w for w in range(n) if lo[w] < hi[w]]
+    while True:
+        lows, highs = unpack(lo), unpack(hi)
+        if max(lows) >= max(highs):
+            break
         if widest:
-            source = min(unsettled, key=lambda w: (-hi[w], -degree[w]))
+            # a settled node's bounds meet at most at max(lo) < max(hi),
+            # so every node of the largest upper bound is unsettled
+            top = max(highs)
+            ties = compress(nodes, map(top.__eq__, highs))
         else:
-            source = min(unsettled, key=lambda w: (lo[w], -degree[w]))
+            unsettled = bytes(map(lt, lows, highs))
+            least = min(compress(lows, unsettled))
+            ties = compress(nodes,
+                            map(and_, map(least.__eq__, lows), unsettled))
+        # max keeps the first of equals: the smallest of the top degree
+        source = max(ties, key=degree.__getitem__)
         widest = not widest
         dist = row(source)
         e = max(dist)
-        lo = [max(low, d, e - d) for low, d in zip(lo, dist)]
-        hi = [min(high, e + d) for high, d in zip(hi, dist)]
-    best = max(lo)
-    i = next(i for i in range(n) if hi[i] >= best and max(row(i)) == best)
+        d, far = int.from_bytes(dist, byteorder), e * ones
+        # hi = min(hi, e + d) and lo = max(lo, d, e - d), field by field
+        reach = far + d
+        hi ^= (hi ^ reach) & at_least(hi, reach)
+        near = far - d  # e - d, which takes no field below 0
+        lower = near ^ (d ^ near) & at_least(d, near)
+        lo = lower ^ (lo ^ lower) & at_least(lo, lower)
+    best = max(lows)
+    i = next(i for i in nodes if highs[i] >= best and max(row(i)) == best)
     pair = (graph.region.decode(graph.masks[i]),
             graph.region.decode(graph.masks[rows[i].index(best)]))
     return DiameterReport(best, "bfs", pair)

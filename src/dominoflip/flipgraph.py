@@ -2,13 +2,22 @@
 
 Nodes follow the canonical enumeration order, so node ids are stable
 across runs.  A node is its tiling's mask, and its neighbours are the
-masks one flip away, found by value.  Building, searching and DOT
-export never decode a tiling; ``FlipGraph.nodes`` does on first use.
-``distance_bfs`` searches the same graph without building it.
+masks one flip away, found by value.  The edges sit in compressed
+sparse row form: ``targets`` is one typed array holding every node's
+sorted neighbour ids back to back, and node i's run is
+``targets[offsets[i]:offsets[i + 1]]``.  The mask-to-id dict lives only
+while the build runs.  Searches and exports read the two arrays and
+make no list per node, and only JSON export decodes tilings;
+``FlipGraph.nodes``, ``adjacency`` and the mask-to-id ``index`` are
+built on first use.  ``distance_bfs`` searches the same graph without
+building it.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 
 from .counting import count_tilings
@@ -19,11 +28,11 @@ from .tiling import Tiling, _backtrack_masks, is_valid_tiling, tiling_to_json
 
 class FlipGraph:
     def __init__(self, region: Region, masks: list[int],
-                 adjacency: list[list[int]], index: dict[int, int]):
+                 offsets: array, targets: array):
         self.region = region
         self.masks = masks
-        self.adjacency = adjacency
-        self.index = index
+        self.offsets = offsets
+        self.targets = targets
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -33,8 +42,32 @@ class FlipGraph:
         """The tilings, decoded from the masks on first access."""
         return list(map(self.region.decode, self.masks))
 
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """Each node's sorted neighbour ids as a list, built on first
+        access; no search reads it."""
+        targets, offsets = self.targets, self.offsets
+        return [targets[a:b].tolist() for a, b in zip(offsets, offsets[1:])]
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Node id by mask, built on first access."""
+        return {m: i for i, m in enumerate(self.masks)}
+
     def node_index(self, tiling: Tiling) -> int:
         return self.index[self.region.encode(tiling)]
+
+
+def _pack(rows: Iterable[list[int]]) -> tuple[array, array]:
+    """Rows of node ids as (offsets, targets) in compressed sparse row
+    form.  Ids are C ints: 2^31 nodes would need over 60 GB of masks."""
+    offsets = array("q", [0])
+    targets = array("i")
+    add, end = targets.fromlist, offsets.append
+    for row in rows:
+        add(row)
+        end(len(targets))
+    return offsets, targets
 
 
 def _check_budget(region: Region, budget: int) -> int:
@@ -63,11 +96,11 @@ def build_flip_graph(region: Region,
     total = _check_budget(region, budget)
     # a nonzero count has proved the region tiles
     masks = list(_backtrack_masks(region)) if total else []
-    index = {m: i for i, m in enumerate(masks)}
+    node = {m: i for i, m in enumerate(masks)}.__getitem__
     table = _flip_table(region)
-    adjacency = [sorted(map(index.__getitem__, _flips(table, m)))
-                 for m in masks]
-    return FlipGraph(region, masks, adjacency, index)
+    offsets, targets = _pack(sorted(map(node, _flips(table, m)))
+                             for m in masks)
+    return FlipGraph(region, masks, offsets, targets)
 
 
 def distance_bfs(region: Region, t1: Tiling, t2: Tiling,
@@ -107,17 +140,21 @@ def distance_bfs(region: Region, t1: Tiling, t2: Tiling,
     return None
 
 
-def _bfs(graph: FlipGraph, source: int, dist: list[int | None]) -> list[int]:
+def _bfs(graph: FlipGraph, source: int, dist: list[int | None]) -> array:
     """Breadth-first search from source through nodes whose dist entry
     is None, filling in their distances; returns the nodes reached, in
-    visiting order."""
+    visiting order.  The queue is a C array: a list would keep a
+    Python int alive for every node reached."""
+    offsets, targets = graph.offsets, graph.targets
     dist[source] = 0
-    reached = [source]
-    for u in reached:  # the list grows behind the loop, as a FIFO queue
-        for v in graph.adjacency[u]:
+    reached = array("i", [source])
+    append = reached.append
+    for u in reached:  # the array grows behind the loop, as a FIFO queue
+        d = dist[u] + 1
+        for v in targets[offsets[u]:offsets[u + 1]]:
             if dist[v] is None:
-                dist[v] = dist[u] + 1
-                reached.append(v)
+                dist[v] = d
+                append(v)
     return reached
 
 
@@ -145,10 +182,14 @@ def connected_components(graph: FlipGraph) -> list[list[int]]:
             for start in range(len(graph)) if seen[start] is None]
 
 
-def _edge_list(graph: FlipGraph) -> list[tuple[int, int]]:
-    return sorted((i, j)
-                  for i, nbs in enumerate(graph.adjacency)
-                  for j in nbs if i < j)
+def _edges(graph: FlipGraph) -> Iterator[tuple[int, int]]:
+    """Each edge (i, j) once, i < j, in increasing order: rows are
+    sorted, so node i's later neighbours are the tail of its run."""
+    offsets, targets = graph.offsets, graph.targets
+    for i in range(len(graph)):
+        end = offsets[i + 1]
+        for j in targets[bisect_right(targets, i, offsets[i], end):end]:
+            yield i, j
 
 
 def export_graph(graph: FlipGraph, format: str = "dot") -> str:
@@ -156,15 +197,17 @@ def export_graph(graph: FlipGraph, format: str = "dot") -> str:
     if format == "dot":
         lines = ["graph tilings {"]
         lines.extend(f"  {i};" for i in range(len(graph)))
-        lines.extend(f"  {i} -- {j};" for i, j in _edge_list(graph))
+        lines.extend(f"  {i} -- {j};" for i, j in _edges(graph))
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":
         import json
 
+        decode = graph.region.decode
         payload = {
-            "nodes": [tiling_to_json(t)["dominoes"] for t in graph.nodes],
-            "edges": [[i, j] for i, j in _edge_list(graph)],
+            "nodes": [tiling_to_json(decode(m))["dominoes"]
+                      for m in graph.masks],
+            "edges": [[i, j] for i, j in _edges(graph)],
         }
         return json.dumps(payload, separators=(",", ":")) + "\n"
     raise ValueError(f"unknown export format {format!r}")

@@ -352,6 +352,28 @@ class TestComponents:
         assert code == 0
         assert out.split() == ["1", "1"]
 
+    def test_simply_connected_answers_without_a_graph(self, capsys,
+                                                      monkeypatch):
+        def refuse(region, budget):
+            raise AssertionError("components built the flip graph")
+
+        monkeypatch.setattr(dominoflip.cli, "build_flip_graph", refuse)
+        # 12,988,816 tilings: above the default budget, which once refused
+        code, out, _ = run(capsys, "components", "--shape", "square:8")
+        assert (code, out) == (0, "1\n12988816\n")
+        code, out, _ = run(capsys, "components", "--shape", "rect:4x3",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["result"] == {"components": 1, "sizes": [11]}
+
+    def test_holes_keep_the_graph(self, capsys, monkeypatch):
+        def refuse(region, budget):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(dominoflip.cli, "build_flip_graph", refuse)
+        with pytest.raises(AssertionError, match="built"):
+            run(capsys, "components", "--shape", "holed-square:5")
+
     def test_untileable_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "components", "--shape",
                              mutilated_board(tmp_path))

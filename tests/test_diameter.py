@@ -11,6 +11,7 @@ from dominoflip import (DominoError, FlipGraph, Region, UntileableError,
                         enumerate_tilings, extremal_tilings, is_saturnian,
                         is_simply_connected, make_aztec, make_holed_square,
                         make_rectangle)
+from dominoflip.flipgraph import _pack
 
 
 def all_pairs_diameter(graph):
@@ -61,9 +62,8 @@ def small_graphs(draw):
     for a, b in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    nodes = list(range(n))
-    return FlipGraph(PlainMasks, nodes, [sorted(nbs) for nbs in adjacency],
-                     {v: v for v in nodes})
+    return FlipGraph(PlainMasks, list(range(n)),
+                     *_pack(sorted(nbs) for nbs in adjacency))
 
 
 class PlainMasks:
@@ -195,6 +195,22 @@ class TestBfs:
     def test_random_graphs_match_all_pairs_oracle(self, graph):
         assert (outcome(bounded_diameter, graph)
                 == outcome(all_pairs_diameter, graph))
+
+    @pytest.mark.parametrize("width,height", [
+        (16383, 1), (40000, 1), (130, 130),
+    ], ids=["path-16383", "path-40000", "grid-130"])
+    def test_grids_at_the_field_widths(self, width, height):
+        # the packed bounds take 16-bit fields below 16,384 nodes, where
+        # a path's bound 2 * 16,382 is the widest value, and 32-bit ones
+        # from there on, where a path's bounds pass 2^15
+        n = width * height
+        # node x * height + y; neighbours listed in increasing order
+        rows = ([a * height + b
+                 for a, b in ((x - 1, y), (x, y - 1), (x, y + 1), (x + 1, y))
+                 if 0 <= a < width and 0 <= b < height]
+                for x, y in map(divmod, range(n), [height] * n))
+        graph = FlipGraph(PlainMasks, list(range(n)), *_pack(rows))
+        assert bounded_diameter(graph) == (width + height - 2, (0, n - 1))
 
     @pytest.mark.parametrize("region", [make_rectangle(8, 4), make_aztec(4)],
                              ids=["8x4", "aztec4"])

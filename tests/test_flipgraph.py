@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given
@@ -9,8 +10,8 @@ from dominoflip import (Region, ResourceLimitError, available_flips,
                         bfs_distance, bfs_distances, build_flip_graph,
                         connected_components, count_tilings,
                         diameter_of_graph, distance_bfs, enumerate_tilings,
-                        export_graph, make_aztec, make_holed_square,
-                        make_rectangle)
+                        export_graph, is_simply_connected, make_aztec,
+                        make_holed_square, make_rectangle)
 
 from conftest import punched_boxes
 
@@ -192,6 +193,14 @@ class TestComponents:
         nodes = [i for comp in comps for i in comp]
         assert sorted(nodes) == list(range(len(g)))
 
+    @given(punched_boxes(5))
+    def test_simply_connected_regions_are_one_component(self, cells):
+        # the theorem `components` answers by without building a graph
+        region = Region(cells)
+        assume(is_simply_connected(region) and count_tilings(region))
+        g = build_flip_graph(region)
+        assert connected_components(g) == [list(range(len(g)))]
+
 
 class TestMasks:
     def test_queries_decode_no_node(self):
@@ -206,6 +215,31 @@ class TestMasks:
         assert "nodes" not in vars(g)
         assert g.nodes == enumerate_tilings(r)
         assert "nodes" in vars(g)
+
+    def test_queries_build_no_per_node_view(self):
+        holed = build_flip_graph(make_holed_square(5))
+        square = build_flip_graph(make_rectangle(4, 4))
+        bfs_distances(holed, 3)
+        connected_components(holed)
+        diameter_of_graph(square)  # holed-square:5's graph is disconnected
+        export_graph(holed, "dot")
+        export_graph(holed, "json")
+        for g in (holed, square):
+            assert not {"nodes", "adjacency", "index"} & vars(g).keys()
+
+    @pytest.mark.parametrize("region", [make_rectangle(6, 6),
+                                        make_rectangle(8, 4)],
+                             ids=["6x6", "8x4"])
+    def test_bytes_held_per_node(self, region):
+        build_flip_graph(region)  # fills the region's own caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = build_flip_graph(region)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(g) <= 120
 
 
 class TestExport:

@@ -183,9 +183,11 @@ class TestCliNames:
             return real(region, budget)
 
         monkeypatch.setattr(dominoflip.cli, "build_flip_graph", spy)
-        assert main(["components", "--shape", "rect:2x2"]) == 0
-        assert capsys.readouterr().out == "1\n2\n"
-        assert built == [4]
+        # a region with a hole: `components` answers a simply connected
+        # one without building its graph
+        assert main(["components", "--shape", "holed-square:3"]) == 0
+        assert capsys.readouterr().out == "2\n1 1\n"
+        assert built == [8]
 
     def test_wrapping_in_a_fresh_process(self):
         # wraps names the way the benchmark's tracer does: `hasattr` and
