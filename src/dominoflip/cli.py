@@ -12,12 +12,10 @@ Exit codes: 0 ok, 1 cross-method disagreement or unreachable pair,
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import partial
+from types import SimpleNamespace
 
-from .counting import (count_aztec_closed_form, count_rectangle_closed_form,
-                       count_tilings, is_tileable)
 from .errors import (DEFAULT_NODE_BUDGET, DominoError, ResourceLimitError,
                      UnsupportedRegionError, UntileableError)
 from .surface import (Region, is_simply_connected, make_aztec,
@@ -28,6 +26,8 @@ from .surface import (Region, is_simply_connected, make_aztec,
 # modules its command needs.  Commands read them as ``_lib.render``,
 # which finds a name replaced on the module too.
 _LAZY = {
+    "counting": ("count_aztec_closed_form", "count_rectangle_closed_form",
+                 "count_tilings", "is_tileable"),
     "cycles": ("cycle_collection", "cycles_to_json", "distance_cycles"),
     "diameter": ("diameter_aztec_closed", "diameter_levels",
                  "diameter_of_graph", "diameter_rectangle_closed"),
@@ -114,9 +114,9 @@ class ShapeSpec:
 
     def closed_form_count(self) -> int:
         if self.kind in ("rect", "square"):
-            return count_rectangle_closed_form(*self.dims)
+            return _lib.count_rectangle_closed_form(*self.dims)
         if self.kind == "aztec":
-            return count_aztec_closed_form(self.order)
+            return _lib.count_aztec_closed_form(self.order)
         raise ValueError(f"no closed-form count for shape {self.text!r}")
 
     def closed_form_diameter(self) -> int:
@@ -172,7 +172,7 @@ def _emit(args, command: str, result, plain_lines: list[str]) -> None:
 
 def cmd_count(args) -> int:
     shape = ShapeSpec(args.shape)
-    exact = count_tilings(shape.region)
+    exact = _lib.count_tilings(shape.region)
     result = {"count": exact}
     lines = [str(exact)]
     if args.closed_form:
@@ -216,7 +216,7 @@ def cmd_distance(args) -> int:
 def cmd_diameter(args) -> int:
     shape = ShapeSpec(args.shape)
     region = shape.region
-    if not is_tileable(region):
+    if not _lib.is_tileable(region):
         print("error: region is untileable", file=sys.stderr)
         return EXIT_UNTILEABLE
     values: dict[str, int] = {}
@@ -260,7 +260,7 @@ def cmd_components(args) -> int:
     if is_simply_connected(region):
         # flips join every two tilings of a simply connected region
         # (Thurston 1990), so its one component holds them all
-        total = count_tilings(region)
+        total = _lib.count_tilings(region)
         if not total:
             raise UntileableError("region is untileable")
         sizes = [total]
@@ -325,89 +325,134 @@ def cmd_export(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; this CLI reserves 2 for
-    # untileable regions, so remap
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+# The command line, declared once.  Per command: the function that runs
+# it, its help and its own options, after the options every command
+# takes.  An option is its flag and the keywords argparse's
+# `add_argument` takes for it; its dest is the flag's name, as argparse
+# derives it (`--emit-path` sets `emit_path`).
+_COMMON = (
+    ("--shape", {"required": True, "help": "rect:MxN | square:N | aztec:N "
+                                           "| holed-square:K | file:PATH"}),
+    ("--json", {"action": "store_true",
+                "help": "wrap the answer in a JSON envelope"}),
+    ("--budget", {"type": int, "default": DEFAULT_NODE_BUDGET,
+                  "help": "max flip-graph nodes for graph-based methods"}),
+)
+_COMMANDS = {
+    "count": (cmd_count, "number of tilings", (
+        ("--closed-form", {"action": "store_true", "help": "also evaluate "
+                           "the rectangle/aztec closed form"}),
+    )),
+    "distance": (cmd_distance, "flip distance between two tilings", (
+        ("--t1", {"required": True, "help": "first tiling JSON file"}),
+        ("--t2", {"required": True, "help": "second tiling JSON file"}),
+        ("--method", {"choices": ["bfs", "height", "cycles", "all"],
+                      "default": "height"}),
+        ("--emit-path", {"metavar": "FILE",
+                         "help": "write the geodesic flip list as JSON"}),
+    )),
+    "diameter": (cmd_diameter, "diameter of the flip graph", (
+        ("--method", {"choices": ["bfs", "levels", "closed", "all"],
+                      "default": "levels"}),
+    )),
+    "components": (cmd_components,
+                   "connected components of the flip graph", ()),
+    "render": (cmd_render,
+               "draw a tiling, cycle collection, or filling shape", (
+        ("--mode", {"choices": ["tiling", "cycles", "filling"],
+                    "default": "tiling"}),
+        ("--t1", {"required": True}),
+        ("--t2", {}),
+        ("--out", {"required": True, "help": "output SVG path"}),
+        ("--cell-size", {"type": int, "default": 24}),
+    )),
+    "extremes": (cmd_extremes, "write the two lattice-extreme tilings", (
+        ("--out", {"required": True, "help": "output path prefix"}),
+    )),
+    "export": (cmd_export, "emit flip graph, cycles, or voxels", (
+        ("--what", {"choices": ["graph", "cycles", "voxels"],
+                    "default": "graph"}),
+        ("--format", {"choices": ["dot", "json"], "default": "dot",
+                      "help": "graph export format"}),
+        ("--t1", {}),
+        ("--t2", {}),
+        ("--out", {}),
+    )),
+}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="dominoflip",
-                     description="Domino tilings: counts, flip distances, "
-                                 "diameters, and SVG pictures.")
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of argv, read off the table when argv
+    is plain: a command, then its flags each spelled in full, with a value
+    after each flag that takes one.  Anything else gives None, for
+    argparse to read: help, usage errors, abbreviations, `--flag=value`
+    and values that start with `-`."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, own = _COMMANDS[argv[0]]
+    options = dict(_COMMON + own)
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in options:
+            return None
+        spec = options[flag]
+        if "action" in spec:  # store_true
+            given[flag] = True
+            continue
+        value = next(words, "-")  # a flag last in argv has no value
+        if value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, spec in options.items():
+        if flag not in given and spec.get("required"):
+            return None
+        default = spec.get("default", False if "action" in spec else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
+def _build_parser():
+    """argparse's parser for the table.  Only argv that `_parse` leaves
+    to it pays for importing and building it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # argparse exits with 2 on usage errors; this CLI reserves 2 for
+        # untileable regions, so remap
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="dominoflip",
+                    description="Domino tilings: counts, flip distances, "
+                                "diameters, and SVG pictures.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--shape", required=True,
-                       help="rect:MxN | square:N | aztec:N | holed-square:K | file:PATH")
-        p.add_argument("--json", action="store_true",
-                       help="wrap the answer in a JSON envelope")
-        p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="max flip-graph nodes for graph-based methods")
-
-    p = sub.add_parser("count", help="number of tilings")
-    common(p)
-    p.add_argument("--closed-form", action="store_true",
-                   help="also evaluate the rectangle/aztec closed form")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("distance", help="flip distance between two tilings")
-    common(p)
-    p.add_argument("--t1", required=True, help="first tiling JSON file")
-    p.add_argument("--t2", required=True, help="second tiling JSON file")
-    p.add_argument("--method", choices=["bfs", "height", "cycles", "all"],
-                   default="height")
-    p.add_argument("--emit-path", metavar="FILE",
-                   help="write the geodesic flip list as JSON")
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("diameter", help="diameter of the flip graph")
-    common(p)
-    p.add_argument("--method", choices=["bfs", "levels", "closed", "all"],
-                   default="levels")
-    p.set_defaults(func=cmd_diameter)
-
-    p = sub.add_parser("components", help="connected components of the flip graph")
-    common(p)
-    p.set_defaults(func=cmd_components)
-
-    p = sub.add_parser("render", help="draw a tiling, cycle collection, or filling shape")
-    common(p)
-    p.add_argument("--mode", choices=["tiling", "cycles", "filling"],
-                   default="tiling")
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2")
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--cell-size", type=int, default=24)
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("extremes", help="write the two lattice-extreme tilings")
-    common(p)
-    p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_extremes)
-
-    p = sub.add_parser("export", help="emit flip graph, cycles, or voxels")
-    common(p)
-    p.add_argument("--what", choices=["graph", "cycles", "voxels"],
-                   default="graph")
-    p.add_argument("--format", choices=["dot", "json"], default="dot",
-                   help="graph export format")
-    p.add_argument("--t1")
-    p.add_argument("--t2")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_export)
-
+    for name, (func, help_text, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in _COMMON + own:
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
     try:
         return args.func(args)
     except (UntileableError, UnsupportedRegionError) as exc:

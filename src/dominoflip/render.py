@@ -3,8 +3,6 @@ filling shapes (the latter as isometric cube stacks)."""
 
 from __future__ import annotations
 
-from .cycles import cycle_collection
-from .filling import export_voxels, filling_shape
 from .surface import Region, is_black
 from .tiling import Tiling
 
@@ -101,6 +99,8 @@ def render_cycles(region: Region, t1: Tiling, t2: Tiling,
                   cell_size: int = 24) -> str:
     """Closed polylines through cell centers, one per cycle, with an
     arrowhead showing the traversal direction."""
+    from .cycles import cycle_collection  # only this mode loads cycles
+
     board = _Board(region, cell_size)
     body = _grid_body(board, region)
     collection = cycle_collection(region, t1, t2)
@@ -127,6 +127,8 @@ _TOP_BELOW, _LEFT_BELOW, _RIGHT_BELOW = "#dbe9f7", "#b3cde8", "#8aa8c8"
 def render_filling(region: Region, t1: Tiling, t2: Tiling,
                    cell_size: int = 24) -> str:
     """Cube stacks of the filling shape over a flat plate of the region."""
+    from .filling import export_voxels, filling_shape  # only this mode
+
     u = float(cell_size) * 0.5
     shape = filling_shape(region, t1, t2)
     voxels = export_voxels(shape)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .counting import is_tileable
 from .errors import InvalidMoveError
 from .surface import Cell, Region, Vertex
 
@@ -55,6 +54,8 @@ def iter_tilings(region: Region) -> Iterator[Tiling]:
 
 def iter_tiling_masks(region: Region) -> Iterator[int]:
     """The masks of ``iter_tilings``'s tilings, in the same order."""
+    from .counting import is_tileable  # only enumeration pays for counting
+
     if is_tileable(region):
         yield from _backtrack_masks(region)
 

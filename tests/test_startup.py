@@ -55,6 +55,9 @@ TRACED_NAMES = [
     "render",
 ]
 
+BRICK = str(FIXTURES / "brick_6x2.json")
+STAGGERED = str(FIXTURES / "staggered_6x2.json")
+
 GRAPH_AND_PAIR_MODULES = {f"dominoflip.{name}" for name in (
     "flipgraph", "diameter", "height", "cycles", "filling", "render")}
 
@@ -107,6 +110,28 @@ class TestImportSet:
         assert "dataclasses" not in loaded
         assert not loaded & {"json", "dominoflip.tiling"}
         assert not loaded & GRAPH_AND_PAIR_MODULES
+
+    def test_count_loads_no_argparse(self):
+        # argparse reads only help, usage errors and argv the option
+        # table's own reader leaves to it
+        loaded = modules_loaded_by("count", "--shape", "rect:2x1")
+        assert not loaded & {"argparse", "gettext", "locale"}
+
+    @pytest.mark.parametrize("argv", [
+        ["distance", "--method", "height"],
+        ["distance", "--method", "cycles"],
+        ["render", "--mode", "tiling", "--out", "tiling.svg"],
+        ["export", "--what", "voxels"],
+    ], ids=lambda argv: "-".join(argv[:3:2]))
+    def test_pair_commands_load_no_counting(self, argv, tmp_path):
+        done = python("-c", MAIN_PROBE, *argv, "--shape", "rect:6x2",
+                      "--t1", BRICK, "--t2", STAGGERED, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr.decode()
+        loaded = set(done.stdout.decode().splitlines()[-1].split())
+        assert "dominoflip.tiling" in loaded
+        assert "dominoflip.counting" not in loaded
+        if argv[0] == "render":
+            assert not loaded & {"dominoflip.cycles", "dominoflip.filling"}
 
     @pytest.mark.parametrize("argv,expected", [
         (["--shape", f"file:{FIXTURES / 'region_4x3.json'}"], ["11"]),
@@ -216,10 +241,6 @@ print(*calls)
         assert answer == "10"
         assert calls.split()[:2] == ["build_flip_graph", "diameter_of_graph"]
         assert set(calls.split()[2:]) == {"bfs_distances"}
-
-
-BRICK = str(FIXTURES / "brick_6x2.json")
-STAGGERED = str(FIXTURES / "staggered_6x2.json")
 
 
 @pytest.mark.parametrize("argv", [
