@@ -27,7 +27,7 @@ from .surface import (Region, is_simply_connected, make_aztec,
 # which finds a name replaced on the module too.
 _LAZY = {
     "counting": ("count_aztec_closed_form", "count_rectangle_closed_form",
-                 "count_tilings", "is_tileable"),
+                 "count_tilings"),
     "cycles": ("cycle_collection", "cycles_to_json", "distance_cycles"),
     "diameter": ("diameter_aztec_closed", "diameter_levels",
                  "diameter_of_graph", "diameter_rectangle_closed"),
@@ -36,7 +36,8 @@ _LAZY = {
                   "connected_components", "distance_bfs", "export_graph"),
     "height": ("distance_height", "extremal_tilings", "geodesic"),
     "render": ("RenderOptions", "render"),
-    "tiling": ("is_valid_tiling", "tiling_from_json", "tiling_to_json"),
+    "tiling": ("is_tileable", "is_valid_tiling", "tiling_from_json",
+               "tiling_to_json"),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -217,8 +218,7 @@ def cmd_diameter(args) -> int:
     shape = ShapeSpec(args.shape)
     region = shape.region
     if not _lib.is_tileable(region):
-        print("error: region is untileable", file=sys.stderr)
-        return EXIT_UNTILEABLE
+        raise UntileableError("region is untileable")
     values: dict[str, int] = {}
     realizers = None
     if args.method in ("levels", "all"):

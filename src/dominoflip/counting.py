@@ -1,13 +1,10 @@
-"""Exact tiling counts, and whether a region tiles at all.
+"""Exact tiling counts.
 
 Counting never enumerates, and Python integers keep counts exact at
 any size.  Each edge-connected component is counted on its own by the
 cheaper of two exact paths (``count_tilings``), and the counts
 multiply: a Kasteleyn determinant, whose signs read off the cells'
 coordinates alone, holes or not, or on thin strips a broken-profile DP.
-Telling whether a region tiles needs no count: a nonzero determinant
-modulo 2^61 - 1 proves a tiling exists, and only a zero residue, which
-needs a count divisible by that prime, is settled by counting.
 
 The closed forms for rectangles and Aztec diamonds live here too, as
 the cross-checks of the exact count.
@@ -35,7 +32,6 @@ PROFILE_UNIT_COST = 3
 MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
                       4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
                       44497, 86243)
-TILEABILITY_PRIME = (1 << 61) - 1
 
 
 def count_tilings(region: Region) -> int:
@@ -87,38 +83,6 @@ def count_tilings(region: Region) -> int:
         if not total:
             return 0
     return total
-
-
-def is_tileable(region: Region) -> bool:
-    """True when the region has a tiling, found without counting them.
-
-    A nonzero determinant modulo ``TILEABILITY_PRIME`` of a matrix whose
-    nonzero entries are the dual edges proves that a perfect matching
-    exists.  With Kasteleyn signs it is the count modulo that prime, up
-    to sign, so it is zero on a tileable component only when the prime
-    divides the count; a zero residue, or an elimination estimated above
-    ``MAX_DETERMINANT_WORK``, is settled by the exact count.  When that
-    count refuses too, so does the check, stating its own estimate.
-    """
-    parts = _balanced_components(region.cells)
-    if parts is None:
-        return False
-    e = TILEABILITY_PRIME.bit_length()
-    for part in parts:
-        w, order = _sweep(part)
-        work = _determinant_work(len(order) // 2, _band(w, order), e)
-        if (work <= MAX_DETERMINANT_WORK
-                and _kasteleyn_residue(w, order, TILEABILITY_PRIME)):
-            continue
-        try:
-            if not count_tilings(Region(part)):
-                return False
-        except ResourceLimitError:
-            raise ResourceLimitError(
-                f"tileability check of a {len(order)}-cell component needs "
-                f"an estimated {work} work units, cap is "
-                f"{MAX_DETERMINANT_WORK}, and counting it refuses too") from None
-    return True
 
 
 def _balanced_components(cells) -> list[list[Cell]] | None:

@@ -15,7 +15,9 @@ The value of a lattice vertex counts surrounding cycles by sign;
 "surrounding" means the center polyline winds around the vertex, which
 is unambiguous because centers live on the half-integer grid and the
 vertex on the integer one.  Summing |positive - negative| over all
-vertices gives the flip distance between the two tilings.
+vertices gives the flip distance between the two tilings.  A value is
+a quarter of a height difference, which no flip moves on the boundary,
+so a nonzero value there (round a hole) means no flips join the two.
 """
 
 from __future__ import annotations
@@ -157,9 +159,12 @@ def value_map(region: Region, collection: CycleCollection) -> ValueMap:
     return ValueMap(nu_plus, nu_minus)
 
 
-def distance_cycles(region: Region, t1: Tiling, t2: Tiling) -> int:
-    """Flip distance as the summed vertex values of the cycle collection."""
+def distance_cycles(region: Region, t1: Tiling, t2: Tiling) -> int | None:
+    """Flip distance as the summed vertex values of the cycle collection,
+    or None when a boundary vertex has a nonzero value."""
     vm = value_map(region, cycle_collection(region, t1, t2))
+    if any(map(vm.signed, region.boundary_vertices)):
+        return None
     return vm.total
 
 

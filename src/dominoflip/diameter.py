@@ -16,7 +16,10 @@ touching the region's boundary, and removing it leaves a smaller region
 to peel again.  The level of a vertex counts how many peels it survives
 as an interior vertex, so boundary vertices sit at level 0 and the
 vertices of level i are exactly those that first stop being interior
-after i peels.
+after i peels.  A vertex survives a peel exactly when the 3x3 block of
+vertices around it is interior, so its level is its distance in king
+moves to the nearest boundary vertex, and one breadth-first search
+from the boundary finds every level without peeling.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from itertools import compress
 from operator import and_, lt, sub
 from sys import byteorder
 
-from .counting import is_tileable
 from .errors import DominoError, ResourceLimitError, UntileableError
 from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, bfs_distances,
                         build_flip_graph)
-from .surface import Cell, Region, Vertex, cell_corners, cells_around
-from .tiling import Tiling
+from .surface import Cell, Region, Vertex, cell_corners
+from .tiling import Tiling, is_tileable
 
 # steps _has_covering_cycle may take, about a second of search: deciding
 # whether a grid graph has a Hamiltonian cycle is NP-complete
@@ -161,29 +163,25 @@ def ring_decomposition(region: Region) -> RingDecomposition:
 
     A vertex gets level i at the first peel depth i where it is no
     longer an interior vertex of what remains (possibly because its
-    cells are gone altogether).
+    cells are gone altogether), and a cell leaves with the ring of the
+    smallest level among its corners.
     """
-    remaining = set(region.cells)
-    unassigned = set(region.vertex_set)
-    levels: dict[Vertex, int] = {}
-    rings: list[frozenset[Cell]] = []
-    depth = 0
-    while remaining:
-        corners = {v for c in remaining for v in cell_corners(c)}
-        interior = {v for v in corners
-                    if all(c in remaining for c in cells_around(v))}
-        for v in unassigned - interior:
-            levels[v] = depth
-        unassigned &= interior
-        ring = frozenset(c for c in remaining
-                         if any(v not in interior for v in cell_corners(c)))
-        rings.append(ring)
-        remaining -= ring
-        depth += 1
-    # vertices interior right up to the last peel surface only now
-    for v in unassigned:
-        levels[v] = depth
-    return RingDecomposition(tuple(rings), levels)
+    interior = region.interior_vertices
+    levels = dict.fromkeys(region.boundary_vertices, 0)
+    queue = list(levels)
+    for x, y in queue:  # the list grows behind the loop, as a FIFO queue
+        level = levels[x, y] + 1
+        for v in ((x - 1, y - 1), (x, y - 1), (x + 1, y - 1), (x - 1, y),
+                  (x + 1, y), (x - 1, y + 1), (x, y + 1), (x + 1, y + 1)):
+            if v in interior and v not in levels:
+                levels[v] = level
+                queue.append(v)
+    rings: dict[int, set[Cell]] = {}
+    for cell in region.cells:
+        depth = min(map(levels.__getitem__, cell_corners(cell)))
+        rings.setdefault(depth, set()).add(cell)
+    return RingDecomposition(
+        tuple(frozenset(rings[depth]) for depth in range(len(rings))), levels)
 
 
 def _has_covering_cycle(cells: frozenset[Cell]) -> bool:

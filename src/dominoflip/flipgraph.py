@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cached_property
 
-from .counting import count_tilings
 from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
 from .surface import Region
-from .tiling import Tiling, _backtrack_masks, is_valid_tiling, tiling_to_json
+from .tiling import (Tiling, _backtrack_masks, _pack, is_valid_tiling,
+                     tiling_to_json)
 
 
 class FlipGraph:
@@ -58,20 +58,10 @@ class FlipGraph:
         return self.index[self.region.encode(tiling)]
 
 
-def _pack(rows: Iterable[list[int]]) -> tuple[array, array]:
-    """Rows of node ids as (offsets, targets) in compressed sparse row
-    form.  Ids are C ints: 2^31 nodes would need over 60 GB of masks."""
-    offsets = array("q", [0])
-    targets = array("i")
-    add, end = targets.fromlist, offsets.append
-    for row in rows:
-        add(row)
-        end(len(targets))
-    return offsets, targets
-
-
 def _check_budget(region: Region, budget: int) -> int:
     """The region's tiling count; refuses when it is above the budget."""
+    from .counting import count_tilings  # only graph searches count
+
     total = count_tilings(region)
     if total > budget:
         raise ResourceLimitError(

@@ -25,7 +25,7 @@ from collections.abc import Callable
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
                      UntileableError)
 from .surface import Region, Vertex, is_simply_connected
-from .tiling import Tiling, first_tiling, is_valid_tiling
+from .tiling import Tiling, _perfect_matching, is_valid_tiling
 
 HeightValues = dict[Vertex, int]
 
@@ -174,7 +174,7 @@ def extremal_tilings(region: Region) -> tuple[Tiling, Tiling]:
     if not is_simply_connected(region):
         raise UnsupportedRegionError(
             "extremal tilings need a simply connected region")
-    seed = first_tiling(region)
+    seed = _perfect_matching(region)
     if seed is None:
         raise UntileableError("region has no tiling")
     return (_monotone_sweep(region, seed, -1), _monotone_sweep(region, seed, +1))

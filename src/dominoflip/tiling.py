@@ -12,15 +12,17 @@ Enumeration backtracks on the lexicographically smallest uncovered
 cell, trying its right partner before its upper partner, and yields
 masks (``iter_tiling_masks``).  That fixes a canonical order of tilings
 which everything downstream reuses (flip graph node ids, serialized
-output), so runs are reproducible.  Counting lives in ``counting``.
+output), so runs are reproducible.  Whether a region tiles is one
+maximum matching (``is_tileable``); counting lives in ``counting``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterable, Iterator
 
 from .errors import InvalidMoveError
-from .surface import Cell, Region, Vertex
+from .surface import Cell, Region, Vertex, is_black
 
 Domino = tuple[Cell, Cell]
 Tiling = frozenset  # frozenset[Domino]
@@ -54,10 +56,91 @@ def iter_tilings(region: Region) -> Iterator[Tiling]:
 
 def iter_tiling_masks(region: Region) -> Iterator[int]:
     """The masks of ``iter_tilings``'s tilings, in the same order."""
-    from .counting import is_tileable  # only enumeration pays for counting
-
     if is_tileable(region):
         yield from _backtrack_masks(region)
+
+
+def is_tileable(region: Region) -> bool:
+    """True when the region has a tiling."""
+    return _perfect_matching(region) is not None
+
+
+def _perfect_matching(region: Region) -> Tiling | None:
+    """A tiling of the region, as a maximum matching of its dual graph
+    (Hopcroft and Karp 1973), or None when the region has none.
+
+    A greedy pass, each cell in sorted order taking its first free later
+    neighbour as the backtracker would, tiles a rectangle outright.  Each
+    phase then layers the black cells breadth-first from the free ones,
+    up to the first layer next to a free white cell, and a depth-first
+    search along the layers flips vertex-disjoint shortest augmenting
+    paths: O(sqrt V) phases of O(E).  Cells are their sorted indices.
+    """
+    cells = sorted(region.cells)
+    blacks = [i for i, cell in enumerate(cells) if is_black(cell)]
+    if 2 * len(blacks) != len(cells):
+        return None  # every domino covers one black and one white cell
+    index = {cell: i for i, cell in enumerate(cells)}.__getitem__
+    # cell i's neighbours, right before up: targets[offsets[i]:offsets[i + 1]]
+    offsets, targets = _pack(list(map(index, region.neighbors(cell)))
+                             for cell in cells)
+    del index
+    n = len(cells)
+    mate = array("i", [-1]) * n  # each cell's partner, -1 while free
+    for i in range(n):
+        if mate[i] < 0:
+            for j in targets[offsets[i]:offsets[i + 1]]:
+                if j > i and mate[j] < 0:
+                    mate[i], mate[j] = j, i
+                    break
+    while free := [u for u in blacks if mate[u] < 0]:
+        layer = array("i", [-1]) * n  # -1 off the layers, or dead
+        for u in free:
+            layer[u] = 0
+        last, queue = n, array("i", free)  # last: the layer that ends paths
+        for u in queue:  # the array grows behind the loop, as a FIFO queue
+            if layer[u] > last:
+                break
+            for w in targets[offsets[u]:offsets[u + 1]]:
+                v = mate[w]
+                if v < 0:
+                    last = layer[u]
+                elif layer[v] < 0:
+                    layer[v] = layer[u] + 1
+                    queue.append(v)
+        if last == n:
+            return None  # no augmenting path: the matching is maximum
+        ahead = offsets[:]  # per cell, the next edge to try
+        for root in free:
+            path = [root]
+            while path:
+                u = path[-1]
+                if ahead[u] == offsets[u + 1]:  # a dead end in this phase
+                    layer[u] = -1
+                    path.pop()
+                elif (v := mate[targets[ahead[u]]]) < 0:  # flip the path
+                    for b in path:
+                        w = targets[ahead[b]]
+                        mate[b], mate[w], layer[b] = w, b, -1
+                    break
+                elif layer[v] == layer[u] + 1 <= last:
+                    path.append(v)
+                else:
+                    ahead[u] += 1
+    # the smaller index is the smaller cell, as in domino()
+    return frozenset((cells[i], cells[j]) for i, j in enumerate(mate) if i < j)
+
+
+def _pack(rows: Iterable[list[int]]) -> tuple[array, array]:
+    """Rows of ids as (offsets, targets) in compressed sparse row form.
+    Ids are C ints: 2^31 flip-graph nodes would need over 60 GB of masks."""
+    offsets = array("q", [0])
+    targets = array("i")
+    add, end = targets.fromlist, offsets.append
+    for row in rows:
+        add(row)
+        end(len(targets))
+    return offsets, targets
 
 
 def _backtrack_masks(region: Region) -> Iterator[int]:

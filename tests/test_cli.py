@@ -5,7 +5,9 @@ import pytest
 
 import dominoflip.cli
 import dominoflip.counting
-from dominoflip import region_to_json, make_from_cells
+from dominoflip import (build_flip_graph, connected_components,
+                        make_from_cells, make_holed_square, region_to_json,
+                        tiling_to_json)
 from dominoflip.cli import main
 
 from conftest import run_capped
@@ -183,6 +185,24 @@ class TestDistance:
                            "--method", "all")
         assert (code, out) == (0, "5 5 5\n")
 
+    @pytest.mark.parametrize("method", ["cycles", "bfs"])
+    def test_across_flip_components_unreachable(self, capsys, tmp_path,
+                                                method):
+        # the first tilings of holed-square:5's components of 194 and 1
+        # tilings: their cycles wind round the hole, so the centre's
+        # four corners, boundary vertices, carry nonzero values
+        graph = build_flip_graph(make_holed_square(5))
+        paths = []
+        for i, component in enumerate(connected_components(graph)[:2]):
+            paths.append(tmp_path / f"t{i}.json")
+            paths[-1].write_text(json.dumps(
+                tiling_to_json(graph.nodes[component[0]])))
+        code, out, err = run(capsys, "distance", "--shape", "holed-square:5",
+                             "--t1", str(paths[0]), "--t2", str(paths[1]),
+                             "--method", method)
+        assert (code, out) == (1, "unreachable\n")
+        assert err == "error: tilings are not flip-connected\n"
+
     def test_budget_below_the_tiling_count_exits_4(self, capsys,
                                                    fixtures_dir):
         t = str(fixtures_dir / "brick_6x2.json")
@@ -269,14 +289,14 @@ class TestDiameter:
         assert code == 0 and out.strip() == "35"
 
     def test_levels_past_the_count_cap(self):
-        # tileability is one elimination modulo 2^61 - 1, not a count
+        # tileability is one maximum matching, not a count
         done = run_capped("-m", "dominoflip.cli", "diameter", "--method",
                           "levels", "--shape", "rect:40x40")
         assert (done.returncode, done.stdout, done.stderr) == (0, "10660\n", "")
 
     def test_levels_on_a_wide_staircase(self, capsys, tmp_path):
-        # 500 dominoes in a 501x500 box: its band, not its box, sizes
-        # the tileability check
+        # 500 dominoes in a 501x500 box: the tileability check works on
+        # its cells, not its box
         path = tmp_path / "stair.json"
         path.write_text(json.dumps({"cells": [
             list(c) for i in range(500) for c in ((i, i), (i + 1, i))]}))
@@ -436,17 +456,13 @@ class TestRenderAndExtremes:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: region has no tiling\n"
 
-    def test_tileability_check_names_its_estimate(self, tmp_path):
-        # too wide for the 61-bit elimination and for the count it falls
-        # back on, so the check refuses in its own words
+    def test_extremes_past_the_count_cap(self, tmp_path):
+        # far too wide to count: the walks start from a matching
         done = run_capped("-m", "dominoflip.cli", "extremes", "--shape",
                           "square:100", "--out", str(tmp_path / "x"),
-                          timeout=30)
-        assert (done.returncode, done.stdout) == (4, "")
-        assert done.stderr.startswith("error: tileability check of a ")
-        cells, estimate, cap = map(int, re.findall(r"\d+", done.stderr))
-        assert cells == 10000 and estimate == 5000 * 100 * 100
-        assert cap == dominoflip.counting.MAX_DETERMINANT_WORK < estimate
+                          timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "166650\n", "")
 
 
 class TestExport:

@@ -2,8 +2,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dominoflip import (bfs_distances, build_flip_graph, cycle_collection,
-                        distance_cycles, enumerate_tilings, height_function,
-                        is_black, make_aztec, make_rectangle, value_map)
+                        connected_components, distance_cycles,
+                        enumerate_tilings, height_function, is_black,
+                        make_aztec, make_holed_square, make_rectangle,
+                        value_map)
 from dominoflip.cycles import cycles_to_json
 from dominoflip.tiling import partner_map
 
@@ -123,6 +125,18 @@ class TestDistance:
             dist = bfs_distances(g, i)
             for j, t2 in enumerate(g.nodes):
                 assert distance_cycles(r, t1, t2) == dist[j]
+
+    def test_matches_bfs_on_holed_square_5(self):
+        # flip components of 194, 1 and 1 tilings: pairs across them are
+        # None, pairs within the large one their flip distance
+        r = make_holed_square(5)
+        g = build_flip_graph(r)
+        sizes = sorted(map(len, connected_components(g)))
+        assert sizes == [1, 1, 194]
+        for i in range(0, len(g), 13):
+            dist = bfs_distances(g, i)
+            for j in range(len(g)):
+                assert distance_cycles(r, g.nodes[i], g.nodes[j]) == dist[j]
 
     @given(st.data())
     def test_symmetric(self, data):

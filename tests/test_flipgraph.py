@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import dominoflip.counting
+import dominoflip.tiling
 from dominoflip import (Region, ResourceLimitError, available_flips,
                         bfs_distance, bfs_distances, build_flip_graph,
                         connected_components, count_tilings,
@@ -80,7 +80,7 @@ class TestBuild:
             asked.append(region)
             return True
 
-        monkeypatch.setattr(dominoflip.counting, "is_tileable", spy)
+        monkeypatch.setattr(dominoflip.tiling, "is_tileable", spy)
         region = make_rectangle(4, 3)
         g = build_flip_graph(region)
         assert asked == []

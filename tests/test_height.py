@@ -10,7 +10,7 @@ from dominoflip import (InvalidHeightError, Region, UnsupportedRegionError,
                         make_aztec, make_from_cells, make_holed_square,
                         make_rectangle, meet, tiling_from_height,
                         tiling_from_json)
-from dominoflip.counting import is_tileable
+from dominoflip.tiling import is_tileable
 
 from conftest import load_tiling, punched_boxes
 

@@ -152,6 +152,19 @@ class TestImportSet:
         assert not loaded & {"json", "dominoflip.height", "dominoflip.cycles",
                              "dominoflip.filling", "dominoflip.render"}
 
+    @pytest.mark.parametrize("argv", [
+        ["diameter", "--method", "levels", "--shape", "rect:12x12"],
+        ["extremes", "--shape", "square:16", "--out", "x"],
+    ], ids=["levels", "extremes"])
+    def test_tileability_loads_no_counting(self, argv, tmp_path):
+        # the check is a matching in `tiling`, and only graph searches
+        # and counts load `counting`
+        done = python("-c", MAIN_PROBE, *argv, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr.decode()
+        loaded = set(done.stdout.decode().splitlines()[-1].split())
+        assert "dominoflip.tiling" in loaded
+        assert "dominoflip.counting" not in loaded
+
     def test_package_import_loads_no_module(self):
         done = python("-c", "import sys, dominoflip\n"
                             "print(*sorted(sys.modules))\n"

@@ -11,7 +11,7 @@ from dominoflip import (Region, ResourceLimitError, enumerate_tilings,
                         make_aztec, make_from_cells, make_holed_square,
                         make_rectangle, region_from_json, region_to_json,
                         ring_decomposition)
-from dominoflip.surface import _connected
+from dominoflip.surface import _connected, cell_corners
 
 from conftest import (CORNER_PINCHES, punched_boxes, region_grid,
                       run_capped)
@@ -221,13 +221,24 @@ class TestRings:
             rd = ring_decomposition(r)
             assert rd.level_classes[0] == r.boundary_vertices
 
-    def test_levels_drop_by_one_after_peeling(self):
-        for r in (make_rectangle(6, 6), make_aztec(4)):
-            rd = ring_decomposition(r)
-            inner = Region(r.cells - rd.rings[0])
-            rd_inner = ring_decomposition(inner)
-            for v, lev in rd_inner.levels.items():
-                assert rd.levels[v] == lev + 1
+    @given(punched_boxes(9))
+    def test_levels_drop_by_one_after_peeling(self, cells):
+        # the definition, one peel at a time: with holes, pinches and
+        # several components
+        r = Region(cells)
+        rd = ring_decomposition(r)
+        assert set(rd.levels) == r.vertex_set
+        assert {v for v, lev in rd.levels.items() if lev == 0} == (
+            r.boundary_vertices)
+        assert rd.rings[0] == {c for c in r.cells
+                               if set(cell_corners(c)) & r.boundary_vertices}
+        left = r.cells - rd.rings[0]
+        inner = ring_decomposition(Region(left)) if left else None
+        assert rd.rings[1:] == (inner.rings if inner else ())
+        deeper = inner.levels if inner else {}
+        for v in r.interior_vertices:
+            # one peel down, or 1 when its cells all leave with the ring
+            assert rd.levels[v] == deeper.get(v, 0) + 1
 
 
 class TestSaturnian:

@@ -13,12 +13,12 @@ from dominoflip import (InvalidMoveError, NumericInstabilityError,
                         is_black, is_valid_tiling, iter_tilings, make_aztec,
                         make_from_cells, make_holed_square, make_rectangle,
                         tiling_from_json, tiling_to_json)
-from dominoflip.counting import (MAX_DETERMINANT_WORK, TILEABILITY_PRIME,
-                                 _band, _count_by_determinant,
-                                 _count_by_profile, _determinant_work,
-                                 _kasteleyn_residue, _mersenne_exponent,
-                                 _sweep, is_tileable)
+from dominoflip.counting import (MAX_DETERMINANT_WORK, _band,
+                                 _count_by_determinant, _count_by_profile,
+                                 _determinant_work, _mersenne_exponent,
+                                 _sweep)
 from dominoflip.surface import _connected
+from dominoflip.tiling import _perfect_matching, is_tileable
 
 from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, punched_boxes,
                       region_grid)
@@ -349,44 +349,35 @@ class TestTwoCountingPaths:
         assert _determinant_work(last - 1, 1, last) > MAX_DETERMINANT_WORK
 
 
-def spy_on_counts(monkeypatch):
-    """The regions is_tileable hands to count_tilings, as a list that
-    fills while the test runs."""
-    counted = []
-    count = dominoflip.counting.count_tilings
-
-    def spy(region):
-        counted.append(region)
-        return count(region)
-
-    monkeypatch.setattr(dominoflip.counting, "count_tilings", spy)
-    return counted
-
-
 class TestTileability:
     @given(punched_boxes(8))
     def test_matches_count(self, cells):
+        # holes, corner pinches and several components included; every
+        # matching found is a tiling
         region = make_from_cells(cells)
+        matching = _perfect_matching(region)
         assert is_tileable(region) == (count_tilings(region) > 0)
-
-    def test_zero_residue_falls_back_to_the_count(self, monkeypatch):
-        # rect:3x2 has 3 tilings, so its determinant vanishes modulo 3
-        # although the region tiles
-        monkeypatch.setattr(dominoflip.counting, "TILEABILITY_PRIME", 3)
-        counted = spy_on_counts(monkeypatch)
-        region = make_rectangle(3, 2)
-        assert _kasteleyn_residue(*_sweep(region.cells), 3) == 0
-        assert is_tileable(region)
-        assert counted == [region]
+        assert (matching is not None) == is_tileable(region)
+        if matching is not None:
+            assert is_valid_tiling(region, matching)
 
     @pytest.mark.parametrize("k", range(3, 24, 2))
     def test_holed_squares_need_no_count(self, monkeypatch, k):
-        counted = spy_on_counts(monkeypatch)
+        def refuse(region):
+            raise AssertionError("the tileability check counted")
+
+        monkeypatch.setattr(dominoflip.counting, "count_tilings", refuse)
         region = make_holed_square(k)
-        assert _kasteleyn_residue(*_sweep(region.cells),
-                                  TILEABILITY_PRIME) != 0
         assert is_tileable(region)
-        assert counted == []
+        assert is_valid_tiling(region, _perfect_matching(region))
+
+    def test_components(self):
+        pair = make_from_cells([(0, 0), (1, 0), (5, 5), (6, 5)])
+        assert is_tileable(pair)
+        # two black and two white cells, but a component of three
+        apart = make_from_cells([(0, 0), (1, 0), (2, 0), (5, 6)])
+        assert count_tilings(apart) == 0
+        assert not is_tileable(apart)
 
     def test_untileable(self):
         mutilated = make_from_cells([(x, y) for x in range(8) for y in range(8)
