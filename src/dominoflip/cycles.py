@@ -22,7 +22,6 @@ so a nonzero value there (round a hole) means no flips join the two.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property
 
 from .surface import Cell, Region, Vertex, is_black
@@ -118,44 +117,36 @@ def cycle_collection(region: Region, t1: Tiling, t2: Tiling) -> CycleCollection:
     return CycleCollection(tuple(cycles))
 
 
-def _surrounded_vertices(region: Region, cycle: OrientedCycle) -> list[Vertex]:
-    """Region vertices with nonzero winding number of the center polyline.
-
-    Each vertical unit step of the polyline crosses exactly one integer
-    scanline; a rightward ray from a vertex counts the signed crossings
-    at strictly larger x, which is a suffix sum over the sorted
-    crossing positions of that scanline.
-    """
-    crossings: dict[int, list[tuple[int, int]]] = {}
-    for (x1, y1), (x2, y2) in cycle.steps():
-        if x1 != x2:
-            continue
-        if y2 == y1 + 1:
-            crossings.setdefault(y1 + 1, []).append((x1, 1))
-        else:
-            crossings.setdefault(y1, []).append((x1, -1))
-    out: list[Vertex] = []
-    rows = region.vertex_rows
-    for y, events in crossings.items():
-        events.sort()
-        xs = [x for x, _ in events]
-        suffix = [0] * (len(events) + 1)
-        for i in range(len(events) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + events[i][1]
-        for vx in rows.get(y, ()):
-            if suffix[bisect_left(xs, vx)] != 0:
-                out.append((vx, y))
-    return out
-
-
 def value_map(region: Region, collection: CycleCollection) -> ValueMap:
-    """Count, per vertex, the surrounding cycles of each orientation."""
+    """Count, per vertex, the surrounding cycles of each orientation.
+
+    A cycle winds once round each vertex it surrounds: +1 when it runs
+    counterclockwise, -1 when clockwise.  Each vertical unit step of a
+    center polyline crosses exactly one integer scanline, and a
+    rightward ray from a vertex sums the signed crossings at larger x.
+    So the crossings of every cycle of one orientation, times that
+    orientation and summed from the right along each scanline, count
+    that orientation's cycles round each vertex of the row.
+    """
+    crossings: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for cycle in collection:
+        sign = cycle.orientation
+        for (x1, y1), (x2, y2) in cycle.steps():
+            if x1 == x2:  # up across y2, or down across y1
+                y, step = (y2, sign) if y2 > y1 else (y1, -sign)
+                crossings.setdefault((sign, y), []).append((x1, step))
     nu_plus: dict[Vertex, int] = {}
     nu_minus: dict[Vertex, int] = {}
-    for cycle in collection:
-        counter = nu_plus if cycle.orientation > 0 else nu_minus
-        for v in _surrounded_vertices(region, cycle):
-            counter[v] = counter.get(v, 0) + 1
+    rows = region.vertex_rows
+    for (sign, y), events in crossings.items():
+        counter = nu_plus if sign > 0 else nu_minus
+        events.sort()
+        count = 0
+        for vx in reversed(rows[y]):
+            while events and events[-1][0] >= vx:
+                count += events.pop()[1]
+            if count:
+                counter[vx, y] = count
     return ValueMap(nu_plus, nu_minus)
 
 

@@ -12,15 +12,16 @@ Two tilings always agree on boundary vertices, a flip moves exactly one
 label (its anchor's) by 4, and the pointwise max and min of two
 labelings are again labelings of tilings.  That last fact makes the set
 of tilings a distributive lattice whose extremes realize the flip-graph
-diameter; it also yields geodesics, by flipping monotonically up to the
-pointwise max and back down.  Those walks flip tiling masks, and after
-each flip they re-check only the blocks that share a domino with it.
+diameter.  Everything here works on labels alone: the extremes are the
+greatest and the least labeling with the boundary's values, found by
+shortest paths from the boundary (Thurston 1990), and a geodesic flips
+local minima up to the pointwise max and local maxima back down.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
+from heapq import heapify, heappop, heappush
 
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
                      UntileableError)
@@ -109,112 +110,95 @@ def meet(region: Region, t1: Tiling, t2: Tiling) -> Tiling:
     return tiling_from_height(region, {v: min(h1[v], h2[v]) for v in h1})
 
 
-def _flip_step(mask: int, block: tuple[int, int, int], anchor: Vertex) -> int:
-    """How a flip at the anchor, whose flip block is block, moves its
-    label in the tiling of the mask: +4 when the block holds its vertical
-    pair and the anchor's sum is even, or its horizontal pair and the
-    sum is odd; -4 when it holds a pair otherwise; 0 when it holds none."""
-    s, h, v = block
-    held = mask >> s
-    if held & h != h and held & v != v:
-        return 0
-    return 4 if (held & v == v) == (sum(anchor) % 2 == 0) else -4
+def _extreme_labels(region: Region, values: HeightValues,
+                    sign: int) -> HeightValues:
+    """The greatest (sign=+1) or the least (sign=-1) labeling that agrees
+    with values on the boundary (Thurston 1990).
 
-
-def _walk(region: Region, mask: int, values: HeightValues,
-          goal: Callable[[Vertex, int], int], moves: list[Vertex]) -> int:
-    """Flip the tiling of the mask at the lexicographically smallest
-    anchor whose label a flip moves the way the sign of goal(anchor,
-    label) says, until no anchor's does; return the final mask.  Updates
-    values in place and appends each flipped anchor to moves.
-
-    Only a flip's own anchor and its four edge neighbours, whose blocks
-    share a domino with it, are checked again after it; a heap of the
-    ranks that qualify yields the smallest.
+    The edge rules bound each step: positively by at most +1, against
+    the direction by at most +3.  So the greatest label of a vertex is
+    the least, over boundary vertices b, of values[b] plus the cheapest
+    path from b, with those bounds as step costs; a Dijkstra pass from
+    every boundary vertex at once finds it.  The least labeling is the
+    mirror: labels negated, the two costs swapped.
     """
-    from heapq import heappop, heappush  # only walks pay for loading it
-
-    anchors = list(region.flip_blocks)
-    blocks = list(region.flip_blocks.values())
-    rank = {anchor: i for i, anchor in enumerate(anchors)}
-    near = [[rank[b] for b in ((x, y), (x + 1, y), (x - 1, y), (x, y + 1),
-                               (x, y - 1)) if b in rank] for x, y in anchors]
-
-    def qualifies(i: int) -> bool:
-        anchor = anchors[i]
-        step = _flip_step(mask, blocks[i], anchor)
-        return step * goal(anchor, values[anchor]) > 0
-
-    ready = list(map(qualifies, range(len(anchors))))
-    heap = [i for i, ok in enumerate(ready) if ok]  # sorted, so a heap
+    adj = region.vertex_edges
+    best: HeightValues = {}
+    heap = [(sign * values[b], b) for b in region.boundary_vertices]
+    heapify(heap)
     while heap:
-        i = heappop(heap)
-        if ready[i]:  # else it stopped qualifying after it was pushed
-            anchor, (s, h, v) = anchors[i], blocks[i]
-            values[anchor] += _flip_step(mask, blocks[i], anchor)
-            mask ^= (h | v) << s
-            moves.append(anchor)
-            ready[i] = False
-            for j in near[i]:
-                was, ready[j] = ready[j], qualifies(j)
-                if ready[j] and not was:
-                    heappush(heap, j)
-    return mask
-
-
-def _monotone_sweep(region: Region, tiling: Tiling, direction: int) -> Tiling:
-    """Apply height-raising (direction=+1) or -lowering flips until stuck."""
-    return region.decode(_walk(region, region.encode(tiling),
-                               height_function(region, tiling),
-                               lambda anchor, label: direction, []))
+        d, u = heappop(heap)
+        if u in best:
+            continue
+        best[u] = d
+        for v, edge_sign, _ in adj[u]:
+            if v not in best:
+                heappush(heap, (d + 2 - sign * edge_sign, v))  # 1 or 3
+    return {v: sign * d for v, d in best.items()}
 
 
 def extremal_tilings(region: Region) -> tuple[Tiling, Tiling]:
-    """The lattice-minimal and -maximal tilings (t_min, t_max)."""
+    """The lattice-minimal and -maximal tilings (t_min, t_max): those of
+    the least and the greatest labeling with the boundary's values."""
     if not is_simply_connected(region):
         raise UnsupportedRegionError(
             "extremal tilings need a simply connected region")
     seed = _perfect_matching(region)
     if seed is None:
         raise UntileableError("region has no tiling")
-    return (_monotone_sweep(region, seed, -1), _monotone_sweep(region, seed, +1))
+    values = height_function(region, seed)
+    return tuple(tiling_from_height(region, _extreme_labels(region, values, sign))
+                 for sign in (-1, 1))
 
 
 def geodesic(region: Region, t1: Tiling, t2: Tiling) -> list[Vertex]:
     """A shortest flip sequence from t1 to t2, routed through the
     pointwise-max tiling with monotone heights on each leg.
 
-    Each step picks the lexicographically smallest flippable anchor
-    whose label moves toward the leg target, so the path is
-    deterministic.
+    Neighbouring labels differ by 1 or 3, so a flip at an interior
+    vertex raises its label by 4 exactly when the label is below all
+    four neighbours', and lowers it by 4 exactly when above all four.
+    Each step flips the lexicographically smallest interior vertex whose
+    label that moves toward the leg's target, so the path is
+    deterministic.  Only a flipped vertex and its four neighbours are
+    checked again after a flip; a heap of the ranks that qualify yields
+    the smallest.
     """
     h1 = height_function(region, t1)
     h2 = height_function(region, t2)
-    mid = {v: max(h1[v], h2[v]) for v in h1}
+    anchors = sorted(region.interior_vertices)
+    n = len(anchors)
+    # interior vertices by rank, then the boundary ones
+    rank = {v: i for i, v in enumerate([*anchors, *region.boundary_vertices])}
+    around = [(rank[x + 1, y], rank[x - 1, y], rank[x, y + 1], rank[x, y - 1])
+              for x, y in anchors]
+    near = [[i, *(j for j in around[i] if j < n)] for i in range(n)]
+    labels = [h1[v] for v in rank]
     moves: list[Vertex] = []
-    mask = region.encode(t1)
-    values = dict(h1)
-    for target in (mid, h2):
-        mask = _walk(region, mask, values,
-                     lambda anchor, label: target[anchor] - label, moves)
-        if values != target:
+
+    def qualifies(i: int) -> bool:
+        h, goal = labels[i], target[i]
+        a, b, c, d = around[i]
+        if h < goal:
+            return (h < labels[a] and h < labels[b] and h < labels[c]
+                    and h < labels[d])
+        return (h > goal and h > labels[a] and h > labels[b]
+                and h > labels[c] and h > labels[d])
+
+    for target in ([max(h1[v], h2[v]) for v in rank], [h2[v] for v in rank]):
+        ready = list(map(qualifies, range(n)))
+        heap = [i for i, ok in enumerate(ready) if ok]  # sorted, so a heap
+        while heap:
+            i = heappop(heap)
+            if ready[i]:  # else it stopped qualifying after it was pushed
+                labels[i] += 4 if labels[i] < target[i] else -4
+                moves.append(anchors[i])
+                ready[i] = False
+                for j in near[i]:
+                    was, ready[j] = ready[j], qualifies(j)
+                    if ready[j] and not was:
+                        heappush(heap, j)
+        if labels != target:
             raise DominoError("geodesic search stalled; inputs inconsistent")
     return moves
 
-
-def height_to_json(region: Region, values: HeightValues) -> dict:
-    base = base_vertex(region)
-    return {"base": [base[0], base[1]],
-            "values": [[x, y, values[(x, y)]] for x, y in sorted(values)]}
-
-
-def height_from_json(data: object) -> HeightValues:
-    if not isinstance(data, dict) or "values" not in data:
-        raise ValueError("height JSON must be an object with a 'values' list")
-    values: HeightValues = {}
-    for item in data["values"]:
-        if (not isinstance(item, (list, tuple)) or len(item) != 3
-                or not all(type(c) is int for c in item)):
-            raise ValueError(f"bad height entry {item!r}")
-        values[(item[0], item[1])] = item[2]
-    return values

@@ -2,11 +2,12 @@
 
 A domino is a dual edge, stored as its two cells in lexicographic
 order, and a tiling is a frozenset of dominoes covering every cell of
-the region exactly once.  Inside the flip graph and the height walk a
-tiling is an int instead, its mask, with bit i set when it holds the
-i-th of ``Region.dominoes``.  A flip is then one xor: when a 2x2 block
-holds one of its two parallel domino pairs, the flipped tiling toggles
-all four of the block's dominoes (``Region.flip_blocks``).
+the region exactly once.  Inside the flip graph and the two-ended
+distance search a tiling is an int instead, its mask, with bit i set
+when it holds the i-th of ``Region.dominoes``.  A flip is then one xor:
+when a 2x2 block holds one of its two parallel domino pairs, the
+flipped tiling toggles all four of the block's dominoes
+(``Region.flip_blocks``).  Height labels (``height``) need no masks.
 
 Enumeration backtracks on the lexicographically smallest uncovered
 cell, trying its right partner before its upper partner, and yields

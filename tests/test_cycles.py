@@ -116,6 +116,30 @@ class TestValueMap:
                 for v in r.vertex_set:
                     assert heights[i][v] - heights[j][v] == 4 * vm.signed(v)
 
+    def test_matches_a_ray_count_on_holed_square_5(self):
+        # heights cannot check a region with a hole, so count each cycle's
+        # crossings of a rightward ray from every vertex, in doubled
+        # coordinates: cell centres odd, vertices even
+        r = make_holed_square(5)
+        tilings = enumerate_tilings(r)
+        for t1 in tilings[::13]:
+            for t2 in tilings[::5]:
+                cc = cycle_collection(r, t1, t2)
+                expected = {1: {}, -1: {}}
+                for x, y in r.vertex_set:
+                    for cycle in cc:
+                        winding = 0
+                        for (x1, y1), (x2, y2) in cycle.steps():
+                            lo, hi = sorted((2 * y1 + 1, 2 * y2 + 1))
+                            if x1 == x2 and 2 * x1 + 1 > 2 * x and lo < 2 * y < hi:
+                                winding += 1 if y2 > y1 else -1
+                        if winding:
+                            assert winding == cycle.orientation
+                            counts = expected[cycle.orientation]
+                            counts[x, y] = counts.get((x, y), 0) + 1
+                vm = value_map(r, cc)
+                assert (vm.nu_plus, vm.nu_minus) == (expected[1], expected[-1])
+
 
 class TestDistance:
     def test_matches_bfs_on_4x3(self):

@@ -187,11 +187,23 @@ class TestExtremal:
         assert distance_height(region, tmin, tmax) == spread
 
     def test_independent_of_start(self):
-        from dominoflip.height import _monotone_sweep
-        r = make_rectangle(4, 3)
-        ups = {_monotone_sweep(r, t, +1) for t in enumerate_tilings(r)}
-        downs = {_monotone_sweep(r, t, -1) for t in enumerate_tilings(r)}
-        assert len(ups) == 1 and len(downs) == 1
+        # monotone walks down and up from every tiling end at the
+        # shortest-path extremes
+        for r in (make_rectangle(4, 3), make_aztec(2)):
+            extremes = extremal_tilings(r)
+            for t in enumerate_tilings(r):
+                assert extremes == tuple(
+                    rescanning_walk(r, t, height_function(r, t),
+                                    lambda anchor, label, d=d: d, [])
+                    for d in (-1, 1))
+
+    def test_no_tiling_masks(self):
+        # heights work on labels alone: neither the extremes nor a
+        # geodesic builds the region's flip blocks
+        r = make_from_cells((x + 2000, y) for x in range(6) for y in range(5))
+        tmin, tmax = extremal_tilings(r)
+        assert len(geodesic(r, tmin, tmax)) == distance_height(r, tmin, tmax)
+        assert "flip_blocks" not in r.__dict__
 
     def test_all_tilings_between_extremes(self):
         r = make_aztec(2)
@@ -227,23 +239,6 @@ class TestGeodesic:
         assert current == b
 
 
-class TestJson:
-    def test_round_trip(self):
-        from dominoflip.height import height_from_json, height_to_json
-        h = height_function(LSHAPE, LSHAPE_TILING)
-        data = height_to_json(LSHAPE, h)
-        assert data["base"] == [0, 0]
-        assert data["values"] == sorted(data["values"])
-        assert height_from_json(data) == h
-
-    def test_rejects_malformed(self):
-        from dominoflip.height import height_from_json
-        with pytest.raises(ValueError):
-            height_from_json({"values": [[0, 0]]})
-        with pytest.raises(ValueError):
-            height_from_json({"values": [[0, 0, True]]})
-
-
 class TestFlipLocality:
     @given(st.data())
     def test_flip_moves_one_label_by_four(self, data):
@@ -265,28 +260,30 @@ class TestFlipLocality:
     @pytest.mark.parametrize("region", [
         make_rectangle(4, 4), make_aztec(3), make_rectangle(5, 4),
     ], ids=["4x4", "aztec3", "5x4"])
-    def test_flip_direction_read_off_the_block(self, region):
-        # up by 4 when the block holds its vertical pair at an even
-        # anchor or its horizontal pair at an odd one, down by 4 when it
-        # holds a pair otherwise, 0 when it holds neither
-        from dominoflip.height import _flip_step
+    def test_flips_at_strict_local_extrema(self, region):
+        # an interior vertex is flippable exactly when its label is below
+        # all four neighbours', and then the flip raises it by 4, or above
+        # all four, and then the flip lowers it by 4
         for t in enumerate_tilings(region):
             before = height_function(region, t)
-            mask = region.encode(t)
             flips = available_flips(region, t)
-            for anchor, block in region.flip_blocks.items():
-                step = _flip_step(mask, block, anchor)
-                if anchor not in flips:
-                    assert step == 0
-                    continue
-                after = height_function(region, apply_flip(region, t, anchor))
-                assert after[anchor] - before[anchor] == step
+            for x, y in region.interior_vertices:
+                h = before[x, y]
+                around = [before[v] for v in ((x + 1, y), (x - 1, y),
+                                              (x, y + 1), (x, y - 1))]
+                low, high = h < min(around), h > max(around)
+                assert ((x, y) in flips) == (low or high)
+                if low or high:
+                    after = height_function(region,
+                                            apply_flip(region, t, (x, y)))
+                    assert after[x, y] - h == (4 if low else -4)
 
 
 def rescanning_walk(region, tiling, values, goal, moves):
-    """Oracle for ``height._walk``, on sets of dominoes: flip at the
-    smallest available anchor whose label moves the way the sign of
-    goal(anchor, label) says, rescanning every anchor after each flip."""
+    """Oracle for the walk in ``height.geodesic``, on sets of dominoes,
+    reading each flip's direction off its block: flip at the smallest
+    available anchor whose label moves the way the sign of goal(anchor,
+    label) says, rescanning every anchor after each flip."""
     while True:
         for anchor in available_flips(region, tiling):
             x, y = anchor
