@@ -32,8 +32,8 @@ _LAZY = {
     "diameter": ("diameter_aztec_closed", "diameter_levels",
                  "diameter_of_graph", "diameter_rectangle_closed"),
     "filling": ("export_voxels", "filling_shape", "voxels_to_json"),
-    "flipgraph": ("FlipGraph", "bfs_distance", "build_flip_graph",
-                  "connected_components", "distance_bfs", "export_graph"),
+    "flipgraph": ("bfs_distance", "build_flip_graph", "connected_components",
+                  "distance_bfs", "export_graph"),
     "height": ("distance_height", "extremal_tilings", "geodesic"),
     "render": ("RenderOptions", "render"),
     "tiling": ("is_tileable", "is_valid_tiling", "tiling_from_json",
@@ -248,7 +248,7 @@ def cmd_diameter(args) -> int:
     return 0
 
 
-def _tileable_graph(region: Region, budget: int) -> FlipGraph:
+def _tileable_graph(region: Region, budget: int):
     graph = _lib.build_flip_graph(region, budget)
     if not len(graph):
         raise UntileableError("region is untileable")

@@ -20,7 +20,6 @@ local minima up to the pointwise max and local maxima back down.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heapify, heappop, heappush
 
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
@@ -46,14 +45,11 @@ def height_function(region: Region, tiling: Tiling) -> HeightValues:
     adj = region.vertex_edges
     base = base_vertex(region)
     values: HeightValues = {base: 0}
-    queue = deque([base])
-    while queue:
-        u = queue.popleft()
+    queue = [base]
+    for u in queue:  # the list grows behind the loop, as a FIFO queue
         hu = values[u]
         for v, sign, flank in adj[u]:
-            if flank is not None and flank in tiling:
-                continue
-            if v not in values:
+            if v not in values and (flank is None or flank not in tiling):
                 values[v] = hu + sign
                 queue.append(v)
     if len(values) != len(region.vertex_set):
@@ -75,7 +71,7 @@ def distance_height(region: Region, t1: Tiling, t2: Tiling) -> int:
 
 def tiling_from_height(region: Region, values: HeightValues) -> Tiling:
     """The unique tiling whose dominoes cross exactly the -3 edges."""
-    if set(values) != set(region.vertex_set):
+    if values.keys() != region.vertex_set:
         raise InvalidHeightError("labels must cover exactly the region vertices")
     dominoes: set = set()
     for u, edges in region.vertex_edges.items():
@@ -170,8 +166,8 @@ def geodesic(region: Region, t1: Tiling, t2: Tiling) -> list[Vertex]:
     n = len(anchors)
     # interior vertices by rank, then the boundary ones
     rank = {v: i for i, v in enumerate([*anchors, *region.boundary_vertices])}
-    around = [(rank[x + 1, y], rank[x - 1, y], rank[x, y + 1], rank[x, y - 1])
-              for x, y in anchors]
+    adj = region.vertex_edges
+    around = [tuple(rank[v] for v, _, _ in adj[u]) for u in anchors]
     near = [[i, *(j for j in around[i] if j < n)] for i in range(n)]
     labels = [h1[v] for v in rank]
     moves: list[Vertex] = []

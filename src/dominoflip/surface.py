@@ -42,13 +42,6 @@ def cells_around(vertex: Vertex) -> tuple[Cell, Cell, Cell, Cell]:
     return ((x - 1, y - 1), (x, y - 1), (x - 1, y), (x, y))
 
 
-def _edge_sign(u: Vertex, v: Vertex) -> int:
-    """+1 when u -> v is the positive traversal (black cell on the right):
-    exactly when u has an odd coordinate sum and the edge is horizontal,
-    or an even sum and the edge is vertical."""
-    return 1 if ((u[0] + u[1]) % 2 == 1) == (u[1] == v[1]) else -1
-
-
 class Region:
     """Immutable set of grid cells with cached derived structure."""
 
@@ -137,25 +130,28 @@ class Region:
     def vertex_edges(self) -> dict[Vertex, tuple[EdgeInfo, ...]]:
         """Per vertex: (neighbor, orientation sign, crossing domino)
         triples.  The sign is +1 when vertex -> neighbor keeps the black
-        cell on the right; the domino is None on the boundary."""
+        cell on the right; the domino is None on the boundary.  Each
+        unit edge is listed once, by the cell that owns it: its lower and
+        left edges, and its upper and right ones when no cell lies across.
+        The edge (x, y) -> (x + 1, y) is positive when x + y is odd, and
+        a lower or left edge is crossed by (cell across, cell) if any."""
+        cells = self.cells
         adj: dict[Vertex, list[EdgeInfo]] = {v: [] for v in self.vertex_set}
-        seen: set[tuple[Vertex, Vertex]] = set()
-        for cell in self.cells:
+
+        def link(u: Vertex, v: Vertex, sign: int, flank) -> None:
+            adj[u].append((v, sign, flank))
+            adj[v].append((u, -sign, flank))
+
+        for cell in cells:
             x, y = cell
-            corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
-            for i in range(4):
-                u, v = corners[i], corners[(i + 1) % 4]
-                key = (u, v) if u < v else (v, u)
-                if key in seen:
-                    continue
-                seen.add(key)
-                a, b = key
-                sign = _edge_sign(a, b)
-                # the cell with corner a and the one across the edge
-                pair = ((a[0], a[1] - 1) if a[1] == b[1] else (a[0] - 1, a[1]), a)
-                flank = pair if pair in self.dominoes else None
-                adj[a].append((b, sign, flank))
-                adj[b].append((a, -sign, flank))
+            sign = 1 if (x + y) % 2 else -1  # of the lower edge
+            below, left = (x, y - 1), (x - 1, y)
+            link(cell, (x + 1, y), sign, (below, cell) if below in cells else None)
+            link(cell, (x, y + 1), -sign, (left, cell) if left in cells else None)
+            if (x, y + 1) not in cells:
+                link((x, y + 1), (x + 1, y + 1), -sign, None)
+            if (x + 1, y) not in cells:
+                link((x + 1, y), (x + 1, y + 1), sign, None)
         return {v: tuple(edges) for v, edges in adj.items()}
 
     @cached_property

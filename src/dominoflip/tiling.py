@@ -10,8 +10,8 @@ flipped tiling toggles all four of the block's dominoes
 (``Region.flip_blocks``).  Height labels (``height``) need no masks.
 
 Enumeration backtracks on the lexicographically smallest uncovered
-cell, trying its right partner before its upper partner, and yields
-masks (``iter_tiling_masks``).  That fixes a canonical order of tilings
+cell, trying its right partner before its upper partner, on masks
+(``iter_tilings`` decodes them).  That fixes a canonical order of tilings
 which everything downstream reuses (flip graph node ids, serialized
 output), so runs are reproducible.  Whether a region tiles is one
 maximum matching (``is_tileable``); counting lives in ``counting``.
@@ -52,13 +52,8 @@ def is_valid_tiling(region: Region, tiling: Tiling) -> bool:
 
 def iter_tilings(region: Region) -> Iterator[Tiling]:
     """Yield every tiling once, in canonical backtracking order."""
-    return map(region.decode, iter_tiling_masks(region))
-
-
-def iter_tiling_masks(region: Region) -> Iterator[int]:
-    """The masks of ``iter_tilings``'s tilings, in the same order."""
     if is_tileable(region):
-        yield from _backtrack_masks(region)
+        yield from map(region.decode, _backtrack_masks(region))
 
 
 def is_tileable(region: Region) -> bool:
@@ -145,9 +140,9 @@ def _pack(rows: Iterable[list[int]]) -> tuple[array, array]:
 
 
 def _backtrack_masks(region: Region) -> Iterator[int]:
-    """The backtracking behind ``iter_tiling_masks``, for a region known
-    to tile: on one that does not, it yields nothing, but only after
-    trying every partial tiling."""
+    """The masks of ``iter_tilings``' tilings, for a region known to
+    tile: on one that does not, it yields nothing, but only after trying
+    every partial tiling."""
     order = sorted(region.cells)
     index = {cell: i for i, cell in enumerate(order)}
     bit = region.dominoes

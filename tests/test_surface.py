@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -181,13 +182,45 @@ class TestSimplyConnected:
         assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
 
 
+def brute_force_edge_table(cells):
+    """Oracle: every unit edge of every cell, once at each endpoint, with
+    the membership sign and, when both cells flanking it are present,
+    their domino."""
+    flanks = {}
+    for x, y in cells:
+        for u, v, across in (((x, y), (x + 1, y), (x, y - 1)),
+                             ((x, y), (x, y + 1), (x - 1, y)),
+                             ((x, y + 1), (x + 1, y + 1), (x, y + 1)),
+                             ((x + 1, y), (x + 1, y + 1), (x + 1, y))):
+            pair = tuple(sorted(((x, y), across)))
+            flanks[u, v] = pair if across in cells else None
+    table = {}
+    for (u, v), flank in flanks.items():
+        table.setdefault(u, Counter())[
+            v, membership_edge_sign(cells, u, v), flank] += 1
+        table.setdefault(v, Counter())[
+            u, membership_edge_sign(cells, v, u), flank] += 1
+    return table
+
+
 class TestEdgeSigns:
-    @given(cells_strategy)
+    # holes and several components, then corner pinches
+    @given(st.one_of(cells_strategy, punched_boxes(6)))
     def test_coordinate_rule_matches_membership_rule(self, cells):
         r = make_from_cells(cells)
-        for u, edges in r.vertex_edges.items():
-            for v, sign, _ in edges:
-                assert sign == membership_edge_sign(r.cells, u, v), (u, v)
+        table = {u: Counter(edges) for u, edges in r.vertex_edges.items()}
+        assert table == brute_force_edge_table(r.cells)
+
+    @pytest.mark.parametrize("rows", CORNER_PINCHES)
+    def test_edge_table_at_corner_pinches(self, rows):
+        r = region_grid(len(rows[0]), len(rows), " ".join(rows))
+        table = {u: Counter(edges) for u, edges in r.vertex_edges.items()}
+        assert table == brute_force_edge_table(r.cells)
+
+    def test_reads_no_domino_table(self):
+        r = make_aztec(4)
+        r.vertex_edges
+        assert "dominoes" not in r.__dict__
 
 
 class TestRings:
