@@ -16,30 +16,19 @@ import sys
 from functools import partial
 from types import SimpleNamespace
 
+from . import _OWNER
 from .errors import (DEFAULT_NODE_BUDGET, DominoError, ResourceLimitError,
                      UnsupportedRegionError, UntileableError)
 from .surface import (Region, is_simply_connected, make_aztec,
                       make_holed_square, make_rectangle, region_from_json)
 
-# Library names that only some commands call.  Each is imported from its
-# module on first use through __getattr__ below, so a job loads only the
-# modules its command needs.  Commands read them as ``_lib.render``,
-# which finds a name replaced on the module too.
-_LAZY = {
-    "counting": ("count_aztec_closed_form", "count_rectangle_closed_form",
-                 "count_tilings"),
-    "cycles": ("cycle_collection", "cycles_to_json", "distance_cycles"),
-    "diameter": ("diameter_aztec_closed", "diameter_levels",
-                 "diameter_of_graph", "diameter_rectangle_closed"),
-    "filling": ("export_voxels", "filling_shape", "voxels_to_json"),
-    "flipgraph": ("bfs_distance", "build_flip_graph", "connected_components",
-                  "distance_bfs", "export_graph"),
-    "height": ("distance_height", "extremal_tilings", "geodesic"),
-    "render": ("RenderOptions", "render"),
-    "tiling": ("is_tileable", "is_valid_tiling", "tiling_from_json",
-               "tiling_to_json"),
-}
-_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+# Library names by owning module: the package's table plus the names it
+# does not export.  __getattr__ below imports each on first use, so a job
+# loads only the modules its command needs.  Commands read them as
+# ``_lib.render``, which finds a name replaced on the module too.
+_OWNER = {**_OWNER, "RenderOptions": "render", "render": "render",
+          "cycles_to_json": "cycles", "voxels_to_json": "filling",
+          "is_tileable": "tiling"}
 
 
 def __getattr__(name: str):
@@ -68,6 +57,16 @@ EXIT_UNTILEABLE = 2
 EXIT_BAD_INPUT = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
+
+# the exit code of an error a command raises: the first row that
+# matches it, so subclasses come before DominoError
+_EXIT_CODES = (
+    ((UntileableError, UnsupportedRegionError), EXIT_UNTILEABLE),
+    ((ResourceLimitError, MemoryError), EXIT_BUDGET),
+    (ValueError, EXIT_BAD_INPUT),
+    (OSError, EXIT_IO),
+    (DominoError, EXIT_DISAGREE),
+)
 
 
 # cells a --shape may hold; a spec's count is read off it before any
@@ -151,9 +150,9 @@ def _json_line(data) -> str:
     return json.dumps(data) + "\n"
 
 
-def _write_json(path: str, data) -> None:
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_json_line(data))
+        handle.write(text)
 
 
 def _load_tiling(path: str, region: Region):
@@ -163,16 +162,24 @@ def _load_tiling(path: str, region: Region):
     return tiling
 
 
-def _emit(args, command: str, result, plain_lines: list[str]) -> None:
+def _emit(args, result, plain_lines: list[str]) -> None:
     if args.json:
-        sys.stdout.write(_json_line({"command": command, "result": result}))
+        sys.stdout.write(_json_line({"command": args.command,
+                                     "result": result}))
     else:
         for line in plain_lines:
             print(line)
 
 
-def cmd_count(args) -> int:
-    shape = ShapeSpec(args.shape)
+def _agree(values: dict) -> int:
+    """0 when the methods gave one value, else 1, printing the values."""
+    if len(set(values.values())) > 1:
+        print(f"error: methods disagree: {values}", file=sys.stderr)
+        return EXIT_DISAGREE
+    return 0
+
+
+def cmd_count(args, shape: ShapeSpec) -> int:
     exact = _lib.count_tilings(shape.region)
     result = {"count": exact}
     lines = [str(exact)]
@@ -180,15 +187,14 @@ def cmd_count(args) -> int:
         closed = shape.closed_form_count()
         result["closed_form"] = closed
         lines.append(str(closed))
-    _emit(args, "count", result, lines)
+    _emit(args, result, lines)
     if exact == 0:
         print("warning: region is untileable", file=sys.stderr)
         return EXIT_UNTILEABLE
     return 0
 
 
-def cmd_distance(args) -> int:
-    shape = ShapeSpec(args.shape)
+def cmd_distance(args, shape: ShapeSpec) -> int:
     region = shape.region
     t1 = _load_tiling(args.t1, region)
     t2 = _load_tiling(args.t2, region)
@@ -200,22 +206,18 @@ def cmd_distance(args) -> int:
     if args.method in ("bfs", "all"):
         values["bfs"] = _lib.distance_bfs(region, t1, t2, args.budget)
     if args.emit_path is not None:
-        path = _lib.geodesic(region, t1, t2)
-        _write_json(args.emit_path, {"flips": [[x, y] for x, y in path]})
-    _emit(args, "distance", values,
+        path = _lib.geodesic(region, t1, t2)  # vertices dump as [x, y]
+        _write(args.emit_path, _json_line({"flips": path}))
+    _emit(args, values,
           [" ".join("unreachable" if values[k] is None else str(values[k])
                     for k in sorted(values))])
     if any(v is None for v in values.values()):
         print("error: tilings are not flip-connected", file=sys.stderr)
         return EXIT_DISAGREE
-    if len(set(values.values())) > 1:
-        print(f"error: methods disagree: {values}", file=sys.stderr)
-        return EXIT_DISAGREE
-    return 0
+    return _agree(values)
 
 
-def cmd_diameter(args) -> int:
-    shape = ShapeSpec(args.shape)
+def cmd_diameter(args, shape: ShapeSpec) -> int:
     region = shape.region
     if not _lib.is_tileable(region):
         raise UntileableError("region is untileable")
@@ -240,12 +242,9 @@ def cmd_diameter(args) -> int:
         result["methods"] = values
     if realizers is not None:
         result["realizers"] = realizers
-    _emit(args, "diameter", result,
+    _emit(args, result,
           [" ".join(str(values[k]) for k in sorted(values))])
-    if len(set(values.values())) > 1:
-        print(f"error: methods disagree: {values}", file=sys.stderr)
-        return EXIT_DISAGREE
-    return 0
+    return _agree(values)
 
 
 def _tileable_graph(region: Region, budget: int):
@@ -255,8 +254,8 @@ def _tileable_graph(region: Region, budget: int):
     return graph
 
 
-def cmd_components(args) -> int:
-    region = ShapeSpec(args.shape).region
+def cmd_components(args, shape: ShapeSpec) -> int:
+    region = shape.region
     if is_simply_connected(region):
         # flips join every two tilings of a simply connected region
         # (Thurston 1990), so its one component holds them all
@@ -267,40 +266,34 @@ def cmd_components(args) -> int:
     else:
         graph = _tileable_graph(region, args.budget)
         sizes = [len(c) for c in _lib.connected_components(graph)]
-    _emit(args, "components", {"components": len(sizes), "sizes": sizes},
+    _emit(args, {"components": len(sizes), "sizes": sizes},
           [str(len(sizes)), " ".join(str(s) for s in sizes)])
     return 0
 
 
-def cmd_render(args) -> int:
-    shape = ShapeSpec(args.shape)
+def cmd_render(args, shape: ShapeSpec) -> int:
     region = shape.region
     options = _lib.RenderOptions(mode=args.mode, cell_size=args.cell_size)
     t1 = _load_tiling(args.t1, region)
     t2 = _load_tiling(args.t2, region) if args.t2 else None
-    svg = _lib.render(region, options, t1, t2)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(svg)
-    _emit(args, "render", {"written": args.out}, [])
+    _write(args.out, _lib.render(region, options, t1, t2))
+    _emit(args, {"written": args.out}, [])
     return 0
 
 
-def cmd_extremes(args) -> int:
-    shape = ShapeSpec(args.shape)
+def cmd_extremes(args, shape: ShapeSpec) -> int:
     region = shape.region
     tmin, tmax = _lib.extremal_tilings(region)
     paths = (f"{args.out}.tmin.json", f"{args.out}.tmax.json")
     for path, tiling in zip(paths, (tmin, tmax)):
-        _write_json(path, _lib.tiling_to_json(tiling))
+        _write(path, _json_line(_lib.tiling_to_json(tiling)))
     spread = _lib.distance_height(region, tmin, tmax)
-    _emit(args, "extremes",
-          {"tmin": paths[0], "tmax": paths[1], "distance": spread},
+    _emit(args, {"tmin": paths[0], "tmax": paths[1], "distance": spread},
           [str(spread)])
     return 0
 
 
-def cmd_export(args) -> int:
-    shape = ShapeSpec(args.shape)
+def cmd_export(args, shape: ShapeSpec) -> int:
     region = shape.region
     if args.what == "graph":
         payload = _lib.export_graph(_tileable_graph(region, args.budget),
@@ -318,8 +311,7 @@ def cmd_export(args) -> int:
                 _lib.export_voxels(_lib.filling_shape(region, t1, t2)))
         payload = _json_line(data)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        _write(args.out, payload)
     else:
         sys.stdout.write(payload)
     return 0
@@ -454,25 +446,12 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
     try:
-        return args.func(args)
-    except (UntileableError, UnsupportedRegionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNTILEABLE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DominoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREE
+        return args.func(args, ShapeSpec(args.shape))
+    except (DominoError, MemoryError, ValueError, OSError) as exc:
+        print("error: out of memory" if isinstance(exc, MemoryError)
+              else f"error: {exc}", file=sys.stderr)
+        return next(code for types, code in _EXIT_CODES
+                    if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -146,40 +146,38 @@ def _backtrack_masks(region: Region) -> Iterator[int]:
     order = sorted(region.cells)
     index = {cell: i for i, cell in enumerate(order)}
     bit = region.dominoes
-    # per cell: (partner index, digit of their domino), right partner
-    # before upper
-    partners = [[(index[p], ~bit[cell, p])
+    # per cell: (partner index, their domino's bit), right before upper
+    partners = [[(index[p], bit[cell, p])
                  for p in ((cell[0] + 1, cell[1]), (cell[0], cell[1] + 1))
                  if p in index] for cell in order]
     n = len(order)
     covered = [False] * n
-    digits = bytearray(b"0" * (len(region.dominoes) + 1))  # as in encode
     # one frame per chosen domino: [cell index, untried partners,
-    # partner, digit]
+    # partner, bit]; a mask per frame would take memory quadratic in depth
     stack = [[0, iter(partners[0]), 0, 0]]
-    chosen = 0
+    chosen = mask = 0
     while stack:
         frame = stack[-1]
         i = frame[0]
         if chosen == len(stack):  # undo this level's last choice
             chosen -= 1
             covered[i] = covered[frame[2]] = False
-            digits[frame[3]] = 48  # "0"
-        for j, digit in frame[1]:
+            mask ^= 1 << frame[3]
+        for j, b in frame[1]:
             if not covered[j]:
                 break
         else:
             stack.pop()
             continue
         covered[i] = covered[j] = True
-        digits[digit] = 49  # "1"
         chosen += 1
-        frame[2], frame[3] = j, digit
+        frame[2], frame[3] = j, b
+        mask |= 1 << b
         k = i + 1
         while k < n and covered[k]:
             k += 1
         if k == n:
-            yield int(digits, 2)
+            yield mask
         else:
             stack.append([k, iter(partners[k]), 0, 0])
 

@@ -5,9 +5,9 @@ import pytest
 
 import dominoflip.cli
 import dominoflip.counting
-from dominoflip import (build_flip_graph, connected_components,
-                        make_from_cells, make_holed_square, region_to_json,
-                        tiling_to_json)
+from dominoflip import (DominoError, build_flip_graph, connected_components,
+                        first_tiling, make_from_cells, make_holed_square,
+                        region_to_json, tiling_to_json)
 from dominoflip.cli import main
 
 from conftest import run_capped
@@ -118,6 +118,14 @@ class TestCount:
         code, out, err = run(capsys, "count", "--shape", "rect:4x4")
         assert (code, out, err) == (4, "", "error: out of memory\n")
 
+    def test_bare_domino_error_exits_1(self, capsys, monkeypatch):
+        def fail(region):
+            raise DominoError("no answer")
+
+        monkeypatch.setattr(dominoflip.cli, "count_tilings", fail)
+        code, out, err = run(capsys, "count", "--shape", "rect:4x4")
+        assert (code, out, err) == (1, "", "error: no answer\n")
+
     @pytest.mark.parametrize("command", [
         ["count"], ["diameter", "--method", "levels"]],
         ids=["count", "levels"])
@@ -172,6 +180,28 @@ class TestDistance:
         assert code == 0
         flips = json.loads(out_file.read_text())["flips"]
         assert len(flips) == 5
+
+    def test_methods_disagree_exits_1(self, capsys, fixtures_dir,
+                                      monkeypatch):
+        monkeypatch.setattr(dominoflip.cli, "distance_cycles",
+                            lambda region, t1, t2: 4)
+        code, out, err = run(capsys, "distance", "--shape", "rect:6x2",
+                             "--t1", str(fixtures_dir / "brick_6x2.json"),
+                             "--t2", str(fixtures_dir / "staggered_6x2.json"),
+                             "--method", "all")
+        assert (code, out) == (1, "5 4 5\n")
+        assert err == ("error: methods disagree: "
+                       "{'height': 5, 'cycles': 4, 'bfs': 5}\n")
+
+    def test_height_on_a_holed_region_exits_2(self, capsys, tmp_path):
+        tiling = tmp_path / "t.json"
+        tiling.write_text(json.dumps(
+            tiling_to_json(first_tiling(make_holed_square(5)))))
+        code, out, err = run(capsys, "distance", "--shape", "holed-square:5",
+                             "--t1", str(tiling), "--t2", str(tiling),
+                             "--method", "height")
+        assert (code, out) == (2, "")
+        assert err == "error: height labels need a simply connected region\n"
 
     def test_bfs_builds_no_flip_graph(self, capsys, fixtures_dir,
                                       monkeypatch):
@@ -314,6 +344,21 @@ class TestDiameter:
                            "--method", "all")
         assert code == 0
         assert out.split() == ["5", "5", "5"]
+
+    def test_methods_disagree_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(dominoflip.cli, "diameter_levels",
+                            lambda region: 4)
+        code, out, err = run(capsys, "diameter", "--shape", "rect:6x2",
+                             "--method", "all")
+        assert (code, out) == (1, "5 5 4\n")
+        assert err == ("error: methods disagree: "
+                       "{'levels': 4, 'closed': 5, 'bfs': 5}\n")
+
+    def test_single_tiling_deeper_than_the_recursion_limit(self, capsys):
+        # 1,000 nested choices, so the enumerator keeps its own stack
+        code, out, _ = run(capsys, "diameter", "--method", "bfs",
+                           "--shape", "rect:2000x1")
+        assert (code, out) == (0, "0\n")
 
     def test_rect_accepts_either_orientation(self, capsys):
         code, out, _ = run(capsys, "diameter", "--shape", "rect:2x6",
@@ -488,6 +533,21 @@ class TestExport:
                            "--t2", str(fixtures_dir / "pair_7x4_b.json"))
         assert code == 0
         assert len(json.loads(out)["voxels"]) == 16
+
+    @pytest.mark.parametrize("flags", [
+        ("--what", "graph"), ("--what", "graph", "--format", "json"),
+        ("--what", "cycles"), ("--what", "voxels")],
+        ids=["graph-dot", "graph-json", "cycles", "voxels"])
+    def test_out_writes_what_stdout_shows(self, capsys, fixtures_dir,
+                                          tmp_path, flags):
+        argv = ["export", "--shape", "rect:6x2", *flags,
+                "--t1", str(fixtures_dir / "brick_6x2.json"),
+                "--t2", str(fixtures_dir / "staggered_6x2.json")]
+        code, shown, _ = run(capsys, *argv)
+        assert code == 0 and shown
+        out_file = tmp_path / "export.out"
+        assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+        assert out_file.read_bytes() == shown.encode("utf-8")
 
     @pytest.mark.parametrize("what", ["cycles", "voxels"])
     @pytest.mark.parametrize("given,missing", [

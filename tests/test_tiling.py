@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -18,7 +19,7 @@ from dominoflip.counting import (MAX_DETERMINANT_WORK, _band,
                                  _determinant_work, _mersenne_exponent,
                                  _sweep)
 from dominoflip.surface import _connected
-from dominoflip.tiling import _perfect_matching, is_tileable
+from dominoflip.tiling import _backtrack_masks, _perfect_matching, is_tileable
 
 from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, punched_boxes,
                       region_grid)
@@ -181,6 +182,21 @@ class TestEnumeration:
         first = first_tiling(make_rectangle(2, 1100))
         assert len(first) == 1100
         assert ((0, 0), (1, 0)) in first
+
+    def test_memory_linear_in_depth(self):
+        # a mask kept per frame, or a 1 << bit kept per domino, would
+        # take memory quadratic in the number of nested choices
+        peaks = []
+        for length in (2000, 20000):
+            region = make_rectangle(length, 1)
+            region.dominoes
+            tracemalloc.start()
+            try:
+                assert next(_backtrack_masks(region)).bit_count() == length // 2
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 16 * peaks[0]
 
 
 class TestCounting:
