@@ -28,7 +28,8 @@ from .surface import (Region, is_simply_connected, make_aztec,
 # ``_lib.render``, which finds a name replaced on the module too.
 _OWNER = {**_OWNER, "RenderOptions": "render", "render": "render",
           "cycles_to_json": "cycles", "voxels_to_json": "filling",
-          "is_tileable": "tiling"}
+          "is_tileable": "tiling", "extremal_heights": "height",
+          "label_distance": "height"}
 
 
 def __getattr__(name: str):
@@ -283,11 +284,12 @@ def cmd_render(args, shape: ShapeSpec) -> int:
 
 def cmd_extremes(args, shape: ShapeSpec) -> int:
     region = shape.region
-    tmin, tmax = _lib.extremal_tilings(region)
+    labels = _lib.extremal_heights(region)
+    tilings = [_lib.tiling_from_height(region, h) for h in labels]
     paths = (f"{args.out}.tmin.json", f"{args.out}.tmax.json")
-    for path, tiling in zip(paths, (tmin, tmax)):
+    for path, tiling in zip(paths, tilings):
         _write(path, _json_line(_lib.tiling_to_json(tiling)))
-    spread = _lib.distance_height(region, tmin, tmax)
+    spread = _lib.label_distance(*labels)
     _emit(args, {"tmin": paths[0], "tmax": paths[1], "distance": spread},
           [str(spread)])
     return 0

@@ -59,14 +59,18 @@ def height_function(region: Region, tiling: Tiling) -> HeightValues:
     return values
 
 
-def distance_height(region: Region, t1: Tiling, t2: Tiling) -> int:
-    """Flip distance as a quarter of the summed label differences."""
-    h1 = height_function(region, t1)
-    h2 = height_function(region, t2)
+def label_distance(h1: HeightValues, h2: HeightValues) -> int:
+    """Flip distance between the tilings of two labelings of a region."""
     total = sum(abs(h1[v] - h2[v]) for v in h1)
     if total % 4:
         raise DominoError(f"height difference sum {total} is not divisible by 4")
     return total // 4
+
+
+def distance_height(region: Region, t1: Tiling, t2: Tiling) -> int:
+    """Flip distance as a quarter of the summed label differences."""
+    return label_distance(height_function(region, t1),
+                          height_function(region, t2))
 
 
 def tiling_from_height(region: Region, values: HeightValues) -> Tiling:
@@ -106,36 +110,17 @@ def meet(region: Region, t1: Tiling, t2: Tiling) -> Tiling:
     return tiling_from_height(region, {v: min(h1[v], h2[v]) for v in h1})
 
 
-def _extreme_labels(region: Region, values: HeightValues,
-                    sign: int) -> HeightValues:
-    """The greatest (sign=+1) or the least (sign=-1) labeling that agrees
-    with values on the boundary (Thurston 1990).
+def extremal_heights(region: Region) -> tuple[HeightValues, HeightValues]:
+    """The least and the greatest labeling (h_min, h_max) that agree on
+    the boundary with the labels of any tiling (Thurston 1990).
 
     The edge rules bound each step: positively by at most +1, against
     the direction by at most +3.  So the greatest label of a vertex is
-    the least, over boundary vertices b, of values[b] plus the cheapest
-    path from b, with those bounds as step costs; a Dijkstra pass from
-    every boundary vertex at once finds it.  The least labeling is the
-    mirror: labels negated, the two costs swapped.
+    the least, over boundary vertices b, of h(b) plus the cheapest path
+    from b, with those bounds as step costs; a Dijkstra pass from every
+    boundary vertex at once finds it.  The least labeling is the mirror:
+    labels negated, the two costs swapped.
     """
-    adj = region.vertex_edges
-    best: HeightValues = {}
-    heap = [(sign * values[b], b) for b in region.boundary_vertices]
-    heapify(heap)
-    while heap:
-        d, u = heappop(heap)
-        if u in best:
-            continue
-        best[u] = d
-        for v, edge_sign, _ in adj[u]:
-            if v not in best:
-                heappush(heap, (d + 2 - sign * edge_sign, v))  # 1 or 3
-    return {v: sign * d for v, d in best.items()}
-
-
-def extremal_tilings(region: Region) -> tuple[Tiling, Tiling]:
-    """The lattice-minimal and -maximal tilings (t_min, t_max): those of
-    the least and the greatest labeling with the boundary's values."""
     if not is_simply_connected(region):
         raise UnsupportedRegionError(
             "extremal tilings need a simply connected region")
@@ -143,8 +128,25 @@ def extremal_tilings(region: Region) -> tuple[Tiling, Tiling]:
     if seed is None:
         raise UntileableError("region has no tiling")
     values = height_function(region, seed)
-    return tuple(tiling_from_height(region, _extreme_labels(region, values, sign))
-                 for sign in (-1, 1))
+    adj = region.vertex_edges
+    h_min, h_max = {}, {}
+    for sign, best in ((-1, h_min), (1, h_max)):
+        heap = [(sign * values[b], b) for b in region.boundary_vertices]
+        heapify(heap)
+        while heap:
+            d, u = heappop(heap)
+            if u in best:
+                continue
+            best[u] = sign * d
+            for v, edge_sign, _ in adj[u]:
+                if v not in best:
+                    heappush(heap, (d + 2 - sign * edge_sign, v))  # 1 or 3
+    return h_min, h_max
+
+
+def extremal_tilings(region: Region) -> tuple[Tiling, Tiling]:
+    """The tilings (t_min, t_max) of the labelings extremal_heights gives."""
+    return tuple(tiling_from_height(region, h) for h in extremal_heights(region))
 
 
 def geodesic(region: Region, t1: Tiling, t2: Tiling) -> list[Vertex]:

@@ -74,6 +74,22 @@ class Region:
         return frozenset(v for c in self.cells for v in cell_corners(c))
 
     @cached_property
+    def simply_connected(self) -> bool:
+        """True when the cells are edge-connected and enclose no hole.
+
+        The union of a connected cell set has Euler characteristic
+        V - E + F = 1 - (number of holes).  With F cells, A edge-adjacent
+        cell pairs and V corner points, E = 4F - A, so the region is
+        hole-free exactly when V - 3F + A == 1.
+        """
+        cells = self.cells
+        if len(_connected(cells, [next(iter(cells))])) != len(cells):
+            return False
+        adjacent = sum(((x + 1, y) in cells) + ((x, y + 1) in cells)
+                       for x, y in cells)
+        return len(self.vertex_set) - 3 * len(cells) + adjacent == 1
+
+    @cached_property
     def interior_vertices(self) -> frozenset[Vertex]:
         cells = self.cells
         return frozenset(v for v in self.vertex_set
@@ -223,20 +239,8 @@ def _connected(cells: frozenset[Cell] | set[Cell], seeds: Iterable[Cell]) -> lis
 
 
 def is_simply_connected(region: Region) -> bool:
-    """True when the cells are edge-connected and enclose no hole.
-
-    The union of a connected cell set has Euler characteristic
-    V - E + F = 1 - (number of holes).  With F cells, A edge-adjacent
-    cell pairs and V corner points, E = 4F - A, so the region is
-    hole-free exactly when V - 3F + A == 1.
-    """
-    cells = region.cells
-    start = next(iter(cells))
-    if len(_connected(cells, [start])) != len(cells):
-        return False
-    adjacent = sum(((x + 1, y) in cells) + ((x, y + 1) in cells)
-                   for x, y in cells)
-    return len(region.vertex_set) - 3 * len(cells) + adjacent == 1
+    """True when the cells are edge-connected and enclose no hole."""
+    return region.simply_connected
 
 
 def region_to_json(region: Region) -> dict:

@@ -73,6 +73,56 @@ def punched_boxes(draw, max_side):
             if (x, y) not in removed]
 
 
+@st.composite
+def tileable_discs(draw, max_side):
+    """A simply connected region with a tiling, by construction, in a box
+    of up to max_side x max_side cells anywhere on the grid.
+
+    A brick tiling of the box is shuffled by random flips and loses the
+    dominoes whose draw from 0-3 gives 0.  The region is the
+    edge-connected component of one domino left, plus every cell that
+    unit steps around that component cannot reach from outside the box.
+    Both steps keep a union of whole dominoes, so the region is
+    tileable; and every cell not in it is reached from outside the box
+    by unit steps, so it encloses no hole, not even at a corner pinch."""
+    w, h = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    if w % 2 and h % 2:
+        h += 1 if h < max_side else -1
+    ox, oy = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+    step = (1, 0) if w % 2 == 0 else (0, 1)  # along the even side
+    partner = {}
+    for x in range(0, w, 1 + step[0]):
+        for y in range(0, h, 1 + step[1]):
+            a, b = (x, y), (x + step[0], y + step[1])
+            partner[a], partner[b] = b, a
+    for _ in range(draw(st.integers(0, w * h))):
+        x = draw(st.integers(0, w - 1))
+        y = draw(st.integers(0, h - 1))
+        ll, lr, ul, ur = (x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)
+        if partner.get(ll) == lr and partner.get(ul) == ur:
+            partner.update({ll: ul, ul: ll, lr: ur, ur: lr})
+        elif partner.get(ll) == ul and partner.get(lr) == ur:
+            partner.update({ll: lr, lr: ll, ul: ur, ur: ul})
+    dominoes = sorted(a for a, b in partner.items() if a < b)
+    kept = [a for a in dominoes if draw(st.integers(0, 3))] or dominoes[:1]
+    component = _flood(draw(st.sampled_from(kept)),
+                       {c for a in kept for c in (a, partner[a])})
+    frame = {(x, y) for x in range(-1, w + 1) for y in range(-1, h + 1)}
+    outside = _flood((-1, -1), frame - component)
+    return [(x + ox, y + oy) for x, y in sorted(frame - outside)]
+
+
+def _flood(seed, cells):
+    """The cells reachable from seed by unit steps inside cells."""
+    seen, queue = {seed}, [seed]
+    for x, y in queue:  # the list grows behind the loop
+        for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if c in cells and c not in seen:
+                seen.add(c)
+                queue.append(c)
+    return seen
+
+
 def run_capped(*args, timeout=120):
     """Run ``python *args`` in a child whose address space is capped at
     1 GiB, so that an allocation sized by a region's bounding box fails

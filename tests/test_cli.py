@@ -1,10 +1,12 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 
 import dominoflip.cli
 import dominoflip.counting
+import dominoflip.height
 from dominoflip import (DominoError, build_flip_graph, connected_components,
                         first_tiling, make_from_cells, make_holed_square,
                         region_to_json, tiling_to_json)
@@ -482,6 +484,26 @@ class TestRenderAndExtremes:
                            "--out", str(tmp_path / "sq4"))
         assert code == 0
         assert out.strip() == "10"
+
+    def test_extremes_labels_each_tiling_once(self, capsys, tmp_path,
+                                              monkeypatch):
+        # the seed is labelled once, and each extreme labeling becomes a
+        # tiling once; the labels are not rebuilt to measure the spread
+        # (this once took 3 labelings and 5 tilings from labels)
+        calls = Counter()
+        for name in ("height_function", "tiling_from_height",
+                     "distance_height", "extremal_tilings"):
+            def counted(*args, _real=getattr(dominoflip.height, name),
+                        _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(dominoflip.height, name, counted)
+            monkeypatch.setattr(dominoflip.cli, name, counted, raising=False)
+        code, out, _ = run(capsys, "extremes", "--shape", "square:6",
+                           "--out", str(tmp_path / "sq6"))
+        assert (code, out) == (0, "35\n")
+        # one tiling from labels checks the seed's labels, one per extreme
+        assert calls == {"height_function": 1, "tiling_from_height": 3}
 
     def test_extremes_untileable_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "extremes", "--shape", "rect:3x3",

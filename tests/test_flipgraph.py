@@ -13,7 +13,7 @@ from dominoflip import (Region, ResourceLimitError, available_flips,
                         export_graph, is_simply_connected, make_aztec,
                         make_holed_square, make_rectangle)
 
-from conftest import punched_boxes
+from conftest import punched_boxes, tileable_discs
 
 
 def differ_by_one_block(t1, t2):
@@ -193,7 +193,7 @@ class TestComponents:
         nodes = [i for comp in comps for i in comp]
         assert sorted(nodes) == list(range(len(g)))
 
-    @given(punched_boxes(5))
+    @given(tileable_discs(5))
     def test_simply_connected_regions_are_one_component(self, cells):
         # the theorem `components` answers by without building a graph
         region = Region(cells)

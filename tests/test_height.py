@@ -2,7 +2,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dominoflip import (InvalidHeightError, Region, UnsupportedRegionError,
+from dominoflip import (DominoError, InvalidHeightError, Region,
+                        UnsupportedRegionError, UntileableError,
                         apply_flip, available_flips, base_vertex,
                         build_flip_graph, bfs_distances, distance_height,
                         enumerate_tilings, extremal_tilings, first_tiling,
@@ -10,9 +11,10 @@ from dominoflip import (InvalidHeightError, Region, UnsupportedRegionError,
                         make_aztec, make_from_cells, make_holed_square,
                         make_rectangle, meet, tiling_from_height,
                         tiling_from_json)
+from dominoflip.height import extremal_heights, label_distance
 from dominoflip.tiling import is_tileable
 
-from conftest import load_tiling, punched_boxes
+from conftest import load_tiling, tileable_discs
 
 # an L-shaped 16-cell region with a reference tiling and the height
 # labels it must produce (base vertex (0, 0))
@@ -82,6 +84,7 @@ class TestHeightFunction:
         # cells no other test uses, so no equal region is cached already
         r = make_from_cells((x + 1000, y) for x in range(4) for y in range(3))
         height_function(r, enumerate_tilings(r)[0])
+        assert {"simply_connected", "vertex_edges"} <= vars(r).keys()
         ref = weakref.ref(r)
         del r
         gc.collect()
@@ -205,6 +208,30 @@ class TestExtremal:
         assert len(geodesic(r, tmin, tmax)) == distance_height(r, tmin, tmax)
         assert "flip_blocks" not in r.__dict__
 
+    @pytest.mark.parametrize("region", [
+        make_rectangle(2, 2), make_rectangle(4, 3), make_rectangle(7, 4),
+        make_aztec(1), make_aztec(3), LSHAPE,
+    ], ids=["2x2", "4x3", "7x4", "aztec1", "aztec3", "lshape"])
+    def test_heights_are_the_extreme_tilings_labels(self, region):
+        assert_extremes_are_labelled(region)
+
+    @given(tileable_discs(7))
+    def test_heights_on_tileable_discs(self, cells):
+        region = Region(cells)
+        assume(is_simply_connected(region) and is_tileable(region))
+        assert_extremes_are_labelled(region)
+
+    def test_heights_raise_as_the_tilings_do(self):
+        for region, error in ((make_holed_square(3), UnsupportedRegionError),
+                              (make_rectangle(3, 3), UntileableError)):
+            for extremes in (extremal_heights, extremal_tilings):
+                with pytest.raises(error):
+                    extremes(region)
+
+    def test_label_distance_needs_a_multiple_of_four(self):
+        with pytest.raises(DominoError, match="not divisible by 4"):
+            label_distance({(0, 0): 0, (1, 0): 1}, {(0, 0): 0, (1, 0): 3})
+
     def test_all_tilings_between_extremes(self):
         r = make_aztec(2)
         tmin, tmax = extremal_tilings(r)
@@ -214,6 +241,15 @@ class TestExtremal:
             h = height_function(r, t)
             for v in h:
                 assert hmin[v] <= h[v] <= hmax[v]
+
+
+def assert_extremes_are_labelled(region):
+    """extremal_heights gives the labels of extremal_tilings' tilings, and
+    their quarter-sum is the spread distance_height measures."""
+    h_min, h_max = extremal_heights(region)
+    tilings = extremal_tilings(region)
+    assert [h_min, h_max] == [height_function(region, t) for t in tilings]
+    assert label_distance(h_min, h_max) == distance_height(region, *tilings)
 
 
 class TestGeodesic:
@@ -330,7 +366,7 @@ class TestLocalWalk:
     """The walk that re-checks only a flip's block and its neighbours
     against the full rescan it replaced: same tilings, same flip lists."""
 
-    @given(punched_boxes(7))
+    @given(tileable_discs(7))
     def test_simply_connected_regions(self, cells):
         region = Region(cells)
         assume(is_simply_connected(region) and is_tileable(region))

@@ -7,15 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dominoflip.diameter
+import dominoflip.surface
 from dominoflip import (Region, ResourceLimitError, enumerate_tilings,
                         is_black, is_saturnian, is_simply_connected,
                         make_aztec, make_from_cells, make_holed_square,
                         make_rectangle, region_from_json, region_to_json,
                         ring_decomposition)
 from dominoflip.surface import _connected, cell_corners
+from dominoflip.tiling import is_tileable
 
 from conftest import (CORNER_PINCHES, punched_boxes, region_grid,
-                      run_capped)
+                      run_capped, tileable_discs)
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
@@ -171,6 +173,30 @@ class TestSimplyConnected:
     def test_matches_flood_oracle(self, cells):
         r = Region(cells)
         assert is_simply_connected(r) == flood_is_simply_connected(r)
+
+    @given(tileable_discs(7))
+    def test_tileable_discs_are_hole_free_and_tileable(self, cells):
+        # the test strategy's claim, against the oracle
+        r = Region(cells)
+        assert flood_is_simply_connected(r) and is_tileable(r)
+
+    @pytest.mark.parametrize("cells", [
+        [(x + 3000, y) for x in range(5) for y in range(4)],
+        [(x + 3000, y) for x in range(3) for y in range(3)
+         if (x, y) != (1, 1)],
+    ], ids=["rect", "holed"])
+    def test_second_call_floods_nothing(self, cells, monkeypatch):
+        floods = []
+
+        def counted(*args):
+            floods.append(args)
+            return _connected(*args)
+
+        monkeypatch.setattr(dominoflip.surface, "_connected", counted)
+        r = Region(cells)
+        answer = is_simply_connected(r)
+        assert [is_simply_connected(r) for _ in range(3)] == [answer] * 3
+        assert r.simply_connected is answer and len(floods) == 1
 
     def test_long_thin_l_in_bounded_memory(self):
         code = ("from dominoflip import Region, is_simply_connected\n"
