@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Tabulate flip-graph sizes and diameters for standard shapes.
 
-For every shape the level sum and the closed form are printed; when the
-tiling count stays within --bfs-limit, the flip-graph search confirms
-the diameter as well, and the script stops with an assertion error on
-any row where the routes disagree.
+For every shape the level sum, the lattice spread (the height gap
+between the two extreme tilings) and the closed form are printed; when
+the tiling count stays within --bfs-limit, the flip-graph search
+confirms the diameter as well, and the script stops with an assertion
+error on any row where the routes disagree.
 
 Usage:
     python scripts/diameter_table.py --max-rect 8 --max-aztec 6
@@ -15,6 +16,7 @@ import argparse
 from dominoflip import (count_tilings, diameter_aztec_closed, diameter_bfs,
                         diameter_levels, diameter_rectangle_closed,
                         make_aztec, make_rectangle)
+from dominoflip.height import extremal_heights, label_distance
 
 
 def rows(max_rect, max_aztec, bfs_limit):
@@ -38,16 +40,20 @@ def main():
                              "is at most this")
     args = parser.parse_args()
 
-    print(f"{'shape':<12} {'tilings':>12} {'levels':>8} {'closed':>8} {'search':>8}")
+    print(f"{'shape':<12} {'tilings':>12} {'levels':>8} {'lattice':>8}"
+          f" {'closed':>8} {'search':>8}")
     for label, region, closed, limit in rows(args.max_rect, args.max_aztec,
                                              args.bfs_limit):
         count = count_tilings(region)
         levels = diameter_levels(region)
+        lattice = label_distance(*extremal_heights(region))
+        assert levels == lattice == closed, label
         searched = "-"
         if count <= limit:
-            searched = str(diameter_bfs(region).value)
-            assert searched == str(levels) == str(closed), label
-        print(f"{label:<12} {count:>12} {levels:>8} {closed:>8} {searched:>8}")
+            searched = diameter_bfs(region).value
+            assert searched == levels, label
+        print(f"{label:<12} {count:>12} {levels:>8} {lattice:>8}"
+              f" {closed:>8} {searched:>8}")
 
 
 if __name__ == "__main__":

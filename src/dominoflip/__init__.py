@@ -10,11 +10,9 @@ _PUBLIC = {
                  "count_tilings"),
     "cycles": ("CycleCollection", "OrientedCycle", "ValueMap",
                "cycle_collection", "distance_cycles", "value_map"),
-    "diameter": ("DiameterReport", "RingDecomposition",
-                 "diameter_aztec_closed", "diameter_bfs", "diameter_levels",
-                 "diameter_of_graph", "diameter_rectangle_closed",
-                 "diameter_square_closed", "is_saturnian",
-                 "ring_decomposition"),
+    "diameter": ("DiameterReport", "diameter_aztec_closed", "diameter_bfs",
+                 "diameter_levels", "diameter_of_graph",
+                 "diameter_rectangle_closed", "diameter_square_closed"),
     "errors": ("DEFAULT_NODE_BUDGET", "DominoError", "InvalidHeightError",
                "InvalidMoveError", "NumericInstabilityError",
                "ResourceLimitError", "UnsupportedRegionError",

@@ -6,39 +6,37 @@ sides until the bounds pin the diameter, so it needs a handful of
 searches rather than one per tiling.
 
 The level sum over all region vertices bounds every flip distance from
-above (no column of a filling shape can exceed its vertex's level) and
-is attained whenever each ring of the region tours as a dual cycle with
-tileable leftovers, which covers rectangles and Aztec diamonds.  The
-closed forms specialize that sum.
+above (no column of a filling shape can exceed its vertex's level).  It
+is attained on rectangles and Aztec diamonds, where the closed forms
+specialize it, but not in general.  On a simply connected region the
+exact diameter is the height gap between the two extreme tilings,
+``label_distance(*extremal_heights(region))``, because every tiling's
+heights lie between theirs; that lattice spread is what the sum is
+checked against.
 
-Rings peel the region like an onion: the first ring holds every cell
-touching the region's boundary, and removing it leaves a smaller region
-to peel again.  The level of a vertex counts how many peels it survives
-as an interior vertex, so boundary vertices sit at level 0 and the
-vertices of level i are exactly those that first stop being interior
-after i peels.  A vertex survives a peel exactly when the 3x3 block of
-vertices around it is interior, so its level is its distance in king
-moves to the nearest boundary vertex, and one breadth-first search
-from the boundary finds every level without peeling.
+A peel removes every cell touching the region's boundary, leaving a
+smaller region to peel again.  The level of a vertex counts how many
+peels it survives as an interior vertex, so boundary vertices sit at
+level 0 and the vertices of level i are exactly those that first stop
+being interior after i peels.  A vertex survives a peel exactly when
+the 3x3 block of vertices around it is interior, so its level is its
+distance in king moves to the nearest boundary vertex, and one
+breadth-first search from the boundary finds every level without
+peeling.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
 from itertools import compress
 from operator import and_, lt, sub
 from sys import byteorder
 
-from .errors import DominoError, ResourceLimitError, UntileableError
+from .errors import DominoError, UntileableError
 from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, bfs_distances,
                         build_flip_graph)
-from .surface import Cell, Region, Vertex, cell_corners
-from .tiling import Tiling, is_tileable
-
-# steps _has_covering_cycle may take, about a second of search: deciding
-# whether a grid graph has a Hamiltonian cycle is NP-complete
-MAX_CYCLE_STEPS = 1 << 22
+from .surface import Region, Vertex
+from .tiling import Tiling
 
 
 class DiameterReport:
@@ -142,30 +140,8 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
     return DiameterReport(best, "bfs", pair)
 
 
-class RingDecomposition:
-    """Boundary peels of a region plus the induced vertex levels."""
-
-    def __init__(self, rings: tuple[frozenset[Cell], ...],
-                 levels: dict[Vertex, int]):
-        self.rings = rings
-        self.levels = levels
-
-    @cached_property
-    def level_classes(self) -> dict[int, frozenset[Vertex]]:
-        classes: dict[int, set[Vertex]] = {}
-        for v, lev in self.levels.items():
-            classes.setdefault(lev, set()).add(v)
-        return {lev: frozenset(vs) for lev, vs in classes.items()}
-
-
-def ring_decomposition(region: Region) -> RingDecomposition:
-    """Peel rings off the region and record when each vertex surfaces.
-
-    A vertex gets level i at the first peel depth i where it is no
-    longer an interior vertex of what remains (possibly because its
-    cells are gone altogether), and a cell leaves with the ring of the
-    smallest level among its corners.
-    """
+def _vertex_levels(region: Region) -> dict[Vertex, int]:
+    """Every vertex's level, by one king-move search from the boundary."""
     interior = region.interior_vertices
     levels = dict.fromkeys(region.boundary_vertices, 0)
     queue = list(levels)
@@ -176,68 +152,13 @@ def ring_decomposition(region: Region) -> RingDecomposition:
             if v in interior and v not in levels:
                 levels[v] = level
                 queue.append(v)
-    rings: dict[int, set[Cell]] = {}
-    for cell in region.cells:
-        depth = min(map(levels.__getitem__, cell_corners(cell)))
-        rings.setdefault(depth, set()).add(cell)
-    return RingDecomposition(
-        tuple(frozenset(rings[depth]) for depth in range(len(rings))), levels)
-
-
-def _has_covering_cycle(cells: frozenset[Cell]) -> bool:
-    """True when the cells admit a closed dual-graph tour visiting each
-    once.  The search backtracks, and raises ``ResourceLimitError``
-    rather than take more than ``MAX_CYCLE_STEPS`` steps."""
-    n = len(cells)
-    if n < 4 or n % 2:
-        return False
-    adj = {c: [nb for nb in ((c[0] + 1, c[1]), (c[0] - 1, c[1]),
-                             (c[0], c[1] + 1), (c[0], c[1] - 1)) if nb in cells]
-           for c in cells}
-    if any(len(nbs) < 2 for nbs in adj.values()):
-        return False
-    start = min(cells)
-    path = [start]
-    visited = {start}
-    iters = [iter(adj[start])]
-    for _ in range(MAX_CYCLE_STEPS):
-        if not iters:
-            return False
-        try:
-            nb = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            visited.discard(path.pop())
-            continue
-        if nb == start and len(path) == n:
-            return True
-        if nb not in visited:
-            visited.add(nb)
-            path.append(nb)
-            iters.append(iter(adj[nb]))
-    raise ResourceLimitError(f"covering-cycle search took {MAX_CYCLE_STEPS}"
-                             f" steps unsettled, cap is {MAX_CYCLE_STEPS}")
-
-
-def is_saturnian(region: Region) -> bool:
-    """True when every ring tours as a single dual cycle and every peel
-    leaves a tileable (or empty) remainder."""
-    decomposition = ring_decomposition(region)
-    remaining = set(region.cells)
-    for ring in decomposition.rings:
-        if not _has_covering_cycle(ring):
-            return False
-        remaining -= ring
-        if remaining and not is_tileable(Region(remaining)):
-            return False
-    return True
+    return levels
 
 
 def diameter_levels(region: Region) -> int:
-    """Sum of vertex levels: an upper bound for the diameter in general,
-    the exact diameter for ring-cycled (Saturnian) regions."""
-    decomposition = ring_decomposition(region)
-    return sum(decomposition.levels.values())
+    """Sum of vertex levels: an upper bound for the diameter, attained
+    on rectangles and Aztec diamonds."""
+    return sum(_vertex_levels(region).values())
 
 
 def diameter_square_closed(n: int) -> int:

@@ -8,10 +8,17 @@ from dominoflip import (DominoError, FlipGraph, Region, UntileableError,
                         diameter_aztec_closed, diameter_bfs, diameter_levels,
                         diameter_of_graph, diameter_rectangle_closed,
                         diameter_square_closed, distance_height,
-                        enumerate_tilings, extremal_tilings, is_saturnian,
-                        is_simply_connected, make_aztec, make_holed_square,
-                        make_rectangle)
+                        enumerate_tilings, extremal_tilings,
+                        is_simply_connected, make_aztec, make_from_cells,
+                        make_holed_square, make_rectangle)
 from dominoflip.flipgraph import _pack
+from dominoflip.height import extremal_heights, label_distance
+
+from conftest import tileable_discs
+
+# one tiling, so diameter 0, around an interior vertex of level 1
+ONE_TILING_SIX = make_from_cells([(-1, 0), (0, 0), (1, 0), (2, 0),
+                                  (0, 1), (1, 1)])
 
 
 def all_pairs_diameter(graph):
@@ -130,6 +137,27 @@ class TestLevels:
         for n in range(1, 7):
             assert diameter_levels(make_aztec(n)) == diameter_aztec_closed(n)
 
+    def test_exact_on_rectangles_and_aztec_diamonds(self):
+        # the lattice spread is the exact diameter of a simply connected
+        # region, and the search checks it from the graph alone
+        for region in (make_rectangle(4, 4), make_rectangle(6, 2),
+                       make_rectangle(7, 4), make_aztec(1), make_aztec(2),
+                       make_aztec(3)):
+            assert (diameter_levels(region)
+                    == label_distance(*extremal_heights(region))
+                    == diameter_bfs(region).value)
+
+    @given(tileable_discs(7))
+    def test_bounds_the_lattice_spread(self, cells):
+        region = Region(cells)
+        assert diameter_levels(region) >= label_distance(
+            *extremal_heights(region))
+
+    def test_exceeds_the_diameter_on_a_one_tiling_region(self):
+        assert diameter_levels(ONE_TILING_SIX) == 1
+        assert label_distance(*extremal_heights(ONE_TILING_SIX)) == 0
+        assert diameter_bfs(ONE_TILING_SIX).value == 0
+
 
 class TestBfs:
     @pytest.mark.parametrize("region,value", [
@@ -153,12 +181,6 @@ class TestBfs:
     def test_disconnected_graph_rejected(self):
         with pytest.raises(DominoError):
             diameter_bfs(make_holed_square(3))
-
-    def test_saturnian_regions_attain_level_sum(self):
-        for region in (make_rectangle(4, 4), make_rectangle(6, 2),
-                       make_aztec(1), make_aztec(2), make_aztec(3)):
-            assert is_saturnian(region)
-            assert diameter_bfs(region).value == diameter_levels(region)
 
     @pytest.mark.parametrize("region", [
         make_rectangle(4, 4), make_rectangle(7, 4), make_rectangle(2, 14),

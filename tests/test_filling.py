@@ -1,6 +1,7 @@
 from dominoflip import (bfs_distances, build_flip_graph, enumerate_tilings,
                         export_voxels, filling_shape, make_aztec,
-                        make_rectangle, ring_decomposition, volumes)
+                        make_rectangle, volumes)
+from dominoflip.diameter import _vertex_levels
 from dominoflip.filling import voxels_to_json
 
 from conftest import load_tiling
@@ -38,7 +39,7 @@ class TestColumns:
 
     def test_columns_bounded_by_level(self):
         for r in (make_rectangle(4, 4), make_aztec(2)):
-            levels = ring_decomposition(r).levels
+            levels = _vertex_levels(r)
             tilings = enumerate_tilings(r)
             for a in tilings[::5]:
                 for b in tilings[::3]:

@@ -1,4 +1,3 @@
-import re
 from collections import Counter
 from itertools import product
 
@@ -6,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import dominoflip.diameter
 import dominoflip.surface
-from dominoflip import (Region, ResourceLimitError, enumerate_tilings,
-                        is_black, is_saturnian, is_simply_connected,
-                        make_aztec, make_from_cells, make_holed_square,
-                        make_rectangle, region_from_json, region_to_json,
-                        ring_decomposition)
+from dominoflip import (Region, enumerate_tilings, is_black,
+                        is_simply_connected, make_aztec, make_from_cells,
+                        make_holed_square, make_rectangle, region_from_json,
+                        region_to_json)
+from dominoflip.diameter import _vertex_levels
 from dominoflip.surface import _connected, cell_corners
 from dominoflip.tiling import is_tileable
 
@@ -250,76 +248,39 @@ class TestEdgeSigns:
 
 
 class TestRings:
-    def test_square_6_rings(self):
-        rd = ring_decomposition(make_rectangle(6, 6))
-        assert [len(ring) for ring in rd.rings] == [20, 12, 4]
-
-    def test_rings_partition_cells(self):
-        for r in (make_rectangle(6, 6), make_aztec(3), make_holed_square(5)):
-            rd = ring_decomposition(r)
-            assert sum(len(ring) for ring in rd.rings) == len(r.cells)
-            seen = set()
-            for ring in rd.rings:
-                assert not (ring & seen)
-                seen |= ring
-
     def test_square_2_levels(self):
-        rd = ring_decomposition(make_rectangle(2, 2))
-        assert [len(ring) for ring in rd.rings] == [4]
-        assert rd.level_classes[1] == frozenset({(1, 1)})
+        assert _vertex_levels(make_rectangle(2, 2)) == {
+            (x, y): int((x, y) == (1, 1)) for x in range(3) for y in range(3)}
 
     def test_aztec_2_levels(self):
         r = make_aztec(2)
-        rd = ring_decomposition(r)
-        assert rd.rings[0] == r.cells
-        assert rd.level_classes[1] == r.interior_vertices
-        assert sum(i * len(vs) for i, vs in rd.level_classes.items()) == 5
+        levels = _vertex_levels(r)
+        assert {v for v, lev in levels.items() if lev == 1} == (
+            r.interior_vertices)
+        assert sum(levels.values()) == 5
 
     def test_boundary_vertices_are_level_zero(self):
         for r in (make_rectangle(5, 4), make_aztec(3)):
-            rd = ring_decomposition(r)
-            assert rd.level_classes[0] == r.boundary_vertices
+            levels = _vertex_levels(r)
+            assert {v for v, lev in levels.items() if lev == 0} == (
+                r.boundary_vertices)
 
     @given(punched_boxes(9))
     def test_levels_drop_by_one_after_peeling(self, cells):
         # the definition, one peel at a time: with holes, pinches and
         # several components
         r = Region(cells)
-        rd = ring_decomposition(r)
-        assert set(rd.levels) == r.vertex_set
-        assert {v for v, lev in rd.levels.items() if lev == 0} == (
+        levels = _vertex_levels(r)
+        assert set(levels) == r.vertex_set
+        assert {v for v, lev in levels.items() if lev == 0} == (
             r.boundary_vertices)
-        assert rd.rings[0] == {c for c in r.cells
-                               if set(cell_corners(c)) & r.boundary_vertices}
-        left = r.cells - rd.rings[0]
-        inner = ring_decomposition(Region(left)) if left else None
-        assert rd.rings[1:] == (inner.rings if inner else ())
-        deeper = inner.levels if inner else {}
+        ring = {c for c in r.cells
+                if set(cell_corners(c)) & r.boundary_vertices}
+        left = r.cells - ring
+        deeper = _vertex_levels(Region(left)) if left else {}
         for v in r.interior_vertices:
             # one peel down, or 1 when its cells all leave with the ring
-            assert rd.levels[v] == deeper.get(v, 0) + 1
-
-
-class TestSaturnian:
-    @pytest.mark.parametrize("region,expected", [
-        (make_rectangle(4, 4), True),
-        (make_rectangle(6, 2), True),
-        (make_aztec(3), True),
-        (make_rectangle(3, 1), False),
-        (make_rectangle(4, 3), False),
-    ])
-    def test_cases(self, region, expected):
-        assert is_saturnian(region) is expected
-
-    def test_cycle_search_budget(self, monkeypatch):
-        # touring the 28-cell outer ring of 8x8 takes more than 10 steps
-        monkeypatch.setattr(dominoflip.diameter, "MAX_CYCLE_STEPS", 10)
-        with pytest.raises(ResourceLimitError,
-                           match="covering-cycle search") as info:
-            is_saturnian(make_rectangle(8, 8))
-        assert list(map(int, re.findall(r"\d+", str(info.value)))) == [10, 10]
-        monkeypatch.undo()
-        assert is_saturnian(make_rectangle(8, 8))
+            assert levels[v] == deeper.get(v, 0) + 1
 
 
 def cross(arm):
