@@ -8,14 +8,16 @@ raises the label by 1 when no domino crosses the edge, and lowers it by
 base vertex, the lexicographically smallest boundary vertex.
 
 On a simply connected region this pins a unique labeling per tiling.
-Two tilings always agree on boundary vertices, a flip moves exactly one
-label (its anchor's) by 4, and the pointwise max and min of two
-labelings are again labelings of tilings.  That last fact makes the set
-of tilings a distributive lattice whose extremes realize the flip-graph
-diameter.  Everything here works on labels alone: the extremes are the
-greatest and the least labeling with the boundary's values, found by
-shortest paths from the boundary (Thurston 1990), and a geodesic flips
-local minima up to the pointwise max and local maxima back down.
+Every tiling gives the boundary the labels of a walk round it, as no
+domino crosses a boundary edge.  A flip moves exactly one label (its
+anchor's) by 4, and the pointwise max and min of two labelings are
+again labelings of tilings, so the tilings form a distributive lattice
+whose extremes realize the flip-graph diameter.  Everything here works
+on labels alone: the extremes are the greatest and the least labeling
+with the boundary's values, found by shortest paths from the boundary;
+the region tiles exactly when the walk closes and neither pass moves a
+boundary label (Thurston 1990).  A geodesic flips local minima up to
+the pointwise max and local maxima back down.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from heapq import heapify, heappop, heappush
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
                      UntileableError)
 from .surface import Region, Vertex, is_simply_connected
-from .tiling import Tiling, _perfect_matching, is_valid_tiling
+from .tiling import Tiling, is_valid_tiling
 
 HeightValues = dict[Vertex, int]
 
@@ -42,20 +44,26 @@ def height_function(region: Region, tiling: Tiling) -> HeightValues:
             "height labels need a simply connected region")
     if not is_valid_tiling(region, tiling):
         raise ValueError("not a valid tiling of the region")
-    adj = region.vertex_edges
-    base = base_vertex(region)
-    values: HeightValues = {base: 0}
-    queue = [base]
-    for u in queue:  # the list grows behind the loop, as a FIFO queue
-        hu = values[u]
-        for v, sign, flank in adj[u]:
-            if v not in values and (flank is None or flank not in tiling):
-                values[v] = hu + sign
-                queue.append(v)
+    values = _walk(region, tiling)
     if len(values) != len(region.vertex_set):
         raise DominoError("height propagation failed to reach every vertex")
     if tiling_from_height(region, values) != tiling:
         raise DominoError("height labels do not reproduce the tiling")
+    return values
+
+
+def _walk(region: Region, blocked) -> HeightValues:
+    """Labels from 0 at the base vertex, breadth first along the edges
+    that no domino in blocked crosses, each step by its edge's sign."""
+    adj = region.vertex_edges
+    values: HeightValues = {base_vertex(region): 0}
+    queue = list(values)
+    for u in queue:  # the list grows behind the loop, as a FIFO queue
+        hu = values[u]
+        for v, sign, flank in adj[u]:
+            if v not in values and (flank is None or flank not in blocked):
+                values[v] = hu + sign
+                queue.append(v)
     return values
 
 
@@ -119,16 +127,18 @@ def extremal_heights(region: Region) -> tuple[HeightValues, HeightValues]:
     the least, over boundary vertices b, of h(b) plus the cheapest path
     from b, with those bounds as step costs; a Dijkstra pass from every
     boundary vertex at once finds it.  The least labeling is the mirror:
-    labels negated, the two costs swapped.
+    labels negated, the two costs swapped.  The region tiles exactly
+    when the boundary walk closes, each edge stepping by its sign, and
+    neither pass moves a boundary label.
     """
     if not is_simply_connected(region):
         raise UnsupportedRegionError(
             "extremal tilings need a simply connected region")
-    seed = _perfect_matching(region)
-    if seed is None:
-        raise UntileableError("region has no tiling")
-    values = height_function(region, seed)
+    values = _walk(region, region.dominoes)  # the boundary edges alone
     adj = region.vertex_edges
+    if any(values[v] - h != sign for u, h in values.items()
+           for v, sign, flank in adj[u] if flank is None):
+        raise UntileableError("region has no tiling")
     h_min, h_max = {}, {}
     for sign, best in ((-1, h_min), (1, h_max)):
         heap = [(sign * values[b], b) for b in region.boundary_vertices]
@@ -141,6 +151,8 @@ def extremal_heights(region: Region) -> tuple[HeightValues, HeightValues]:
             for v, edge_sign, _ in adj[u]:
                 if v not in best:
                     heappush(heap, (d + 2 - sign * edge_sign, v))  # 1 or 3
+        if any(best[b] != h for b, h in values.items()):
+            raise UntileableError("region has no tiling")
     return h_min, h_max
 
 

@@ -487,9 +487,9 @@ class TestRenderAndExtremes:
 
     def test_extremes_labels_each_tiling_once(self, capsys, tmp_path,
                                               monkeypatch):
-        # the seed is labelled once, and each extreme labeling becomes a
-        # tiling once; the labels are not rebuilt to measure the spread
-        # (this once took 3 labelings and 5 tilings from labels)
+        # the boundary walk labels no tiling, and each extreme labeling
+        # becomes a tiling once; the labels are not rebuilt to measure
+        # the spread (this once took 3 labelings and 5 tilings from labels)
         calls = Counter()
         for name in ("height_function", "tiling_from_height",
                      "distance_height", "extremal_tilings"):
@@ -502,29 +502,26 @@ class TestRenderAndExtremes:
         code, out, _ = run(capsys, "extremes", "--shape", "square:6",
                            "--out", str(tmp_path / "sq6"))
         assert (code, out) == (0, "35\n")
-        # one tiling from labels checks the seed's labels, one per extreme
-        assert calls == {"height_function": 1, "tiling_from_height": 3}
+        # one tiling from labels per extreme, and no labeling of a tiling
+        assert calls == {"tiling_from_height": 2}
 
     def test_extremes_untileable_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "extremes", "--shape", "rect:3x3",
                          "--out", str(tmp_path / "x"))
         assert code == 2
 
-    def test_balanced_untileable_exits_2_without_backtracking(self, tmp_path):
+    def test_balanced_untileable_exits_2_without_backtracking(
+            self, tmp_path, fixtures_dir):
         # colour-balanced and hole-free, yet no tiling: backtracking over
         # the 12x6 block would take minutes to find that out
-        cells = [[x, y] for x in range(12) for y in range(6)]
-        cells += [[12, 0], [12, 4], [13, 4], [14, 3], [14, 4], [14, 5]]
-        path = tmp_path / "spur.json"
-        path.write_text(json.dumps({"cells": cells}))
         done = run_capped("-m", "dominoflip.cli", "extremes", "--shape",
-                          f"file:{path}", "--out", str(tmp_path / "x"),
-                          timeout=20)
+                          f"file:{fixtures_dir / 'spur_12x6.json'}",
+                          "--out", str(tmp_path / "x"), timeout=20)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: region has no tiling\n"
 
     def test_extremes_past_the_count_cap(self, tmp_path):
-        # far too wide to count: the walks start from a matching
+        # far too wide to count: the walks start from the boundary
         done = run_capped("-m", "dominoflip.cli", "extremes", "--shape",
                           "square:100", "--out", str(tmp_path / "x"),
                           timeout=60)

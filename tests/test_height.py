@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -9,12 +11,12 @@ from dominoflip import (DominoError, InvalidHeightError, Region,
                         enumerate_tilings, extremal_tilings, first_tiling,
                         geodesic, height_function, is_simply_connected, join,
                         make_aztec, make_from_cells, make_holed_square,
-                        make_rectangle, meet, tiling_from_height,
-                        tiling_from_json)
+                        make_rectangle, meet, region_from_json,
+                        tiling_from_height, tiling_from_json)
 from dominoflip.height import extremal_heights, label_distance
 from dominoflip.tiling import is_tileable
 
-from conftest import load_tiling, tileable_discs
+from conftest import FIXTURES, load_tiling, punched_boxes, tileable_discs
 
 # an L-shaped 16-cell region with a reference tiling and the height
 # labels it must produce (base vertex (0, 0))
@@ -222,11 +224,33 @@ class TestExtremal:
         assert_extremes_are_labelled(region)
 
     def test_heights_raise_as_the_tilings_do(self):
-        for region, error in ((make_holed_square(3), UnsupportedRegionError),
-                              (make_rectangle(3, 3), UntileableError)):
+        # the mutilated board and a single cell are caught by the boundary
+        # walk, which does not close round them; the spur region is
+        # colour-balanced, so its walk closes, and only a shortest-path
+        # pass moving a boundary label tells that it has no tiling
+        board = {(x, y) for x in range(8) for y in range(8)}
+        spur = region_from_json(json.loads(
+            (FIXTURES / "spur_12x6.json").read_text()))
+        for region, error in (
+                (make_holed_square(3), UnsupportedRegionError),
+                (make_rectangle(3, 3), UntileableError),
+                (make_from_cells(board - {(0, 0), (7, 7)}), UntileableError),
+                (make_rectangle(1, 1), UntileableError),
+                (spur, UntileableError)):
             for extremes in (extremal_heights, extremal_tilings):
                 with pytest.raises(error):
                     extremes(region)
+
+    @given(punched_boxes(6))
+    def test_heights_raise_exactly_when_untileable(self, cells):
+        region = Region(cells)
+        assume(is_simply_connected(region))
+        try:
+            extremal_heights(region)
+        except UntileableError:
+            assert not is_tileable(region)
+        else:
+            assert is_tileable(region)
 
     def test_label_distance_needs_a_multiple_of_four(self):
         with pytest.raises(DominoError, match="not divisible by 4"):

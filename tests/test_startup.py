@@ -159,8 +159,9 @@ class TestImportSet:
         ["extremes", "--shape", "square:16", "--out", "x"],
     ], ids=["levels", "extremes"])
     def test_tileability_loads_no_counting(self, argv, tmp_path):
-        # the check is a matching in `tiling`, and only graph searches
-        # and counts load `counting`
+        # levels checks by a matching in `tiling`, extremes by its walk
+        # round the boundary; only graph searches and counts load
+        # `counting`
         done = python("-c", MAIN_PROBE, *argv, cwd=tmp_path)
         assert done.returncode == 0, done.stderr.decode()
         loaded = set(done.stdout.decode().splitlines()[-1].split())
