@@ -11,13 +11,14 @@ all agree with a single traversal direction.  A cycle is positive when
 that traversal runs counterclockwise (positive signed area of the
 polyline through the cell centers).
 
-The value of a lattice vertex counts surrounding cycles by sign;
-"surrounding" means the center polyline winds around the vertex, which
-is unambiguous because centers live on the half-integer grid and the
-vertex on the integer one.  Summing |positive - negative| over all
-vertices gives the flip distance between the two tilings.  A value is
-a quarter of a height difference, which no flip moves on the boundary,
-so a nonzero value there (round a hole) means no flips join the two.
+The value of a lattice vertex is the sum of the winding numbers of the
+cycles round it, a counterclockwise cycle counting +1 and a clockwise
+one -1.  A winding number is well defined because centers live on the
+half-integer grid and the vertex on the integer one.  Summing the
+absolute values over all vertices gives the flip distance between the
+two tilings.  A value is a quarter of a height difference, which no
+flip moves on the boundary, so a nonzero value there (round a hole)
+means no flips join the two.
 """
 
 from __future__ import annotations
@@ -41,35 +42,25 @@ class OrientedCycle:
         return [(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))]
 
 
-class CycleCollection:
-    def __init__(self, cycles: tuple[OrientedCycle, ...]):
-        self.cycles = cycles
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-    def __iter__(self):
-        return iter(self.cycles)
+CycleCollection = tuple  # tuple[OrientedCycle, ...]
 
 
 class ValueMap:
-    """Per-vertex counts of surrounding positive and negative cycles."""
+    """Per-vertex sums of the winding numbers of the surrounding cycles,
+    counterclockwise counting +1; only nonzero sums are stored."""
 
-    def __init__(self, nu_plus: dict[Vertex, int],
-                 nu_minus: dict[Vertex, int]):
-        self.nu_plus = nu_plus
-        self.nu_minus = nu_minus
+    def __init__(self, values: dict[Vertex, int]):
+        self.values = values
 
     def signed(self, v: Vertex) -> int:
-        return self.nu_plus.get(v, 0) - self.nu_minus.get(v, 0)
+        return self.values.get(v, 0)
 
     def nu(self, v: Vertex) -> int:
         return abs(self.signed(v))
 
     @cached_property
     def total(self) -> int:
-        keys = set(self.nu_plus) | set(self.nu_minus)
-        return sum(self.nu(v) for v in keys)
+        return sum(map(abs, self.values.values()))
 
 
 def _signed_area_doubled(cells: tuple[Cell, ...]) -> int:
@@ -114,40 +105,38 @@ def cycle_collection(region: Region, t1: Tiling, t2: Tiling) -> CycleCollection:
         orientation = 1 if _signed_area_doubled(tuple(seq)) > 0 else -1
         cycles.append(OrientedCycle(tuple(seq), orientation))
         visited.update(seq)
-    return CycleCollection(tuple(cycles))
+    return tuple(cycles)
 
 
 def value_map(region: Region, collection: CycleCollection) -> ValueMap:
-    """Count, per vertex, the surrounding cycles of each orientation.
+    """Sum, per region vertex, the winding numbers of the cycles round it.
 
-    A cycle winds once round each vertex it surrounds: +1 when it runs
-    counterclockwise, -1 when clockwise.  Each vertical unit step of a
-    center polyline crosses exactly one integer scanline, and a
-    rightward ray from a vertex sums the signed crossings at larger x.
-    So the crossings of every cycle of one orientation, times that
-    orientation and summed from the right along each scanline, count
-    that orientation's cycles round each vertex of the row.
+    Each vertical unit step of a center polyline crosses exactly one
+    integer scanline, and a cycle's winding number round a vertex is
+    the sum of its crossings of the rightward ray from it: +1 up, -1
+    down.  So the crossings of all cycles, summed from the right along
+    each scanline, give each vertex of the row its value.  A closed
+    cycle crosses a scanline as often up as down, so the sum is 0 left
+    of the leftmost crossing; a vertex outside the region (in a hole)
+    has no value.
     """
-    crossings: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    crossings: dict[int, list[tuple[int, int]]] = {}
     for cycle in collection:
-        sign = cycle.orientation
         for (x1, y1), (x2, y2) in cycle.steps():
             if x1 == x2:  # up across y2, or down across y1
-                y, step = (y2, sign) if y2 > y1 else (y1, -sign)
-                crossings.setdefault((sign, y), []).append((x1, step))
-    nu_plus: dict[Vertex, int] = {}
-    nu_minus: dict[Vertex, int] = {}
-    rows = region.vertex_rows
-    for (sign, y), events in crossings.items():
-        counter = nu_plus if sign > 0 else nu_minus
+                y, step = (y2, 1) if y2 > y1 else (y1, -1)
+                crossings.setdefault(y, []).append((x1, step))
+    vertices = region.vertex_set
+    values: dict[Vertex, int] = {}
+    for y, events in crossings.items():
         events.sort()
         count = 0
-        for vx in reversed(rows[y]):
-            while events and events[-1][0] >= vx:
+        for vx in range(events[-1][0], events[0][0], -1):
+            while events[-1][0] >= vx:
                 count += events.pop()[1]
-            if count:
-                counter[vx, y] = count
-    return ValueMap(nu_plus, nu_minus)
+            if count and (vx, y) in vertices:
+                values[vx, y] = count
+    return ValueMap(values)
 
 
 def distance_cycles(region: Region, t1: Tiling, t2: Tiling) -> int | None:

@@ -177,16 +177,6 @@ class Region:
         ys = [c[1] for c in self.cells]
         return min(xs), min(ys), max(xs), max(ys)
 
-    @cached_property
-    def vertex_rows(self) -> dict[int, list[int]]:
-        """Sorted x coordinates of vertices, grouped by row y."""
-        rows: dict[int, list[int]] = {}
-        for x, y in self.vertex_set:
-            rows.setdefault(y, []).append(x)
-        for xs in rows.values():
-            xs.sort()
-        return rows
-
 
 def make_rectangle(m: int, n: int) -> Region:
     """An m-wide, n-tall rectangle of cells with lower-left corner at the origin."""

@@ -134,6 +134,10 @@ class TestImportSet:
         assert "dominoflip.counting" not in loaded
         if argv[0] == "render":
             assert not loaded & {"dominoflip.cycles", "dominoflip.filling"}
+        if "cycles" in argv or "voxels" in argv:
+            # the cycles route needs neither heights nor a flip graph
+            assert not loaded & {"dominoflip.height", "dominoflip.flipgraph",
+                                 "dominoflip.diameter"}
 
     @pytest.mark.parametrize("argv,expected", [
         (["--shape", f"file:{FIXTURES / 'region_4x3.json'}"], ["11"]),
