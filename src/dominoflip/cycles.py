@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .surface import Cell, Region, Vertex, is_black
+from .surface import Cell, Region, Vertex, cells_around, is_black
 from .tiling import Tiling, is_valid_tiling, partner_map
 
 
@@ -47,7 +47,8 @@ CycleCollection = tuple  # tuple[OrientedCycle, ...]
 
 class ValueMap:
     """Per-vertex sums of the winding numbers of the surrounding cycles,
-    counterclockwise counting +1; only nonzero sums are stored."""
+    counterclockwise counting +1; only nonzero sums are stored.  It is
+    also the pair's filling shape: the signed heights of its cube stacks."""
 
     def __init__(self, values: dict[Vertex, int]):
         self.values = values
@@ -117,8 +118,8 @@ def value_map(region: Region, collection: CycleCollection) -> ValueMap:
     down.  So the crossings of all cycles, summed from the right along
     each scanline, give each vertex of the row its value.  A closed
     cycle crosses a scanline as often up as down, so the sum is 0 left
-    of the leftmost crossing; a vertex outside the region (in a hole)
-    has no value.
+    of the leftmost crossing; a vertex with no region cell round it (in
+    a hole) has no value.
     """
     crossings: dict[int, list[tuple[int, int]]] = {}
     for cycle in collection:
@@ -126,7 +127,7 @@ def value_map(region: Region, collection: CycleCollection) -> ValueMap:
             if x1 == x2:  # up across y2, or down across y1
                 y, step = (y2, 1) if y2 > y1 else (y1, -1)
                 crossings.setdefault(y, []).append((x1, step))
-    vertices = region.vertex_set
+    cells = region.cells
     values: dict[Vertex, int] = {}
     for y, events in crossings.items():
         events.sort()
@@ -134,16 +135,17 @@ def value_map(region: Region, collection: CycleCollection) -> ValueMap:
         for vx in range(events[-1][0], events[0][0], -1):
             while events[-1][0] >= vx:
                 count += events.pop()[1]
-            if count and (vx, y) in vertices:
+            if count and not cells.isdisjoint(cells_around((vx, y))):
                 values[vx, y] = count
     return ValueMap(values)
 
 
 def distance_cycles(region: Region, t1: Tiling, t2: Tiling) -> int | None:
     """Flip distance as the summed vertex values of the cycle collection,
-    or None when a boundary vertex has a nonzero value."""
+    or None when a boundary vertex, one with a cell missing round it,
+    has a nonzero value."""
     vm = value_map(region, cycle_collection(region, t1, t2))
-    if any(map(vm.signed, region.boundary_vertices)):
+    if not all(map(region.cells.issuperset, map(cells_around, vm.values))):
         return None
     return vm.total
 

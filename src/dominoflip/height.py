@@ -52,16 +52,18 @@ def height_function(region: Region, tiling: Tiling) -> HeightValues:
     return values
 
 
-def _walk(region: Region, blocked) -> HeightValues:
+def _walk(region: Region, tiling: Tiling | None) -> HeightValues:
     """Labels from 0 at the base vertex, breadth first along the edges
-    that no domino in blocked crosses, each step by its edge's sign."""
+    that no domino of the tiling crosses, each step by its edge's sign;
+    with no tiling, along the boundary edges alone."""
     adj = region.vertex_edges
     values: HeightValues = {base_vertex(region): 0}
     queue = list(values)
     for u in queue:  # the list grows behind the loop, as a FIFO queue
         hu = values[u]
         for v, sign, flank in adj[u]:
-            if v not in values and (flank is None or flank not in blocked):
+            if v not in values and (flank is None or tiling is not None
+                                    and flank not in tiling):
                 values[v] = hu + sign
                 queue.append(v)
     return values
@@ -134,7 +136,7 @@ def extremal_heights(region: Region) -> tuple[HeightValues, HeightValues]:
     if not is_simply_connected(region):
         raise UnsupportedRegionError(
             "extremal tilings need a simply connected region")
-    values = _walk(region, region.dominoes)  # the boundary edges alone
+    values = _walk(region, None)  # the boundary edges alone
     adj = region.vertex_edges
     if any(values[v] - h != sign for u, h in values.items()
            for v, sign, flank in adj[u] if flank is None):

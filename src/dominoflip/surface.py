@@ -63,12 +63,6 @@ class Region:
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells
 
-    def neighbors(self, cell: Cell) -> list[Cell]:
-        """Dual-graph neighbors of a cell, in a fixed scan order."""
-        x, y = cell
-        return [c for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-                if c in self.cells]
-
     @cached_property
     def vertex_set(self) -> frozenset[Vertex]:
         return frozenset(v for c in self.cells for v in cell_corners(c))

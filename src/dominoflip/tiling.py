@@ -7,7 +7,8 @@ distance search a tiling is an int instead, its mask, with bit i set
 when it holds the i-th of ``Region.dominoes``.  A flip is then one xor:
 when a 2x2 block holds one of its two parallel domino pairs, the
 flipped tiling toggles all four of the block's dominoes
-(``Region.flip_blocks``).  Height labels (``height``) need no masks.
+(``Region.flip_blocks``).  Height labels (``height``) need no masks,
+and their extremes not even the domino table.
 
 Enumeration backtracks on the lexicographically smallest uncovered
 cell, trying its right partner before its upper partner, on masks
@@ -76,10 +77,12 @@ def _perfect_matching(region: Region) -> Tiling | None:
     blacks = [i for i, cell in enumerate(cells) if is_black(cell)]
     if 2 * len(blacks) != len(cells):
         return None  # every domino covers one black and one white cell
-    index = {cell: i for i, cell in enumerate(cells)}.__getitem__
+    index = {cell: i for i, cell in enumerate(cells)}.get
     # cell i's neighbours, right before up: targets[offsets[i]:offsets[i + 1]]
-    offsets, targets = _pack(list(map(index, region.neighbors(cell)))
-                             for cell in cells)
+    offsets, targets = _pack(
+        [j for j in (index((x + 1, y)), index((x - 1, y)), index((x, y + 1)),
+                     index((x, y - 1))) if j is not None]  # cell 0 is falsy
+        for x, y in cells)
     del index
     n = len(cells)
     mate = array("i", [-1]) * n  # each cell's partner, -1 while free

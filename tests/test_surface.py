@@ -6,11 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dominoflip.surface
-from dominoflip import (Region, enumerate_tilings, is_black,
+from dominoflip import (Region, bfs_distances, build_flip_graph,
+                        connected_components, distance_cycles,
+                        enumerate_tilings, export_voxels, extremal_tilings,
+                        filling_shape, is_black,
                         is_simply_connected, make_aztec, make_from_cells,
                         make_holed_square, make_rectangle, region_from_json,
                         region_to_json)
 from dominoflip.diameter import _vertex_levels
+from dominoflip.height import extremal_heights, label_distance
 from dominoflip.surface import _connected, cell_corners
 from dominoflip.tiling import is_tileable
 
@@ -132,9 +136,10 @@ class TestVertexCounts:
     @given(cells_strategy)
     def test_coloring_is_proper(self, cells):
         r = make_from_cells(cells)
-        for c in r.cells:
-            for nb in r.neighbors(c):
-                assert is_black(c) != is_black(nb)
+        for x, y in r.cells:
+            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if nb in r.cells:
+                    assert is_black((x, y)) != is_black(nb)
 
 
 class TestSimplyConnected:
@@ -293,7 +298,10 @@ class TestDominoMasks:
     @given(cells_strategy)
     def test_dominoes_are_the_dual_edges(self, cells):
         r = make_from_cells(cells)
-        edges = {(c, nb) for c in r.cells for nb in r.neighbors(c) if c < nb}
+        edges = {(c, nb) for c in r.cells
+                 for nb in ((c[0] + 1, c[1]), (c[0] - 1, c[1]),
+                            (c[0], c[1] + 1), (c[0], c[1] - 1))
+                 if nb in r.cells and c < nb}
         assert len(r.dominoes) == len(edges) and set(r.dominoes) == edges
         assert list(r.dominoes.values()) == list(range(len(edges)))
 
@@ -315,6 +323,32 @@ class TestDominoMasks:
         # not grow with the square of the region's length
         assert max((h | v).bit_length()
                    for _, h, v in region.flip_blocks.values()) <= 16
+
+
+class TestTablesBuilt:
+    # each route builds only the region tables it reads; the tilings
+    # come from another instance of the region, so no cache leaks in
+    VERTEX_SETS = ("vertex_set", "interior_vertices", "boundary_vertices")
+
+    def test_lattice_spread_builds_no_domino_table(self):
+        r = make_rectangle(6, 6)
+        assert label_distance(*extremal_heights(r)) == 35
+        assert "dominoes" not in r.__dict__
+
+    def test_cycle_routes_build_no_vertex_sets(self):
+        tmin, tmax = extremal_tilings(make_rectangle(6, 6))
+        g = build_flip_graph(make_holed_square(5))
+        big, lone = sorted(connected_components(g), key=len, reverse=True)[:2]
+        dist = bfs_distances(g, big[0])
+        cases = [(make_rectangle(6, 6), tmin, tmax, 35)]
+        for j in (big[-1], lone[0]):  # within, then across components
+            cases.append((make_holed_square(5), g.nodes[big[0]], g.nodes[j],
+                          dist[j]))
+        assert cases[-1][-1] is None
+        for r, t1, t2, distance in cases:
+            assert distance_cycles(r, t1, t2) == distance
+            assert export_voxels(filling_shape(r, t1, t2))
+            assert not any(name in r.__dict__ for name in self.VERTEX_SETS)
 
 
 class TestJson:
