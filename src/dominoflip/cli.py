@@ -200,15 +200,20 @@ def cmd_distance(args, shape: ShapeSpec) -> int:
     t1 = _load_tiling(args.t1, region)
     t2 = _load_tiling(args.t2, region)
     values: dict[str, int | None] = {}
+    path = None
     if args.method in ("height", "all"):
-        values["height"] = _lib.distance_height(region, t1, t2)
+        if args.emit_path is None:
+            values["height"] = _lib.distance_height(region, t1, t2)
+        else:  # the geodesic's length is the height distance
+            path = _lib.geodesic(region, t1, t2)
+            values["height"] = len(path)
     if args.method in ("cycles", "all"):
         values["cycles"] = _lib.distance_cycles(region, t1, t2)
     if args.method in ("bfs", "all"):
         values["bfs"] = _lib.distance_bfs(region, t1, t2, args.budget)
     if args.emit_path is not None:
-        path = _lib.geodesic(region, t1, t2)  # vertices dump as [x, y]
-        _write(args.emit_path, _json_line({"flips": path}))
+        path = _lib.geodesic(region, t1, t2) if path is None else path
+        _write(args.emit_path, _json_line({"flips": path}))  # [x, y] each
     _emit(args, values,
           [" ".join("unreachable" if values[k] is None else str(values[k])
                     for k in sorted(values))])

@@ -102,8 +102,7 @@ def _balanced_components(cells) -> list[list[Cell]] | None:
 def _sweep(cells) -> tuple[int, list[int]]:
     """The narrow side w of the cells' bounding box, and the cells'
     positions ``row * w + col``, sorted, in rows running across it."""
-    xs = [x for x, _ in cells]
-    ys = [y for _, y in cells]
+    xs, ys = zip(*cells)
     x0, y0 = min(xs), min(ys)
     w, h = max(xs) - x0 + 1, max(ys) - y0 + 1
     if w <= h:

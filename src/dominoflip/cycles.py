@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .surface import Cell, Region, Vertex, cells_around, is_black
-from .tiling import Tiling, is_valid_tiling, partner_map
+from .tiling import Tiling, _check_tilings, partner_map
 
 
 class OrientedCycle:
@@ -38,8 +38,7 @@ class OrientedCycle:
 
     def steps(self) -> list[tuple[Cell, Cell]]:
         """Consecutive cell pairs, wrapping around."""
-        seq = self.cells
-        return [(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))]
+        return list(zip(self.cells, self.cells[1:] + self.cells[:1]))
 
 
 CycleCollection = tuple  # tuple[OrientedCycle, ...]
@@ -67,11 +66,8 @@ class ValueMap:
 def _signed_area_doubled(cells: tuple[Cell, ...]) -> int:
     """Twice the shoelace area of the center polyline (integer-exact)."""
     pts = [(2 * x + 1, 2 * y + 1) for x, y in cells]
-    total = 0
-    for i, (x1, y1) in enumerate(pts):
-        x2, y2 = pts[(i + 1) % len(pts)]
-        total += x1 * y2 - x2 * y1
-    return total
+    return sum(x1 * y2 - x2 * y1
+               for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
 
 
 def cycle_collection(region: Region, t1: Tiling, t2: Tiling) -> CycleCollection:
@@ -82,25 +78,18 @@ def cycle_collection(region: Region, t1: Tiling, t2: Tiling) -> CycleCollection:
     dominoes; each stored cycle is rotated to begin at its smallest
     cell so output is deterministic.
     """
-    if not is_valid_tiling(region, t1) or not is_valid_tiling(region, t2):
-        raise ValueError("both arguments must be valid tilings of the region")
-    p1 = partner_map(t1)
-    p2 = partner_map(t2)
+    _check_tilings(region, t1, t2)
+    p1, p2 = partner_map(t1), partner_map(t2)
     visited = {c for c in p1 if p1[c] == p2[c]}
     cycles: list[OrientedCycle] = []
     for cell in sorted(region.cells):
         if cell in visited:
             continue
-        head = cell if is_black(cell) else p1[cell]
         seq: list[Cell] = []
-        black = head
-        while True:
-            white = p1[black]
-            seq.append(black)
-            seq.append(white)
-            black = p2[white]
-            if black == head:
-                break
+        black = cell if is_black(cell) else p1[cell]
+        while not seq or black != seq[0]:  # t1 black to white, t2 back
+            seq += black, p1[black]
+            black = p2[seq[-1]]
         start = seq.index(min(seq))
         seq = seq[start:] + seq[:start]
         orientation = 1 if _signed_area_doubled(tuple(seq)) > 0 else -1

@@ -50,8 +50,7 @@ class DiameterReport:
 def diameter_bfs(region: Region,
                  budget: int = DEFAULT_NODE_BUDGET) -> DiameterReport:
     """Exact diameter by eccentricity-bounded breadth-first search."""
-    graph = build_flip_graph(region, budget)
-    return diameter_of_graph(graph)
+    return diameter_of_graph(build_flip_graph(region, budget))
 
 
 def diameter_of_graph(graph: FlipGraph) -> DiameterReport:

@@ -26,9 +26,8 @@ def filling_shape(region: Region, t1: Tiling, t2: Tiling) -> FillingShape:
 
 def volumes(shape: FillingShape) -> tuple[int, int]:
     """(volume above, volume below); the below part is non-positive."""
-    above = sum(c for c in shape.values.values() if c > 0)
-    below = sum(c for c in shape.values.values() if c < 0)
-    return above, below
+    stacks = shape.values.values()
+    return sum(c for c in stacks if c > 0), sum(c for c in stacks if c < 0)
 
 
 def export_voxels(shape: FillingShape) -> list[tuple[int, int, int]]:

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
 from .surface import Region
-from .tiling import (Tiling, _backtrack_masks, _pack, is_valid_tiling,
+from .tiling import (Tiling, _backtrack_masks, _check_tilings, _pack,
                      tiling_to_json)
 
 
@@ -105,9 +105,7 @@ def distance_bfs(region: Region, t1: Tiling, t2: Tiling,
     of the two components whole.  The budget is on the region's tiling
     count, as for ``build_flip_graph``.
     """
-    for tiling in (t1, t2):
-        if not is_valid_tiling(region, tiling):
-            raise ValueError("not a valid tiling of the region")
+    _check_tilings(region, t1, t2)
     _check_budget(region, budget)
     table = _flip_table(region)
     near, far = [region.encode(t1)], [region.encode(t2)]

@@ -27,7 +27,7 @@ from heapq import heapify, heappop, heappush
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
                      UntileableError)
 from .surface import Region, Vertex, is_simply_connected
-from .tiling import Tiling, is_valid_tiling
+from .tiling import Tiling, _check_tilings, is_valid_tiling
 
 HeightValues = dict[Vertex, int]
 
@@ -39,16 +39,23 @@ def base_vertex(region: Region) -> Vertex:
 
 def height_function(region: Region, tiling: Tiling) -> HeightValues:
     """Height labels of every region vertex under the given tiling."""
+    return _labels(region, tiling)
+
+
+def _labels(region: Region, tiling: Tiling) -> HeightValues:
+    """The walk's labels, once region and tiling pass their checks and
+    each edge steps by +1 positively, or by -3 where a domino crosses it."""
     if not is_simply_connected(region):
         raise UnsupportedRegionError(
             "height labels need a simply connected region")
-    if not is_valid_tiling(region, tiling):
-        raise ValueError("not a valid tiling of the region")
+    _check_tilings(region, tiling)
     values = _walk(region, tiling)
     if len(values) != len(region.vertex_set):
         raise DominoError("height propagation failed to reach every vertex")
-    if tiling_from_height(region, values) != tiling:
-        raise DominoError("height labels do not reproduce the tiling")
+    for u, hu in values.items():
+        for v, sign, flank in region.vertex_edges[u]:
+            if sign == 1 and values[v] - hu != (-3 if flank in tiling else 1):
+                raise DominoError("height labels do not reproduce the tiling")
     return values
 
 
@@ -79,8 +86,7 @@ def label_distance(h1: HeightValues, h2: HeightValues) -> int:
 
 def distance_height(region: Region, t1: Tiling, t2: Tiling) -> int:
     """Flip distance as a quarter of the summed label differences."""
-    return label_distance(height_function(region, t1),
-                          height_function(region, t2))
+    return label_distance(_labels(region, t1), _labels(region, t2))
 
 
 def tiling_from_height(region: Region, values: HeightValues) -> Tiling:
@@ -90,16 +96,11 @@ def tiling_from_height(region: Region, values: HeightValues) -> Tiling:
     dominoes: set = set()
     for u, edges in region.vertex_edges.items():
         for v, sign, flank in edges:
-            if sign != 1:
-                continue
-            step = values[v] - values[u]
-            if step == 1:
-                continue
-            if step == -3 and flank is not None:
+            if sign == 1 and (step := values[v] - values[u]) != 1:
+                if step != -3 or flank is None:
+                    raise InvalidHeightError(f"edge {u}->{v} steps by {step}; "
+                                             "edge rules allow +1 or -3")
                 dominoes.add(flank)
-            else:
-                raise InvalidHeightError(
-                    f"edge {u}->{v} steps by {step}; edge rules allow +1 or -3")
     tiling = frozenset(dominoes)
     if not is_valid_tiling(region, tiling):
         raise InvalidHeightError("labels do not describe a perfect matching")
@@ -108,15 +109,13 @@ def tiling_from_height(region: Region, values: HeightValues) -> Tiling:
 
 def join(region: Region, t1: Tiling, t2: Tiling) -> Tiling:
     """Tiling of the pointwise maximum of the two height labelings."""
-    h1 = height_function(region, t1)
-    h2 = height_function(region, t2)
+    h1, h2 = _labels(region, t1), _labels(region, t2)
     return tiling_from_height(region, {v: max(h1[v], h2[v]) for v in h1})
 
 
 def meet(region: Region, t1: Tiling, t2: Tiling) -> Tiling:
     """Tiling of the pointwise minimum of the two height labelings."""
-    h1 = height_function(region, t1)
-    h2 = height_function(region, t2)
+    h1, h2 = _labels(region, t1), _labels(region, t2)
     return tiling_from_height(region, {v: min(h1[v], h2[v]) for v in h1})
 
 
@@ -176,8 +175,7 @@ def geodesic(region: Region, t1: Tiling, t2: Tiling) -> list[Vertex]:
     checked again after a flip; a heap of the ranks that qualify yields
     the smallest.
     """
-    h1 = height_function(region, t1)
-    h2 = height_function(region, t2)
+    h1, h2 = _labels(region, t1), _labels(region, t2)
     anchors = sorted(region.interior_vertices)
     n = len(anchors)
     # interior vertices by rank, then the boundary ones

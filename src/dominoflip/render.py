@@ -103,8 +103,7 @@ def render_cycles(region: Region, t1: Tiling, t2: Tiling,
 
     board = _Board(region, cell_size)
     body = _grid_body(board, region)
-    collection = cycle_collection(region, t1, t2)
-    for cycle in collection:
+    for cycle in cycle_collection(region, t1, t2):
         color = POSITIVE if cycle.orientation > 0 else NEGATIVE
         pts = " ".join(
             "{},{}".format(*map(_fmt, board.point(x + 0.5, y + 0.5)))
@@ -130,8 +129,7 @@ def render_filling(region: Region, t1: Tiling, t2: Tiling,
     from .filling import export_voxels, filling_shape  # only this mode
 
     u = float(cell_size) * 0.5
-    shape = filling_shape(region, t1, t2)
-    voxels = export_voxels(shape)
+    voxels = export_voxels(filling_shape(region, t1, t2))
     x0, y0, x1, y1 = region.bounds
     zs = [v[2] for v in voxels] or [0]
     corners = [_iso(u, x, y, z)

@@ -167,8 +167,7 @@ class Region:
     @cached_property
     def bounds(self) -> tuple[int, int, int, int]:
         """(min_x, min_y, max_x, max_y) over cell coordinates."""
-        xs = [c[0] for c in self.cells]
-        ys = [c[1] for c in self.cells]
+        xs, ys = zip(*self.cells)
         return min(xs), min(ys), max(xs), max(ys)
 
 

@@ -7,8 +7,9 @@ distance search a tiling is an int instead, its mask, with bit i set
 when it holds the i-th of ``Region.dominoes``.  A flip is then one xor:
 when a 2x2 block holds one of its two parallel domino pairs, the
 flipped tiling toggles all four of the block's dominoes
-(``Region.flip_blocks``).  Height labels (``height``) need no masks,
-and their extremes not even the domino table.
+(``Region.flip_blocks``).  Only the mask code builds the domino
+table: validity reads the cells alone, and height labels (``height``)
+and cycles need neither.
 
 Enumeration backtracks on the lexicographically smallest uncovered
 cell, trying its right partner before its upper partner, on masks
@@ -37,18 +38,31 @@ def domino(a: Cell, b: Cell) -> Domino:
 
 def partner_map(tiling: Tiling) -> dict[Cell, Cell]:
     """Map each covered cell to the other cell of its domino."""
-    partner: dict[Cell, Cell] = {}
-    for a, b in tiling:
-        partner[a] = b
-        partner[b] = a
+    partner = dict(tiling)
+    partner.update((b, a) for a, b in tiling)
     return partner
 
 
 def is_valid_tiling(region: Region, tiling: Tiling) -> bool:
-    """True when the dominoes, each one of the region's, cover every
-    cell of the region once."""
-    covered = {c for d in tiling if d in region.dominoes for c in d}
-    return len(covered) == 2 * len(tiling) == len(region.cells)
+    """True when each element is a pair of region cells one unit step
+    apart, smaller cell first, and the pairs cover every cell once."""
+    cells = region.cells
+    covered: list[Cell] = []
+    for d in tiling:
+        if not (isinstance(d, tuple) and len(d) == 2 and d[0] in cells
+                and d[1] in cells):
+            return False
+        (x, y), b = d
+        if b != (x + 1, y) and b != (x, y + 1):
+            return False
+        covered += d
+    return len(covered) == len(cells) == len(set(covered))
+
+
+def _check_tilings(region: Region, *tilings: Tiling) -> None:
+    """Raises ValueError unless every argument is a tiling of the region."""
+    if not all(is_valid_tiling(region, t) for t in tilings):
+        raise ValueError("not a valid tiling of the region")
 
 
 def iter_tilings(region: Region) -> Iterator[Tiling]:
@@ -199,6 +213,7 @@ def first_tiling(region: Region) -> Tiling | None:
 def available_flips(region: Region, tiling: Tiling) -> list[Vertex]:
     """Anchors of all 2x2 blocks covered by two parallel dominoes, in
     lexicographic order."""
+    _check_tilings(region, tiling)
     m = region.encode(tiling)
     return [anchor for anchor, (s, h, v) in region.flip_blocks.items()
             if (m >> s) & h == h or (m >> s) & v == v]
@@ -206,6 +221,7 @@ def available_flips(region: Region, tiling: Tiling) -> list[Vertex]:
 
 def apply_flip(region: Region, tiling: Tiling, anchor: Vertex) -> Tiling:
     """Rotate the 2x2 block at the anchor a quarter turn."""
+    _check_tilings(region, tiling)
     block = region.flip_blocks.get(anchor)
     if block is not None:
         s, h, v = block

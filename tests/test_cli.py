@@ -7,6 +7,7 @@ import pytest
 import dominoflip.cli
 import dominoflip.counting
 import dominoflip.height
+import dominoflip.tiling
 from dominoflip import (DominoError, build_flip_graph, connected_components,
                         first_tiling, make_from_cells, make_holed_square,
                         region_to_json, tiling_to_json)
@@ -182,6 +183,65 @@ class TestDistance:
         assert code == 0
         flips = json.loads(out_file.read_text())["flips"]
         assert len(flips) == 5
+
+    def test_all_with_path_labels_each_tiling_once(
+            self, capsys, fixtures_dir, tmp_path, monkeypatch):
+        # the geodesic's length is the height distance, so the height
+        # route labels each tiling once, with no tiling rebuilt from its
+        # labels; each route checks its tilings once, as the loader does
+        # (this once took 14 checks, 4 labelings and 4 tilings from labels)
+        calls = Counter()
+        for module, name in ((dominoflip.height, "_labels"),
+                             (dominoflip.height, "tiling_from_height"),
+                             (dominoflip.tiling, "is_valid_tiling"),
+                             (dominoflip.height, "is_valid_tiling")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(dominoflip.cli, name, counted, raising=False)
+        out_file = tmp_path / "path.json"
+        code, out, _ = run(capsys, "distance", "--shape", "rect:6x2",
+                           "--t1", str(fixtures_dir / "brick_6x2.json"),
+                           "--t2", str(fixtures_dir / "staggered_6x2.json"),
+                           "--method", "all", "--emit-path", str(out_file))
+        assert (code, out) == (0, "5 5 5\n")
+        assert len(json.loads(out_file.read_text())["flips"]) == 5
+        assert calls["_labels"] == 2 and "tiling_from_height" not in calls
+        assert calls["is_valid_tiling"] <= 8
+
+    @pytest.mark.parametrize("method,budget,code", [
+        ("height", 1, 2), ("cycles", 1, 2), ("bfs", 1, 4), ("all", 1, 2),
+        ("cycles", 1000, 2), ("bfs", 1000, 2)])
+    def test_path_on_a_holed_region(self, capsys, tmp_path, method, budget,
+                                    code):
+        # the geodesic runs where the height route does, or last: a
+        # refusal or the hole ends the command first, with no path file
+        graph = build_flip_graph(make_holed_square(5))
+        big = max(connected_components(graph), key=len)
+        paths = [tmp_path / "t1.json", tmp_path / "t2.json"]
+        for path, i in zip(paths, (big[0], big[-1])):
+            path.write_text(json.dumps(tiling_to_json(graph.nodes[i])))
+        out_file = tmp_path / "path.json"
+        done = run(capsys, "distance", "--shape", "holed-square:5",
+                   "--t1", str(paths[0]), "--t2", str(paths[1]),
+                   "--method", method, "--budget", str(budget),
+                   "--emit-path", str(out_file))
+        assert done[:2] == (code, "")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("method", ["bfs", "all"])
+    def test_path_after_a_refusal(self, capsys, fixtures_dir, tmp_path,
+                                  method):
+        out_file = tmp_path / "path.json"
+        code, out, err = run(capsys, "distance", "--shape", "rect:6x2",
+                             "--t1", str(fixtures_dir / "brick_6x2.json"),
+                             "--t2", str(fixtures_dir / "staggered_6x2.json"),
+                             "--method", method, "--budget", "12",
+                             "--emit-path", str(out_file))
+        assert (code, out) == (4, "")
+        assert err == "error: flip graph would have 13 nodes, budget is 12\n"
+        assert not out_file.exists()
 
     def test_methods_disagree_exits_1(self, capsys, fixtures_dir,
                                       monkeypatch):

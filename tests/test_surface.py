@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 import dominoflip.surface
 from dominoflip import (Region, bfs_distances, build_flip_graph,
-                        connected_components, distance_cycles,
-                        enumerate_tilings, export_voxels, extremal_tilings,
-                        filling_shape, is_black,
-                        is_simply_connected, make_aztec, make_from_cells,
-                        make_holed_square, make_rectangle, region_from_json,
-                        region_to_json)
+                        connected_components, cycle_collection,
+                        distance_cycles, distance_height, enumerate_tilings,
+                        export_voxels, extremal_tilings, filling_shape,
+                        geodesic, height_function, is_black,
+                        is_simply_connected, join, make_aztec,
+                        make_from_cells, make_holed_square, make_rectangle,
+                        meet, region_from_json, region_to_json,
+                        tiling_from_height)
 from dominoflip.diameter import _vertex_levels
 from dominoflip.height import extremal_heights, label_distance
+from dominoflip.render import RenderOptions, render
 from dominoflip.surface import _connected, cell_corners
 from dominoflip.tiling import is_tileable
 
@@ -349,6 +352,24 @@ class TestTablesBuilt:
             assert distance_cycles(r, t1, t2) == distance
             assert export_voxels(filling_shape(r, t1, t2))
             assert not any(name in r.__dict__ for name in self.VERTEX_SETS)
+            assert "dominoes" not in r.__dict__
+
+    def test_labels_and_pictures_build_no_domino_table(self):
+        # only the mask code (enumeration, flip graphs, the two-ended
+        # search, flips and realizers) builds Region.dominoes
+        tmin, tmax = extremal_tilings(make_rectangle(6, 6))
+        r = make_rectangle(6, 6)
+        assert [tiling_from_height(r, h) for h in extremal_heights(r)] == [
+            tmin, tmax]
+        assert extremal_tilings(r) == (tmin, tmax)
+        assert distance_height(r, tmin, tmax) == 35
+        assert len(geodesic(r, tmin, tmax)) == 35
+        assert (meet(r, tmin, tmax), join(r, tmin, tmax)) == (tmin, tmax)
+        assert len(height_function(r, tmin)) == 49
+        assert len(cycle_collection(r, tmin, tmax)) == 3
+        for mode in ("tiling", "cycles", "filling"):
+            assert render(r, RenderOptions(mode=mode), tmin, tmax)
+        assert "dominoes" not in r.__dict__
 
 
 class TestJson:

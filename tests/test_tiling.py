@@ -3,11 +3,11 @@ import tracemalloc
 from collections import defaultdict
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dominoflip.counting
-from dominoflip import (InvalidMoveError, NumericInstabilityError,
+from dominoflip import (InvalidMoveError, NumericInstabilityError, Region,
                         ResourceLimitError, apply_flip, available_flips,
                         count_aztec_closed_form, count_rectangle_closed_form,
                         count_tilings, domino, enumerate_tilings, first_tiling,
@@ -22,7 +22,7 @@ from dominoflip.surface import _connected
 from dominoflip.tiling import _backtrack_masks, _perfect_matching, is_tileable
 
 from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, punched_boxes,
-                      region_grid)
+                      region_grid, tileable_discs)
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
@@ -110,7 +110,63 @@ def upright(n):
     return frozenset(domino((x, 0), (x, 1)) for x in range(n))
 
 
+def table_rule(region, tiling):
+    """The validity rule the direct check replaced: every element one of
+    the region's dominoes (keys of its mask table), covering every cell
+    once."""
+    covered = {c for d in tiling if d in region.dominoes for c in d}
+    return len(covered) == 2 * len(tiling) == len(region.cells)
+
+
+@st.composite
+def domino_lists(draw):
+    """A region and a list of elements: one of its tilings, maybe with
+    one domino reversed, dropped, repeated or overlapped by another of
+    the region's, and maybe more of its own dominoes, reversed,
+    diagonal, out-of-region, repeated and non-pair elements."""
+    region = make_from_cells(draw(st.one_of(cells_strategy,
+                                            tileable_discs(4))))
+    tilings = enumerate_tilings(region)
+    own = sorted(region.dominoes)
+    base = list(draw(st.sampled_from(tilings))) if tilings else []
+    if base and draw(st.booleans()):
+        i = draw(st.integers(0, len(base) - 1))
+        d = base[i]
+        base[i:i + 1] = draw(st.sampled_from(
+            [[d[::-1]], [], [d, d], [d, draw(st.sampled_from(own))]]))
+    cell = st.sampled_from(sorted(region.cells))
+    x0, y0, x1, y1 = region.bounds
+    anywhere = st.tuples(st.integers(x0 - 1, x1 + 1),
+                         st.integers(y0 - 1, y1 + 1))
+    junk = [
+        cell.map(lambda c: (c, (c[0] + 1, c[1] + 1))),  # diagonal
+        cell.map(lambda c: (c, c)),
+        anywhere.map(lambda c: (c, (c[0] + 1, c[1]))),
+        anywhere.map(lambda c: (c, (c[0], c[1] + 1))),
+        cell, cell.map(lambda c: (c,)), st.tuples(cell, cell, cell),
+        st.frozensets(cell, min_size=1, max_size=2), st.none(),
+        st.integers(), st.text(max_size=2),
+    ]
+    if own:
+        junk += [st.sampled_from(own), st.sampled_from(own).map(
+            lambda d: d[::-1])]  # reversed
+    if base:
+        junk.append(st.sampled_from(base))  # repeated
+    extra = draw(st.lists(st.one_of(junk), max_size=3)) if draw(
+        st.booleans()) else []
+    return region, draw(st.permutations(base + extra))
+
+
 class TestValidity:
+    @settings(max_examples=300)
+    @given(domino_lists())
+    def test_direct_check_is_the_table_rule(self, case):
+        region, elements = case
+        for tiling in (elements, frozenset(elements)):
+            fresh = Region(region.cells)
+            assert is_valid_tiling(fresh, tiling) == table_rule(region, tiling)
+            assert "dominoes" not in fresh.__dict__
+
     def test_two_vertical_dominoes(self):
         r = make_rectangle(2, 2)
         t = frozenset({((0, 0), (0, 1)), ((1, 0), (1, 1))})
@@ -449,6 +505,18 @@ class TestFlips:
         # interior, but the block holds no parallel pair
         with pytest.raises(InvalidMoveError):
             apply_flip(make_rectangle(4, 2), brick(4), (2, 1))
+
+    @pytest.mark.parametrize("flips", [
+        available_flips, lambda r, t: apply_flip(r, t, (1, 1))],
+        ids=["available_flips", "apply_flip"])
+    @pytest.mark.parametrize("tiling", [
+        upright(2) | {((2, 0), (2, 1))},  # a domino of another region
+        {((0, 1), (0, 0)), ((1, 0), (1, 1))},  # one reversed
+        {((0, 0), (0, 1))},  # half a tiling
+    ], ids=["foreign", "reversed", "partial"])
+    def test_refuse_what_is_no_tiling(self, flips, tiling):
+        with pytest.raises(ValueError, match="not a valid tiling"):
+            flips(make_rectangle(2, 2), frozenset(tiling))
 
     @given(cells_strategy, st.data())
     def test_flips_preserve_validity(self, cells, data):
