@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from operator import and_, lt, sub
-from sys import byteorder
+from operator import sub
 
 from .errors import DominoError, UntileableError
-from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, bfs_distances,
-                        build_flip_graph)
+from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, _listed,
+                        bfs_distances, build_flip_graph)
 from .surface import Region, Vertex
 from .tiling import Tiling
 
@@ -59,81 +58,57 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
     Every node keeps a lower and an upper bound on its eccentricity.  A
     search from v with eccentricity e gives each w the bounds
     max(d, e - d) and e + d, d = d(v, w), by the triangle inequality.
-    Sources alternate between the unsettled node with the largest upper
-    bound and the one with the smallest lower bound, ties going to the
-    higher degree, until the largest lower and upper bounds meet (Takes
-    and Kosters 2011).  The realizers are those of an all-pairs scan:
-    the smallest node whose eccentricity is the diameter, and the
-    smallest node that far from it.
-
-    The bounds are packed one field per node into a single int, so
-    each update is a few whole-int operations (SIMD within a register)
-    rather than a Python step per node.
+    A double sweep seeds the bounds with searches from node 0, from the
+    first node a farthest from it, from the first node b farthest from
+    a, and from a node minimising max(d(a, w), d(b, w)).  Sources then
+    alternate between the unsettled node with the largest upper bound
+    and the one with the smallest lower bound, ties going to the higher
+    degree and then the smaller node, until the largest lower and upper
+    bounds meet (Takes and Kosters 2011).  The realizers are those of an
+    all-pairs scan: the smallest node whose eccentricity is the
+    diameter, and the smallest node that far from it.
     """
     n = len(graph)
     if not n:
         raise UntileableError("region has no tiling")
-    # every bound is below 2n, and a field keeps its top bit clear;
-    # 2^30 nodes would need far more memory than any budget allows
-    code = "H" if n < 1 << 14 else "I"
-    bits = 8 * array(code).itemsize
-    ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)  # 1 in every field
-    tops = ones << (bits - 1)
-    full = (1 << bits) - 1
-
-    def unpack(packed: int) -> array:
-        return array(code, packed.to_bytes(n * bits // 8, byteorder))
-
-    def at_least(a: int, b: int) -> int:
-        """All ones in the fields where a's is at least b's: a top bit
-        set over each field of a keeps the subtraction inside it."""
-        return (((a | tops) - b & tops) >> (bits - 1)) * full
-
+    graph = _listed(graph)
+    degree = list(map(sub, graph.offsets[1:], graph.offsets))
     rows: dict[int, array] = {}
+    lo, hi = [0] * n, [n] * n  # every eccentricity is below the node count
 
-    def row(source: int) -> array:
-        if source not in rows:
-            dist = bfs_distances(graph, source)
-            if None in dist:
-                raise DominoError(
-                    "flip graph is disconnected; diameter undefined")
-            rows[source] = array(code, dist)
+    def search(source: int) -> array:
+        if source in rows:
+            return rows[source]
+        dist = bfs_distances(graph, source)
+        if None in dist:
+            raise DominoError("flip graph is disconnected; diameter undefined")
+        e = max(dist)
+        hi[:] = map(min, hi, map(e.__add__, dist))
+        lo[:] = map(max, lo, dist, map(e.__sub__, dist))
+        rows[source] = array("i", dist)  # half the bytes of a list
         return rows[source]
 
-    offsets = graph.offsets
-    degree = array("i", map(sub, offsets[1:], offsets))
-    nodes = range(n)
-    lo = 0
-    hi = n * ones  # every eccentricity is below the node count
+    def pick(values: list[int], value: int) -> int:
+        return max(compress(range(n), map(value.__eq__, values)),
+                   key=degree.__getitem__)  # max keeps the first of equals
+
+    d0 = search(0)
+    da = search(d0.index(max(d0)))
+    db = search(da.index(max(da)))
+    middle = list(map(max, da, db))
+    search(pick(middle, min(middle)))
     widest = True
-    while True:
-        lows, highs = unpack(lo), unpack(hi)
-        if max(lows) >= max(highs):
-            break
+    while max(lo) < max(hi):
         if widest:
-            # a settled node's bounds meet at most at max(lo) < max(hi),
-            # so every node of the largest upper bound is unsettled
-            top = max(highs)
-            ties = compress(nodes, map(top.__eq__, highs))
+            # settled bounds meet at most at max(lo), so these are open
+            search(pick(hi, max(hi)))
         else:
-            unsettled = bytes(map(lt, lows, highs))
-            least = min(compress(lows, unsettled))
-            ties = compress(nodes,
-                            map(and_, map(least.__eq__, lows), unsettled))
-        # max keeps the first of equals: the smallest of the top degree
-        source = max(ties, key=degree.__getitem__)
+            # a settled node reads n, above every open lower bound
+            low = [a if a < b else n for a, b in zip(lo, hi)]
+            search(pick(low, min(low)))
         widest = not widest
-        dist = row(source)
-        e = max(dist)
-        d, far = int.from_bytes(dist, byteorder), e * ones
-        # hi = min(hi, e + d) and lo = max(lo, d, e - d), field by field
-        reach = far + d
-        hi ^= (hi ^ reach) & at_least(hi, reach)
-        near = far - d  # e - d, which takes no field below 0
-        lower = near ^ (d ^ near) & at_least(d, near)
-        lo = lower ^ (lo ^ lower) & at_least(lo, lower)
-    best = max(lows)
-    i = next(i for i in nodes if highs[i] >= best and max(row(i)) == best)
+    best = max(lo)
+    i = next(i for i in range(n) if hi[i] >= best and max(search(i)) == best)
     pair = (graph.region.decode(graph.masks[i]),
             graph.region.decode(graph.masks[rows[i].index(best)]))
     return DiameterReport(best, "bfs", pair)
@@ -164,7 +139,7 @@ def diameter_square_closed(n: int) -> int:
     """Closed form (n^3 - n) / 6 for the n-by-n square, n even."""
     if n < 2 or n % 2:
         raise ValueError(f"square side must be even and at least 2, got {n}")
-    return (n ** 3 - n) // 6
+    return diameter_rectangle_closed(n, n)
 
 
 def diameter_rectangle_closed(m: int, n: int) -> int:

@@ -6,8 +6,9 @@ masks one flip away, found by value.  The edges sit in compressed
 sparse row form: ``targets`` is one typed array holding every node's
 sorted neighbour ids back to back, and node i's run is
 ``targets[offsets[i]:offsets[i + 1]]``.  The mask-to-id dict lives only
-while the build runs.  Searches and exports read the two arrays and
-make no list per node, and only JSON export decodes tilings;
+while the build runs.  Searches and exports make no list per node,
+though a run of many searches reads the offsets from one list built
+for it (``_listed``).  Only JSON export decodes tilings;
 ``FlipGraph.nodes``, ``adjacency`` and the mask-to-id ``index`` are
 built on first use.  ``distance_bfs`` searches the same graph without
 building it.
@@ -28,7 +29,7 @@ from .tiling import (Tiling, _backtrack_masks, _check_tilings, _pack,
 
 class FlipGraph:
     def __init__(self, region: Region, masks: list[int],
-                 offsets: array, targets: array):
+                 offsets: array | list[int], targets: array):
         self.region = region
         self.masks = masks
         self.offsets = offsets
@@ -128,6 +129,13 @@ def distance_bfs(region: Region, t1: Tiling, t2: Tiling,
     return None
 
 
+def _listed(graph: FlipGraph) -> FlipGraph:
+    """The same graph with its offsets in a list, for many searches: a
+    list hands out the ints it holds, where an array boxes each read."""
+    return FlipGraph(graph.region, graph.masks, graph.offsets.tolist(),
+                     graph.targets)
+
+
 def _bfs(graph: FlipGraph, source: int, dist: list[int | None]) -> array:
     """Breadth-first search from source through nodes whose dist entry
     is None, filling in their distances; returns the nodes reached, in
@@ -165,6 +173,7 @@ def bfs_distance(graph: FlipGraph, i: int, j: int) -> int | None:
 def connected_components(graph: FlipGraph) -> list[list[int]]:
     """Node partition, components ordered by smallest member."""
     # one list for every search keeps the whole partition linear
+    graph = _listed(graph)
     seen: list[int | None] = [None] * len(graph)
     return [sorted(_bfs(graph, start, seen))
             for start in range(len(graph)) if seen[start] is None]

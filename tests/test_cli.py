@@ -193,8 +193,7 @@ class TestDistance:
         calls = Counter()
         for module, name in ((dominoflip.height, "_labels"),
                              (dominoflip.height, "tiling_from_height"),
-                             (dominoflip.tiling, "is_valid_tiling"),
-                             (dominoflip.height, "is_valid_tiling")):
+                             (dominoflip.tiling, "is_valid_tiling")):
             def counted(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)

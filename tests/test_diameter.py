@@ -39,6 +39,19 @@ def all_pairs_diameter(graph):
     return best, (graph.nodes[pair[0]], graph.nodes[pair[1]])
 
 
+def searched_sources(graph, monkeypatch):
+    """The sources of the breadth-first searches diameter_of_graph runs."""
+    sources = []
+
+    def counting(g, source):
+        sources.append(source)
+        return bfs_distances(g, source)
+
+    monkeypatch.setattr(dominoflip.diameter, "bfs_distances", counting)
+    diameter_of_graph(graph)
+    return sources
+
+
 def bounded_diameter(graph):
     report = diameter_of_graph(graph)
     return report.value, report.realizers
@@ -222,9 +235,8 @@ class TestBfs:
         (16383, 1), (40000, 1), (130, 130),
     ], ids=["path-16383", "path-40000", "grid-130"])
     def test_grids_at_the_field_widths(self, width, height):
-        # the packed bounds take 16-bit fields below 16,384 nodes, where
-        # a path's bound 2 * 16,382 is the widest value, and 32-bit ones
-        # from there on, where a path's bounds pass 2^15
+        # bounds past 2^15: a search from one end of a path bounds the
+        # other end's eccentricity by twice the path's length
         n = width * height
         # node x * height + y; neighbours listed in increasing order
         rows = ([a * height + b
@@ -238,16 +250,22 @@ class TestBfs:
                              ids=["8x4", "aztec4"])
     def test_few_searches(self, region, monkeypatch):
         graph = build_flip_graph(region)
-        sources = []
-
-        def counting(g, source):
-            sources.append(source)
-            return bfs_distances(g, source)
-
-        monkeypatch.setattr(dominoflip.diameter, "bfs_distances", counting)
-        diameter_of_graph(graph)
+        sources = searched_sources(graph, monkeypatch)
         assert len(sources) == len(set(sources))
         assert 100 * len(sources) <= len(graph.nodes)
+
+    def test_double_sweep_searches_on_the_bench_shapes(self, monkeypatch):
+        # the search workload's shapes in perfbench/jobs.py, where the
+        # double sweep leaves 58 searches in all (66 without it)
+        regions = [make_rectangle(w, h) for w, h in (
+            (4, 4), (5, 4), (6, 4), (9, 2), (10, 3), (3, 10), (14, 2),
+            (2, 14), (7, 4), (4, 7), (6, 5), (5, 6), (8, 4))]
+        total = 0
+        for region in regions + [make_aztec(3), make_aztec(4)]:
+            sources = searched_sources(build_flip_graph(region), monkeypatch)
+            assert len(sources) == len(set(sources))
+            total += len(sources)
+        assert total <= 58
 
     def test_levels_upper_bound_simply_connected(self):
         for region in (make_rectangle(4, 3), make_rectangle(5, 2),

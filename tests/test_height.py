@@ -9,10 +9,11 @@ from dominoflip import (DominoError, InvalidHeightError, Region,
                         apply_flip, available_flips, base_vertex,
                         build_flip_graph, bfs_distances, distance_height,
                         enumerate_tilings, extremal_tilings, first_tiling,
-                        geodesic, height_function, is_simply_connected, join,
-                        make_aztec, make_from_cells, make_holed_square,
-                        make_rectangle, meet, region_from_json,
-                        tiling_from_height, tiling_from_json)
+                        geodesic, height_function, is_simply_connected,
+                        is_valid_tiling, join, make_aztec, make_from_cells,
+                        make_holed_square, make_rectangle, meet,
+                        region_from_json, tiling_from_height,
+                        tiling_from_json)
 from dominoflip.height import extremal_heights, label_distance
 from dominoflip.tiling import is_tileable
 
@@ -132,6 +133,28 @@ class TestBijection:
         h[v] += 1
         with pytest.raises(InvalidHeightError):
             tiling_from_height(r, h)
+
+    @given(tileable_discs(6), st.data())
+    def test_perturbed_labels_refused_or_a_tiling(self, cells, data):
+        # the edge rules alone force one domino per cell, so labels that
+        # pass them always describe a tiling of the region; on a part of
+        # the disc, a domino leaving it steps by -3 along its boundary
+        removed = data.draw(st.sets(st.sampled_from(cells),
+                                    max_size=len(cells) - 1))
+        region = Region(set(cells) - removed)
+        disc = Region(cells)
+        labels = height_function(disc, first_tiling(disc))
+        values = {v: labels[v] for v in region.vertex_set}
+        vertices = sorted(values)
+        for v in data.draw(st.lists(st.sampled_from(vertices), max_size=8)):
+            values[v] += data.draw(st.sampled_from((-4, 4)))
+        for v in data.draw(st.lists(st.sampled_from(vertices), max_size=3)):
+            values[v] += data.draw(st.integers(-9, 9))
+        try:
+            tiling = tiling_from_height(region, values)
+        except InvalidHeightError:
+            return
+        assert is_valid_tiling(region, tiling)
 
     def test_missing_vertex_rejected(self):
         r = make_rectangle(2, 2)
