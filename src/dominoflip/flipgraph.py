@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 
 from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
@@ -70,14 +70,9 @@ def _check_budget(region: Region, budget: int) -> int:
     return total
 
 
-def _flip_table(region: Region) -> list[tuple[int, int, int, int]]:
-    """The region's flip blocks as (s, h, v, h | v), for ``_flips``."""
-    return [(s, h, v, h | v) for s, h, v in region.flip_blocks.values()]
-
-
-def _flips(table: list[tuple[int, int, int, int]], m: int) -> list[int]:
+def _flips(blocks: Iterable[tuple[int, int, int]], m: int) -> list[int]:
     """The masks one flip away from the tiling mask m, in block order."""
-    return [m ^ hv << s for s, h, v, hv in table
+    return [m ^ (h | v) << s for s, h, v in blocks
             if (t := m >> s) & h == h or t & v == v]
 
 
@@ -88,8 +83,8 @@ def build_flip_graph(region: Region,
     # a nonzero count has proved the region tiles
     masks = list(_backtrack_masks(region)) if total else []
     node = {m: i for i, m in enumerate(masks)}.__getitem__
-    table = _flip_table(region)
-    offsets, targets = _pack(sorted(map(node, _flips(table, m)))
+    blocks = region.flip_blocks.values()
+    offsets, targets = _pack(sorted(map(node, _flips(blocks, m)))
                              for m in masks)
     return FlipGraph(region, masks, offsets, targets)
 
@@ -108,7 +103,7 @@ def distance_bfs(region: Region, t1: Tiling, t2: Tiling,
     """
     _check_tilings(region, t1, t2)
     _check_budget(region, budget)
-    table = _flip_table(region)
+    blocks = region.flip_blocks.values()
     near, far = [region.encode(t1)], [region.encode(t2)]
     near_seen, far_seen = set(near), set(far)
     if near_seen == far_seen:
@@ -120,7 +115,7 @@ def distance_bfs(region: Region, t1: Tiling, t2: Tiling,
         levels += 1
         frontier, near = near, []
         for m in frontier:
-            for n in _flips(table, m):
+            for n in _flips(blocks, m):
                 if n in far_seen:
                     return levels
                 if n not in near_seen:

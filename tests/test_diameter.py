@@ -121,6 +121,14 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             diameter_rectangle_closed(5, 3)  # odd cell count
 
+    def test_rectangle_polynomial_is_its_ring_sum(self):
+        for m in range(1, 81):
+            for n in range(1, m + 1):
+                if m * n % 2 == 0:
+                    ring_sum = sum((n - (2 * i - 1)) * (m - (2 * i - 1))
+                                   for i in range(1, (n + 1) // 2 + 1))
+                    assert diameter_rectangle_closed(m, n) == ring_sum, (m, n)
+
     @pytest.mark.parametrize("n,value", [(1, 1), (2, 5), (4, 30)])
     def test_aztec(self, n, value):
         assert diameter_aztec_closed(n) == value

@@ -156,6 +156,23 @@ class TestBijection:
             return
         assert is_valid_tiling(region, tiling)
 
+    @given(tileable_discs(6), st.data())
+    def test_labels_round_trip_on_discs(self, cells, data):
+        # the round trip holds every edge to its step, so it checks that
+        # the one walk labels every vertex as the tiling demands
+        region = Region(cells)
+        tiling = first_tiling(region)
+        tilings = [tiling]
+        for _ in range(data.draw(st.integers(1, 6))):
+            anchors = available_flips(region, tiling)
+            if not anchors:
+                break
+            tiling = apply_flip(region, tiling,
+                                data.draw(st.sampled_from(anchors)))
+            tilings.append(tiling)
+        for t in tilings:
+            assert tiling_from_height(region, height_function(region, t)) == t
+
     def test_missing_vertex_rejected(self):
         r = make_rectangle(2, 2)
         h = height_function(r, enumerate_tilings(r)[0])
