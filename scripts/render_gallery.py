@@ -22,17 +22,19 @@ def main():
     parser.add_argument("--cell-size", type=int, default=24)
     args = parser.parse_args()
 
-    region = ShapeSpec(args.shape).region
+    try:  # a bad shape, or a cell size the pictures cannot take
+        region = ShapeSpec(args.shape).region
+        tmin, tmax = extremal_tilings(region)
+        pictures = {
+            "tmin.svg": render_tiling(region, tmin, args.cell_size),
+            "tmax.svg": render_tiling(region, tmax, args.cell_size),
+            "cycles.svg": render_cycles(region, tmax, tmin, args.cell_size),
+            "filling.svg": render_filling(region, tmax, tmin, args.cell_size),
+        }
+    except ValueError as exc:
+        parser.error(str(exc))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tmin, tmax = extremal_tilings(region)
-
-    pictures = {
-        "tmin.svg": render_tiling(region, tmin, args.cell_size),
-        "tmax.svg": render_tiling(region, tmax, args.cell_size),
-        "cycles.svg": render_cycles(region, tmax, tmin, args.cell_size),
-        "filling.svg": render_filling(region, tmax, tmin, args.cell_size),
-    }
     for name, svg in pictures.items():
         path = out / name
         path.write_text(svg, encoding="utf-8")

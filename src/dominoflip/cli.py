@@ -26,10 +26,9 @@ from .surface import (Region, is_simply_connected, make_aztec,
 # does not export.  __getattr__ below imports each on first use, so a job
 # loads only the modules its command needs.  Commands read them as
 # ``_lib.render``, which finds a name replaced on the module too.
-_OWNER = {**_OWNER, "RenderOptions": "render", "render": "render",
-          "cycles_to_json": "cycles", "voxels_to_json": "filling",
-          "is_tileable": "tiling", "extremal_heights": "height",
-          "label_distance": "height"}
+_OWNER = {**_OWNER, "render": "render", "cycles_to_json": "cycles",
+          "voxels_to_json": "filling", "is_tileable": "tiling",
+          "extremal_heights": "height", "label_distance": "height"}
 
 
 def __getattr__(name: str):
@@ -163,13 +162,22 @@ def _load_tiling(path: str, region: Region):
     return tiling
 
 
-def _emit(args, result, plain_lines: list[str]) -> None:
-    if args.json:
-        sys.stdout.write(_json_line({"command": args.command,
-                                     "result": result}))
-    else:
-        for line in plain_lines:
-            print(line)
+def _emit(args, result, rows: list[list]) -> None:
+    # every input is read by now: lift the limit on an int's digits as
+    # text, which bounds their parsing, so counts print at any length
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            sys.stdout.write(_json_line({"command": args.command,
+                                         "result": result}))
+        else:
+            for row in rows:
+                print(" ".join(map(str, row)))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _agree(values: dict) -> int:
@@ -183,12 +191,9 @@ def _agree(values: dict) -> int:
 def cmd_count(args, shape: ShapeSpec) -> int:
     exact = _lib.count_tilings(shape.region)
     result = {"count": exact}
-    lines = [str(exact)]
     if args.closed_form:
-        closed = shape.closed_form_count()
-        result["closed_form"] = closed
-        lines.append(str(closed))
-    _emit(args, result, lines)
+        result["closed_form"] = shape.closed_form_count()
+    _emit(args, result, [[value] for value in result.values()])
     if exact == 0:
         print("warning: region is untileable", file=sys.stderr)
         return EXIT_UNTILEABLE
@@ -214,9 +219,8 @@ def cmd_distance(args, shape: ShapeSpec) -> int:
     if args.emit_path is not None:
         path = _lib.geodesic(region, t1, t2) if path is None else path
         _write(args.emit_path, _json_line({"flips": path}))  # [x, y] each
-    _emit(args, values,
-          [" ".join("unreachable" if values[k] is None else str(values[k])
-                    for k in sorted(values))])
+    _emit(args, values, [["unreachable" if values[k] is None else values[k]
+                          for k in sorted(values)]])
     if any(v is None for v in values.values()):
         print("error: tilings are not flip-connected", file=sys.stderr)
         return EXIT_DISAGREE
@@ -248,8 +252,7 @@ def cmd_diameter(args, shape: ShapeSpec) -> int:
         result["methods"] = values
     if realizers is not None:
         result["realizers"] = realizers
-    _emit(args, result,
-          [" ".join(str(values[k]) for k in sorted(values))])
+    _emit(args, result, [[values[k] for k in sorted(values)]])
     return _agree(values)
 
 
@@ -273,16 +276,15 @@ def cmd_components(args, shape: ShapeSpec) -> int:
         graph = _tileable_graph(region, args.budget)
         sizes = [len(c) for c in _lib.connected_components(graph)]
     _emit(args, {"components": len(sizes), "sizes": sizes},
-          [str(len(sizes)), " ".join(str(s) for s in sizes)])
+          [[len(sizes)], sizes])
     return 0
 
 
 def cmd_render(args, shape: ShapeSpec) -> int:
     region = shape.region
-    options = _lib.RenderOptions(mode=args.mode, cell_size=args.cell_size)
     t1 = _load_tiling(args.t1, region)
     t2 = _load_tiling(args.t2, region) if args.t2 else None
-    _write(args.out, _lib.render(region, options, t1, t2))
+    _write(args.out, _lib.render(region, args.mode, t1, t2, args.cell_size))
     _emit(args, {"written": args.out}, [])
     return 0
 
@@ -296,7 +298,7 @@ def cmd_extremes(args, shape: ShapeSpec) -> int:
         _write(path, _json_line(_lib.tiling_to_json(tiling)))
     spread = _lib.label_distance(*labels)
     _emit(args, {"tmin": paths[0], "tmax": paths[1], "distance": spread},
-          [str(spread)])
+          [[spread]])
     return 0
 
 

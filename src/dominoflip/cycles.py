@@ -8,8 +8,9 @@ into disjoint cycles whose edges alternate between the two tilings.
 Orientation comes from the first tiling: its dominoes point from their
 black cell to their white cell, and around any one cycle those arrows
 all agree with a single traversal direction.  A cycle is positive when
-that traversal runs counterclockwise (positive signed area of the
-polyline through the cell centers).
+that traversal runs counterclockwise, that is when it leaves its
+smallest cell to the right: that cell's two cycle neighbours lie right
+of it and above it, so the polyline turns convexly there.
 
 The value of a lattice vertex is the sum of the winding numbers of the
 cycles round it, a counterclockwise cycle counting +1 and a clockwise
@@ -63,20 +64,13 @@ class ValueMap:
         return sum(map(abs, self.values.values()))
 
 
-def _signed_area_doubled(cells: tuple[Cell, ...]) -> int:
-    """Twice the shoelace area of the center polyline (integer-exact)."""
-    pts = [(2 * x + 1, 2 * y + 1) for x, y in cells]
-    return sum(x1 * y2 - x2 * y1
-               for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
-
-
 def cycle_collection(region: Region, t1: Tiling, t2: Tiling) -> CycleCollection:
     """Cycles left after erasing shared dominoes, oriented by t1.
 
-    Traversal starts from the lexicographically smallest cell not yet
-    visited, walks t1 dominoes black to white, and alternates with t2
-    dominoes; each stored cycle is rotated to begin at its smallest
-    cell so output is deterministic.
+    Traversal starts from the smallest cell not yet visited, the
+    smallest of its cycle, walks t1 dominoes black to white, and
+    alternates with t2 dominoes; each cycle is stored from that cell,
+    so output is deterministic and the first step gives the orientation.
     """
     _check_tilings(region, t1, t2)
     p1, p2 = partner_map(t1), partner_map(t2)
@@ -85,14 +79,12 @@ def cycle_collection(region: Region, t1: Tiling, t2: Tiling) -> CycleCollection:
     for cell in sorted(region.cells):
         if cell in visited:
             continue
-        seq: list[Cell] = []
-        black = cell if is_black(cell) else p1[cell]
-        while not seq or black != seq[0]:  # t1 black to white, t2 back
-            seq += black, p1[black]
-            black = p2[seq[-1]]
-        start = seq.index(min(seq))
-        seq = seq[start:] + seq[:start]
-        orientation = 1 if _signed_area_doubled(tuple(seq)) > 0 else -1
+        seq = [cell]  # t1 black to white, t2 back
+        step, back = (p1, p2) if is_black(cell) else (p2, p1)
+        while (nxt := step[seq[-1]]) != cell:
+            seq.append(nxt)
+            step, back = back, step
+        orientation = 1 if seq[1][1] == cell[1] else -1  # right, or up
         cycles.append(OrientedCycle(tuple(seq), orientation))
         visited.update(seq)
     return tuple(cycles)

@@ -5,7 +5,7 @@ the black cell on its right, so edges run clockwise around black cells
 and counterclockwise around white ones.  Walking an edge positively
 raises the label by 1 when no domino crosses the edge, and lowers it by
 3 when the edge lies inside a domino.  Labels are anchored at 0 on the
-base vertex, the lexicographically smallest boundary vertex.
+base vertex, the lower-left corner of the smallest cell.
 
 On a simply connected region this pins a unique labeling per tiling.
 Every tiling gives the boundary the labels of a walk round it, as no
@@ -33,8 +33,8 @@ HeightValues = dict[Vertex, int]
 
 
 def base_vertex(region: Region) -> Vertex:
-    """The canonical base: lexicographically smallest boundary vertex."""
-    return min(region.boundary_vertices)
+    """The smallest vertex, a boundary one: the smallest cell's corner."""
+    return min(region.cells)
 
 
 def height_function(region: Region, tiling: Tiling) -> HeightValues:
@@ -125,11 +125,12 @@ def extremal_heights(region: Region) -> tuple[HeightValues, HeightValues]:
     The edge rules bound each step: positively by at most +1, against
     the direction by at most +3.  So the greatest label of a vertex is
     the least, over boundary vertices b, of h(b) plus the cheapest path
-    from b, with those bounds as step costs; a Dijkstra pass from every
-    boundary vertex at once finds it.  The least labeling is the mirror:
-    labels negated, the two costs swapped.  The region tiles exactly
-    when the boundary walk closes, each edge stepping by its sign, and
-    neither pass moves a boundary label.
+    from b, with those bounds as step costs; a Dijkstra pass from the
+    labels of the boundary walk, which with no hole passes through every
+    boundary vertex, finds it.  The least labeling is the mirror: labels
+    negated, the two costs swapped.  The region tiles exactly when the
+    boundary walk closes, each edge stepping by its sign, and neither
+    pass moves a boundary label.
     """
     if not is_simply_connected(region):
         raise UnsupportedRegionError(
@@ -141,7 +142,7 @@ def extremal_heights(region: Region) -> tuple[HeightValues, HeightValues]:
         raise UntileableError("region has no tiling")
     h_min, h_max = {}, {}
     for sign, best in ((-1, h_min), (1, h_max)):
-        heap = [(sign * values[b], b) for b in region.boundary_vertices]
+        heap = [(sign * h, b) for b, h in values.items()]
         heapify(heap)
         while heap:
             d, u = heappop(heap)
@@ -178,7 +179,7 @@ def geodesic(region: Region, t1: Tiling, t2: Tiling) -> list[Vertex]:
     anchors = sorted(region.interior_vertices)
     n = len(anchors)
     # interior vertices by rank, then the boundary ones
-    rank = {v: i for i, v in enumerate([*anchors, *region.boundary_vertices])}
+    rank = {v: i for i, v in enumerate(dict.fromkeys([*anchors, *h1]))}
     adj = region.vertex_edges
     around = [tuple(rank[v] for v, _, _ in adj[u]) for u in anchors]
     near = [[i, *(j for j in around[i] if j < n)] for i in range(n)]

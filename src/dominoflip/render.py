@@ -3,6 +3,8 @@ filling shapes (the latter as isometric cube stacks)."""
 
 from __future__ import annotations
 
+from math import isfinite
+
 from .surface import Region, is_black
 from .tiling import Tiling
 
@@ -13,17 +15,19 @@ POSITIVE = "#1f6feb"
 NEGATIVE = "#d73a49"
 
 
-class RenderOptions:
-    def __init__(self, mode: str = "tiling", cell_size: int = 24):
-        if cell_size <= 0:
-            raise ValueError("cell size must be positive")
-        if mode not in ("tiling", "cycles", "filling"):
-            raise ValueError(f"unknown render mode {mode!r}")
-        self.mode = mode  # tiling | cycles | filling
-        self.cell_size = cell_size
+def _scale(cell_size: int) -> float:
+    """The cell size as a float, refused unless it is positive."""
+    if not cell_size > 0:
+        raise ValueError("cell size must be positive")
+    try:
+        return float(cell_size)
+    except OverflowError:
+        raise ValueError("cell size too large to draw") from None
 
 
 def _fmt(value: float) -> str:
+    if not isfinite(value):  # every coordinate passes here
+        raise ValueError("cell size too large to draw")
     return f"{value:.1f}"
 
 
@@ -38,7 +42,7 @@ class _Board:
     """Shared planar mapping: lattice (x, y) to screen, y axis flipped."""
 
     def __init__(self, region: Region, cell_size: int):
-        self.s = float(cell_size)
+        self.s = _scale(cell_size)
         x0, y0, x1, y1 = region.bounds
         self.x0 = x0
         self.y1 = y1
@@ -84,9 +88,7 @@ def _arrowhead(board: _Board, a, b, color: str) -> str:
     ax, ay = board.point(a[0] + 0.5, a[1] + 0.5)
     bx, by = board.point(b[0] + 0.5, b[1] + 0.5)
     mx, my = (ax + bx) / 2, (ay + by) / 2
-    dx, dy = (bx - ax), (by - ay)
-    norm = (dx * dx + dy * dy) ** 0.5
-    ux, uy = dx / norm, dy / norm
+    ux, uy = b[0] - a[0], a[1] - b[1]  # a unit step, y flipped on screen
     size = board.s * 0.22
     tip = (mx + ux * size, my + uy * size)
     left = (mx - ux * size - uy * size * 0.7, my - uy * size + ux * size * 0.7)
@@ -128,7 +130,7 @@ def render_filling(region: Region, t1: Tiling, t2: Tiling,
     """Cube stacks of the filling shape over a flat plate of the region."""
     from .filling import export_voxels, filling_shape  # only this mode
 
-    u = float(cell_size) * 0.5
+    u = _scale(cell_size) * 0.5
     voxels = export_voxels(filling_shape(region, t1, t2))
     x0, y0, x1, y1 = region.bounds
     zs = [v[2] for v in voxels] or [0]
@@ -165,13 +167,14 @@ def render_filling(region: Region, t1: Tiling, t2: Tiling,
     return _document(width, height, body)
 
 
-def render(region: Region, options: RenderOptions, t1: Tiling,
-           t2: Tiling | None = None) -> str:
+def render(region: Region, mode: str, t1: Tiling, t2: Tiling | None = None,
+           cell_size: int = 24) -> str:
     """Dispatch on the render mode; cycles and filling need both tilings."""
-    if options.mode == "tiling":
-        return render_tiling(region, t1, options.cell_size)
+    if mode == "tiling":
+        return render_tiling(region, t1, cell_size)
+    if mode not in ("cycles", "filling"):
+        raise ValueError(f"unknown render mode {mode!r}")
     if t2 is None:
-        raise ValueError(f"mode {options.mode!r} needs two tilings")
-    if options.mode == "cycles":
-        return render_cycles(region, t1, t2, options.cell_size)
-    return render_filling(region, t1, t2, options.cell_size)
+        raise ValueError(f"mode {mode!r} needs two tilings")
+    draw = render_cycles if mode == "cycles" else render_filling
+    return draw(region, t1, t2, cell_size)

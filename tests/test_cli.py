@@ -1,6 +1,8 @@
 import json
 import re
+import sys
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,6 +22,23 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def int_digit_limit() -> int:
+    """Python's limit on an int's digits as text; 0 when it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextmanager
+def ints_of_any_length():
+    limit = int_digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def mutilated_board(tmp_path):
@@ -148,6 +167,44 @@ class TestCount:
         code, _, err = run(capsys, "count", "--shape", "pentagon:3")
         assert code == 3
         assert "shape" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+    @pytest.mark.parametrize("command", ["count", "components"])
+    def test_counts_print_at_any_length(self, capsys, command, flags):
+        # rect:2xn has F(n + 1) tilings: 4,389 digits for n = 21,000,
+        # past the 4,300 digits Python turns into text by default
+        limit = int_digit_limit()
+        code, out, err = run(capsys, command, "--shape", "rect:2x21000",
+                             *flags)
+        assert (code, err) == (0, "")
+        assert int_digit_limit() == limit  # put back once written
+        a, b = 0, 1
+        for _ in range(21001):
+            a, b = b, a + b
+        with ints_of_any_length():
+            assert len(str(a)) > 4300
+            if command == "count":
+                expected, result = f"{a}\n", {"count": a}
+            else:
+                expected, result = f"1\n{a}\n", {"components": 1, "sizes": [a]}
+            if flags:
+                assert json.loads(out) == {"command": command,
+                                           "result": result}
+            else:
+                assert out == expected
+
+    @pytest.mark.parametrize("where", ["budget", "shape", "file"])
+    def test_huge_input_integers_still_exit_3(self, capsys, tmp_path, where):
+        # inputs keep the digit limit, which bounds the time to parse them
+        huge = "9" * 6000
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"cells": [[0, 0], [{huge}, 0]]}}')
+        shape = {"budget": "rect:2x2", "shape": f"rect:2x{huge}",
+                 "file": f"file:{path}"}[where]
+        budget = ["--budget", huge] if where == "budget" else []
+        code, out, err = run(capsys, "count", "--shape", shape, *budget)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
 
 
 class TestDistance:
@@ -537,6 +594,43 @@ class TestRenderAndExtremes:
                              "--out", str(out_path))
             assert code == 0
             assert out_path.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("size, message", [
+        ("0", "cell size must be positive"),
+        ("-1", "cell size must be positive"),
+        (str(10 ** 308), "cell size too large to draw"),
+        (str(10 ** 400), "cell size too large to draw"),
+    ], ids=["0", "-1", "1e308", "1e400"])
+    @pytest.mark.parametrize("mode", ["tiling", "cycles", "filling"])
+    def test_bad_cell_size_exits_3(self, capsys, tmp_path, fixtures_dir,
+                                   mode, size, message):
+        out_path = tmp_path / "x.svg"
+        code, out, err = run(
+            capsys, "render", "--shape", "rect:6x2", "--mode", mode,
+            "--t1", str(fixtures_dir / "brick_6x2.json"),
+            "--t2", str(fixtures_dir / "staggered_6x2.json"),
+            f"--cell-size={size}", "--out", str(out_path))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+        assert not out_path.exists()
+
+    def test_bad_tiling_reported_before_a_bad_cell_size(
+            self, capsys, tmp_path, fixtures_dir):
+        code, _, err = run(
+            capsys, "render", "--shape", "rect:6x2",
+            "--t1", str(fixtures_dir / "pair_7x4_a.json"),
+            "--cell-size", "0", "--out", str(tmp_path / "x.svg"))
+        assert code == 3
+        assert err == (f"error: {fixtures_dir / 'pair_7x4_a.json'} is not a "
+                       "valid tiling of the region\n")
+
+    def test_400_digit_cell_size_in_a_child(self, tmp_path, fixtures_dir):
+        done = run_capped("-m", "dominoflip.cli", "render", "--shape",
+                          "rect:6x2", "--t1",
+                          str(fixtures_dir / "brick_6x2.json"),
+                          "--cell-size", str(10 ** 400),
+                          "--out", str(tmp_path / "x.svg"), timeout=30)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", "error: cell size too large to draw\n")
 
     def test_extremes_square_4_distance_10(self, capsys, tmp_path):
         code, out, _ = run(capsys, "extremes", "--shape", "square:4",

@@ -72,8 +72,8 @@ def files(tmp_path_factory):
 
 
 OUT_OF_RANGE = st.sampled_from(
-    ["-1", "0", "99999999999", "99999999999999999999", "x", "", "1.5",
-     "0x10", " 3"])
+    ["-1", "0", "99999999999", "99999999999999999999", str(10 ** 400), "x",
+     "", "1.5", "0x10", " 3"])
 INTEGERS = st.one_of(st.integers(1, 40).map(str), OUT_OF_RANGE)
 METHODS = {"distance": ["bfs", "height", "cycles", "all"],
            "diameter": ["bfs", "levels", "closed", "all"]}

@@ -1,15 +1,19 @@
-from hypothesis import given
+from functools import cache
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dominoflip import (bfs_distances, build_flip_graph, cycle_collection,
+from dominoflip import (apply_flip, available_flips, bfs_distances,
+                        build_flip_graph, cycle_collection,
                         connected_components, distance_cycles,
-                        enumerate_tilings, height_function, is_black,
-                        make_aztec, make_from_cells, make_holed_square,
-                        make_rectangle, value_map)
+                        enumerate_tilings, first_tiling, height_function,
+                        is_black, make_aztec, make_from_cells,
+                        make_holed_square, make_rectangle, value_map)
 from dominoflip.cycles import cycles_to_json
 from dominoflip.tiling import partner_map
 
-from conftest import load_tiling
+from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, region_grid,
+                      tileable_discs)
 
 # the 6x6 board minus its central 2x2 block: a cycle round the hole
 # winds round (3, 3), which is not a vertex of the region
@@ -42,6 +46,72 @@ def ray_winding(cycle, vertex):
         if x1 == x2 and 2 * x1 + 1 > 2 * x and lo < 2 * y < hi:
             winding += 1 if y2 > y1 else -1
     return winding
+
+
+def shoelace_sign(cells):
+    """Oracle: the sign of the signed area of the polyline through the
+    cell centres, in doubled coordinates so the sum is exact."""
+    pts = [(2 * x + 1, 2 * y + 1) for x, y in cells]
+    area = sum(x1 * y2 - x2 * y1
+               for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+    assert area  # a cycle of distinct cells bounds a polygon
+    return 1 if area > 0 else -1
+
+
+@cache
+def holed_regions():
+    """Small regions with holes, each with all of its tilings, so pairs
+    from different flip components, with cycles round a hole, occur."""
+    regions = [make_holed_square(3), make_holed_square(5), HOLED_BOARD,
+               *(region_grid(6, 6, " ".join(rows))
+                 for rows in TILEABLE_CORNER_PINCHES)]
+    return [(r, enumerate_tilings(r)) for r in regions]
+
+
+@st.composite
+def tiling_pairs(draw):
+    """A region and two of its tilings: any two tilings of a small holed
+    region, or two random flip walks from the first tiling of the 7x7
+    holed square or of a simply connected region."""
+    if draw(st.booleans()):
+        region, tilings = draw(st.sampled_from(holed_regions()))
+        return (region, draw(st.sampled_from(tilings)),
+                draw(st.sampled_from(tilings)))
+    region = draw(st.one_of(st.just(make_holed_square(7)),
+                            tileable_discs(7).map(make_from_cells)))
+    pair = []
+    for _ in range(2):
+        t = first_tiling(region)
+        for _ in range(draw(st.integers(0, 40))):
+            flips = available_flips(region, t)
+            if not flips:
+                break
+            t = apply_flip(region, t, draw(st.sampled_from(flips)))
+        pair.append(t)
+    return (region, *pair)
+
+
+class TestOrientation:
+    @settings(max_examples=150)
+    @given(tiling_pairs())
+    def test_first_step_gives_the_shoelace_sign(self, pair):
+        region, t1, t2 = pair
+        for cycle in cycle_collection(region, t1, t2):
+            assert cycle.cells[0] == min(cycle.cells)
+            assert cycle.orientation == shoelace_sign(cycle.cells)
+
+    def test_cycles_round_a_hole_take_both_signs(self):
+        # pairs across the flip components of the holed 5x5 square
+        r = make_holed_square(5)
+        g = build_flip_graph(r)
+        small = [c[0] for c in connected_components(g) if len(c) == 1]
+        signs = set()
+        for i in small:
+            for j in (0, *small):
+                for cycle in cycle_collection(r, g.nodes[i], g.nodes[j]):
+                    assert cycle.orientation == shoelace_sign(cycle.cells)
+                    signs.add(cycle.orientation)
+        assert signs == {-1, 1}
 
 
 class TestCollection:

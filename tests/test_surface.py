@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dominoflip.surface
-from dominoflip import (Region, bfs_distances, build_flip_graph,
+from dominoflip import (Region, base_vertex, bfs_distances, build_flip_graph,
                         connected_components, cycle_collection,
                         distance_cycles, distance_height, enumerate_tilings,
                         export_voxels, extremal_tilings, filling_shape,
@@ -17,7 +17,7 @@ from dominoflip import (Region, bfs_distances, build_flip_graph,
                         tiling_from_height)
 from dominoflip.diameter import _vertex_levels
 from dominoflip.height import extremal_heights, label_distance
-from dominoflip.render import RenderOptions, render
+from dominoflip.render import render
 from dominoflip.surface import _connected, cell_corners
 from dominoflip.tiling import is_tileable
 
@@ -143,6 +143,12 @@ class TestVertexCounts:
             for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
                 if nb in r.cells:
                     assert is_black((x, y)) != is_black(nb)
+
+    @given(st.one_of(cells_strategy, punched_boxes(6)))
+    def test_base_vertex_is_the_smallest_boundary_vertex(self, cells):
+        # holed and disconnected regions too
+        r = make_from_cells(cells)
+        assert base_vertex(r) == min(r.boundary_vertices) == min(r.vertex_set)
 
 
 class TestSimplyConnected:
@@ -354,6 +360,30 @@ class TestTablesBuilt:
             assert not any(name in r.__dict__ for name in self.VERTEX_SETS)
             assert "dominoes" not in r.__dict__
 
+    @pytest.mark.parametrize("shape", [make_rectangle(6, 6), make_aztec(3)],
+                             ids=["6x6", "aztec3"])
+    def test_label_routes_build_no_boundary_or_interior_set(self, shape):
+        # labels start at the smallest cell's corner and the extremes'
+        # passes start from the boundary walk's labels, so only the
+        # geodesic, which ranks the interior vertices, builds either set
+        tmin, tmax = extremal_tilings(shape)
+        routes = {
+            "height_function": lambda r: height_function(r, tmin),
+            "distance_height": lambda r: distance_height(r, tmin, tmax),
+            "join": lambda r: join(r, tmin, tmax),
+            "meet": lambda r: meet(r, tmin, tmax),
+            "extremal_heights": extremal_heights,
+            "extremal_tilings": extremal_tilings,
+            "lattice spread": lambda r: label_distance(*extremal_heights(r)),
+            "geodesic": lambda r: geodesic(r, tmin, tmax),
+        }
+        for name, route in routes.items():
+            r = Region(shape.cells)
+            assert route(r), name
+            built = self.VERTEX_SETS[1:] & r.__dict__.keys()
+            assert built == ({"interior_vertices"} if name == "geodesic"
+                             else set()), name
+
     def test_labels_and_pictures_build_no_domino_table(self):
         # only the mask code (enumeration, flip graphs, the two-ended
         # search, flips and realizers) builds Region.dominoes
@@ -368,7 +398,7 @@ class TestTablesBuilt:
         assert len(height_function(r, tmin)) == 49
         assert len(cycle_collection(r, tmin, tmax)) == 3
         for mode in ("tiling", "cycles", "filling"):
-            assert render(r, RenderOptions(mode=mode), tmin, tmax)
+            assert render(r, mode, tmin, tmax)
         assert "dominoes" not in r.__dict__
 
 
