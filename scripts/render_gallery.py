@@ -9,7 +9,7 @@ Usage:
 import argparse
 from pathlib import Path
 
-from dominoflip import extremal_tilings
+from dominoflip import DominoError, extremal_tilings
 from dominoflip.cli import ShapeSpec
 from dominoflip.render import render_cycles, render_filling, render_tiling
 
@@ -22,7 +22,7 @@ def main():
     parser.add_argument("--cell-size", type=int, default=24)
     args = parser.parse_args()
 
-    try:  # a bad shape, or a cell size the pictures cannot take
+    try:  # a bad, untileable or oversized shape, or a bad cell size
         region = ShapeSpec(args.shape).region
         tmin, tmax = extremal_tilings(region)
         pictures = {
@@ -31,7 +31,7 @@ def main():
             "cycles.svg": render_cycles(region, tmax, tmin, args.cell_size),
             "filling.svg": render_filling(region, tmax, tmin, args.cell_size),
         }
-    except ValueError as exc:
+    except (ValueError, DominoError) as exc:
         parser.error(str(exc))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -26,7 +26,7 @@ from heapq import heapify, heappop, heappush
 
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
                      UntileableError)
-from .surface import Region, Vertex, is_simply_connected
+from .surface import Region, Vertex, is_simply_connected, vertex_edges
 from .tiling import Tiling, _check_tilings
 
 HeightValues = dict[Vertex, int]
@@ -60,13 +60,14 @@ def _labels(region: Region, tiling: Tiling) -> HeightValues:
 def _walk(region: Region, tiling: Tiling | None) -> HeightValues:
     """Labels from 0 at the base vertex, breadth first along the edges
     that no domino of the tiling crosses, each step by its edge's sign;
-    with no tiling, along the boundary edges alone."""
-    adj = region.vertex_edges
+    with no tiling, along the boundary edges alone.  A vertex's edges are
+    read off its cells once, when the walk reaches it."""
+    cells = region.cells
     values: HeightValues = {base_vertex(region): 0}
     queue = list(values)
     for u in queue:  # the list grows behind the loop, as a FIFO queue
         hu = values[u]
-        for v, sign, flank in adj[u]:
+        for v, sign, flank in vertex_edges(cells, u):
             if v not in values and (flank is None or tiling is not None
                                     and flank not in tiling):
                 values[v] = hu + sign
@@ -92,13 +93,14 @@ def tiling_from_height(region: Region, values: HeightValues) -> Tiling:
 
     The edge rules alone make it a tiling: a cell's four edges, walked
     positively, close a loop whose steps of +1 or -3 sum to 0, so
-    exactly one of them is a -3 edge, with a domino across it."""
+    exactly one of them is a -3 edge, with a domino across it.  Edges
+    are checked in the labels' key order, each from its positive end."""
     if values.keys() != region.vertex_set:
         raise InvalidHeightError("labels must cover exactly the region vertices")
     dominoes: set = set()
-    for u, edges in region.vertex_edges.items():
-        for v, sign, flank in edges:
-            if sign == 1 and (step := values[v] - values[u]) != 1:
+    for u, hu in values.items():
+        for v, sign, flank in vertex_edges(region.cells, u):
+            if sign == 1 and (step := values[v] - hu) != 1:
                 if step != -3 or flank is None:
                     raise InvalidHeightError(f"edge {u}->{v} steps by {step}; "
                                              "edge rules allow +1 or -3")
@@ -130,15 +132,16 @@ def extremal_heights(region: Region) -> tuple[HeightValues, HeightValues]:
     boundary vertex, finds it.  The least labeling is the mirror: labels
     negated, the two costs swapped.  The region tiles exactly when the
     boundary walk closes, each edge stepping by its sign, and neither
-    pass moves a boundary label.
+    pass moves a boundary label.  A pass reads a vertex's edges once, as
+    it settles the vertex.
     """
     if not is_simply_connected(region):
         raise UnsupportedRegionError(
             "extremal tilings need a simply connected region")
     values = _walk(region, None)  # the boundary edges alone
-    adj = region.vertex_edges
+    cells = region.cells
     if any(values[v] - h != sign for u, h in values.items()
-           for v, sign, flank in adj[u] if flank is None):
+           for v, sign, flank in vertex_edges(cells, u) if flank is None):
         raise UntileableError("region has no tiling")
     h_min, h_max = {}, {}
     for sign, best in ((-1, h_min), (1, h_max)):
@@ -149,7 +152,7 @@ def extremal_heights(region: Region) -> tuple[HeightValues, HeightValues]:
             if u in best:
                 continue
             best[u] = sign * d
-            for v, edge_sign, _ in adj[u]:
+            for v, edge_sign, _ in vertex_edges(cells, u):
                 if v not in best:
                     heappush(heap, (d + 2 - sign * edge_sign, v))  # 1 or 3
         if any(best[b] != h for b, h in values.items()):
@@ -167,21 +170,21 @@ def geodesic(region: Region, t1: Tiling, t2: Tiling) -> list[Vertex]:
     pointwise-max tiling with monotone heights on each leg.
 
     Neighbouring labels differ by 1 or 3, so a flip at an interior
-    vertex raises its label by 4 exactly when the label is below all
-    four neighbours', and lowers it by 4 exactly when above all four.
-    Each step flips the lexicographically smallest interior vertex whose
-    label that moves toward the leg's target, so the path is
-    deterministic.  Only a flipped vertex and its four neighbours are
-    checked again after a flip; a heap of the ranks that qualify yields
-    the smallest.
+    vertex raises its label by 4 exactly when the label is below its
+    four lattice neighbours', and lowers it by 4 exactly when above all
+    four; no edge data is read.  Each step flips the lexicographically
+    smallest interior vertex whose label that moves toward the leg's
+    target, so the path is deterministic.  Only a flipped vertex and its
+    four neighbours are checked again after a flip; a heap of the ranks
+    that qualify yields the smallest.
     """
     h1, h2 = _labels(region, t1), _labels(region, t2)
     anchors = sorted(region.interior_vertices)
     n = len(anchors)
     # interior vertices by rank, then the boundary ones
     rank = {v: i for i, v in enumerate(dict.fromkeys([*anchors, *h1]))}
-    adj = region.vertex_edges
-    around = [tuple(rank[v] for v, _, _ in adj[u]) for u in anchors]
+    around = [(rank[x + 1, y], rank[x - 1, y], rank[x, y + 1], rank[x, y - 1])
+              for x, y in anchors]
     near = [[i, *(j for j in around[i] if j < n)] for i in range(n)]
     labels = [h1[v] for v in rank]
     moves: list[Vertex] = []

@@ -47,12 +47,15 @@ class _Board:
         self.x0 = x0
         self.y1 = y1
         self.margin = self.s
-        self.width = (x1 - x0 + 1) * self.s + 2 * self.margin
-        self.height = (y1 - y0 + 1) * self.s + 2 * self.margin
+        try:  # points take the corner off first, so none exceeds the span
+            self.width = (x1 - x0 + 1) * self.s + 2 * self.margin
+            self.height = (y1 - y0 + 1) * self.s + 2 * self.margin
+        except OverflowError:
+            raise ValueError("region too wide to draw") from None
 
-    def point(self, x: float, y: float) -> tuple[float, float]:
-        return (self.margin + (x - self.x0) * self.s,
-                self.margin + (self.y1 + 1 - y) * self.s)
+    def point(self, x: int, y: int, shift: float = 0.0) -> tuple[float, float]:
+        return (self.margin + (x - self.x0 + shift) * self.s,
+                self.margin + (self.y1 + 1 - y - shift) * self.s)
 
     def cell_rect(self, cell, fill: str, stroke: str, width: float) -> str:
         px, py = self.point(cell[0], cell[1] + 1)
@@ -85,8 +88,8 @@ def render_tiling(region: Region, tiling: Tiling, cell_size: int = 24) -> str:
 
 def _arrowhead(board: _Board, a, b, color: str) -> str:
     """Small triangle at the midpoint of the step a -> b."""
-    ax, ay = board.point(a[0] + 0.5, a[1] + 0.5)
-    bx, by = board.point(b[0] + 0.5, b[1] + 0.5)
+    ax, ay = board.point(*a, 0.5)
+    bx, by = board.point(*b, 0.5)
     mx, my = (ax + bx) / 2, (ay + by) / 2
     ux, uy = b[0] - a[0], a[1] - b[1]  # a unit step, y flipped on screen
     size = board.s * 0.22
@@ -108,8 +111,8 @@ def render_cycles(region: Region, t1: Tiling, t2: Tiling,
     for cycle in cycle_collection(region, t1, t2):
         color = POSITIVE if cycle.orientation > 0 else NEGATIVE
         pts = " ".join(
-            "{},{}".format(*map(_fmt, board.point(x + 0.5, y + 0.5)))
-            for x, y in cycle.cells)
+            "{},{}".format(*map(_fmt, board.point(*cell, 0.5)))
+            for cell in cycle.cells)
         body.append(f'<polygon points="{pts}" fill="none" '
                     f'stroke="{color}" stroke-width="2.5"/>')
         body.append(_arrowhead(board, cycle.cells[0], cycle.cells[1], color))
@@ -117,8 +120,11 @@ def render_cycles(region: Region, t1: Tiling, t2: Tiling,
 
 
 # isometric projection: +x runs right-down, +y left-down, +z straight up
-def _iso(u: float, x: float, y: float, z: float) -> tuple[float, float]:
-    return ((x - y) * u, (x + y) * u * 0.5 - z * u * 0.9)
+def _iso(u: float, x: int, y: int, z: int) -> tuple[float, float]:
+    try:
+        return ((x - y) * u, (x + y) * u * 0.5 - z * u * 0.9)
+    except OverflowError:  # coordinates past the float range
+        raise ValueError("region too far out to draw") from None
 
 
 _TOP_ABOVE, _LEFT_ABOVE, _RIGHT_ABOVE = "#f5f5f5", "#c8c8c8", "#9a9a9a"

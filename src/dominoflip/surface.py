@@ -8,19 +8,18 @@ dual-adjacent when they share a unit edge (the cells are the vertices
 of the dual graph).
 
 The corner points of cells are the vertices of the region.  A vertex is
-interior when all four cells around it are present; every other vertex
-lies on the topological boundary of the union of cells.
+interior when all four cells around it are present, else a boundary one;
+its unit edges are a rule on its coordinates and cells (``vertex_edges``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import compress
 
 Cell = tuple[int, int]
 Vertex = tuple[int, int]
-EdgeInfo = tuple[Vertex, int, tuple[Cell, Cell] | None]
 
 # binary digits "0" and "1" as the bytes 0 and 1, for itertools.compress
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -40,6 +39,25 @@ def cells_around(vertex: Vertex) -> tuple[Cell, Cell, Cell, Cell]:
     """The four cell slots around a lattice vertex: ll, lr, ul, ur."""
     x, y = vertex
     return ((x - 1, y - 1), (x, y - 1), (x - 1, y), (x, y))
+
+
+def vertex_edges(cells: frozenset[Cell], u: Vertex) -> Iterator[tuple]:
+    """(neighbor, sign, crossing domino) per unit edge at u = (x, y) that
+    borders a cell.  The sign is +1 when u -> neighbor keeps the black
+    cell on the right: horizontally when x + y is odd, vertically when
+    even.  The domino is the cells flanking the edge, or None if one is not."""
+    x, y = u
+    ll, lr, ul, ur = cells_around(u)
+    a, b, c, d = ll in cells, lr in cells, ul in cells, ur in cells
+    s = 1 if (x + y) % 2 else -1  # of the horizontal edges
+    if b or d:
+        yield (x + 1, y), s, (lr, ur) if b and d else None
+    if a or c:
+        yield (x - 1, y), s, (ll, ul) if a and c else None
+    if c or d:
+        yield (x, y + 1), -s, (ul, ur) if c and d else None
+    if a or b:
+        yield (x, y - 1), -s, (ll, lr) if a and b else None
 
 
 class Region:
@@ -135,34 +153,6 @@ class Region:
             s = min(map(min, pairs))
             blocks[v] = (s, *((1 << a - s) | (1 << b - s) for a, b in pairs))
         return blocks
-
-    @cached_property
-    def vertex_edges(self) -> dict[Vertex, tuple[EdgeInfo, ...]]:
-        """Per vertex: (neighbor, orientation sign, crossing domino)
-        triples.  The sign is +1 when vertex -> neighbor keeps the black
-        cell on the right; the domino is None on the boundary.  Each
-        unit edge is listed once, by the cell that owns it: its lower and
-        left edges, and its upper and right ones when no cell lies across.
-        The edge (x, y) -> (x + 1, y) is positive when x + y is odd, and
-        a lower or left edge is crossed by (cell across, cell) if any."""
-        cells = self.cells
-        adj: dict[Vertex, list[EdgeInfo]] = {v: [] for v in self.vertex_set}
-
-        def link(u: Vertex, v: Vertex, sign: int, flank) -> None:
-            adj[u].append((v, sign, flank))
-            adj[v].append((u, -sign, flank))
-
-        for cell in cells:
-            x, y = cell
-            sign = 1 if (x + y) % 2 else -1  # of the lower edge
-            below, left = (x, y - 1), (x - 1, y)
-            link(cell, (x + 1, y), sign, (below, cell) if below in cells else None)
-            link(cell, (x, y + 1), -sign, (left, cell) if left in cells else None)
-            if (x, y + 1) not in cells:
-                link((x, y + 1), (x + 1, y + 1), -sign, None)
-            if (x + 1, y) not in cells:
-                link((x + 1, y), (x + 1, y + 1), sign, None)
-        return {v: tuple(edges) for v, edges in adj.items()}
 
     @cached_property
     def bounds(self) -> tuple[int, int, int, int]:

@@ -1,4 +1,5 @@
 import json
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import assume, given
@@ -15,6 +16,7 @@ from dominoflip import (DominoError, InvalidHeightError, Region,
                         region_from_json, tiling_from_height,
                         tiling_from_json)
 from dominoflip.height import extremal_heights, label_distance
+from dominoflip.surface import cell_corners
 from dominoflip.tiling import is_tileable
 
 from conftest import FIXTURES, load_tiling, punched_boxes, tileable_discs
@@ -87,7 +89,7 @@ class TestHeightFunction:
         # cells no other test uses, so no equal region is cached already
         r = make_from_cells((x + 1000, y) for x in range(4) for y in range(3))
         height_function(r, enumerate_tilings(r)[0])
-        assert {"simply_connected", "vertex_edges"} <= vars(r).keys()
+        assert "simply_connected" in vars(r)  # no edge table is cached
         ref = weakref.ref(r)
         del r
         gc.collect()
@@ -441,3 +443,84 @@ class TestLocalWalk:
     ], ids=["7x4", "16x16", "aztec8"])
     def test_long_walks(self, region):
         assert_walks_match_the_oracle(region)
+
+
+def table_edges(region):
+    """Oracle: the per-vertex edge table the regions once cached, built
+    by linking each unit edge at both ends from the cell that owns it."""
+    cells = region.cells
+    adj = {v: [] for c in cells for v in cell_corners(c)}
+
+    def link(u, v, sign, flank):
+        adj[u].append((v, sign, flank))
+        adj[v].append((u, -sign, flank))
+
+    for cell in cells:
+        x, y = cell
+        sign = 1 if (x + y) % 2 else -1  # of the lower edge
+        below, left = (x, y - 1), (x - 1, y)
+        link(cell, (x + 1, y), sign, (below, cell) if below in cells else None)
+        link(cell, (x, y + 1), -sign, (left, cell) if left in cells else None)
+        if (x, y + 1) not in cells:
+            link((x, y + 1), (x + 1, y + 1), -sign, None)
+        if (x + 1, y) not in cells:
+            link((x + 1, y), (x + 1, y + 1), sign, None)
+    return adj
+
+
+def table_walk(adj, base, tiling):
+    """Oracle: labels breadth first over the table's edges that no domino
+    crosses, or over its boundary edges alone when tiling is None."""
+    values = {base: 0}
+    queue = [base]
+    for u in queue:
+        for v, sign, flank in adj[u]:
+            if v not in values and (flank is None or tiling is not None
+                                    and flank not in tiling):
+                values[v] = values[u] + sign
+                queue.append(v)
+    return values
+
+
+def table_extremal_heights(region):
+    """Oracle: the two shortest-path passes from the boundary labels,
+    read off the table."""
+    adj = table_edges(region)
+    values = table_walk(adj, min(region.cells), None)
+    if any(values[v] - h != sign for u, h in values.items()
+           for v, sign, flank in adj[u] if flank is None):
+        raise UntileableError("region has no tiling")
+    passes = []
+    for sign in (-1, 1):
+        best = {}
+        heap = [(sign * h, b) for b, h in values.items()]
+        heapify(heap)
+        while heap:
+            d, u = heappop(heap)
+            if u not in best:
+                best[u] = sign * d
+                for v, edge_sign, _ in adj[u]:
+                    if v not in best:
+                        heappush(heap, (d + 2 - sign * edge_sign, v))
+        if any(best[b] != h for b, h in values.items()):
+            raise UntileableError("region has no tiling")
+        passes.append(best)
+    return tuple(passes)
+
+
+class TestEdgeRuleAgainstTheTable:
+    """Labels read through the coordinate edge rule against the same
+    walks over a stored per-vertex edge table."""
+
+    @given(tileable_discs(7))
+    def test_extremes_and_labels_match_the_table(self, cells):
+        region = Region(cells)
+        h_min, h_max = extremal_heights(region)
+        t_min, t_max = table_extremal_heights(region)
+        # the passes settle vertices in (distance, vertex) order either way
+        assert list(h_min.items()) == list(t_min.items())
+        assert list(h_max.items()) == list(t_max.items())
+        tiling = first_tiling(region)
+        adj = table_edges(region)
+        assert height_function(region, tiling) == table_walk(
+            adj, min(region.cells), tiling)

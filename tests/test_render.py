@@ -1,3 +1,4 @@
+import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -151,7 +152,13 @@ class TestGalleryScript:
         (["--cell-size", "0"], "cell size must be positive"),
         (["--cell-size", str(10 ** 400)], "cell size too large to draw"),
         (["--shape", "pentagon:3"], "unknown shape kind 'pentagon'"),
-    ], ids=["zero", "400-digit", "bad-shape"])
+        (["--shape", "rect:3x3"], "region has no tiling"),
+        (["--shape", "holed-square:5"],
+         "extremal tilings need a simply connected region"),
+        (["--shape", "square:2000"],
+         "shape 'square:2000' has 4000000 cells, cap is 1048576"),
+    ], ids=["zero", "400-digit", "bad-shape", "untileable", "holed",
+            "over-cap"])
     def test_bad_arguments_are_usage_errors(self, tmp_path, flags, message):
         out = tmp_path / "gallery"
         done = run_capped(str(GALLERY), "--out-dir", str(out), *flags,
@@ -159,3 +166,45 @@ class TestGalleryScript:
         assert done.returncode == 2
         assert done.stderr.endswith(f"error: {message}\n")
         assert "Traceback" not in done.stderr and not out.exists()
+
+
+FAR = 10 ** 400
+
+
+class TestFarAwayRegions:
+    """Regions past the float range: a 2x2 block at x = 10**400 draws in
+    the planar modes, whose points take the region's corner off first;
+    its isometric picture, and every picture of a region whose cells lie
+    10**400 apart, is refused as bad input."""
+
+    REGIONS = {
+        "far-block": ([[FAR, 0], [FAR + 1, 0], [FAR, 1], [FAR + 1, 1]],
+                      [[[FAR, 0], [FAR + 1, 0]], [[FAR, 1], [FAR + 1, 1]]],
+                      [[[FAR, 0], [FAR, 1]], [[FAR + 1, 0], [FAR + 1, 1]]],
+                      {"tiling": 0, "cycles": 0, "filling": 3}),
+        "far-apart": ([[0, 0], [1, 0], [FAR, 0], [FAR + 1, 0]],
+                      [[[0, 0], [1, 0]], [[FAR, 0], [FAR + 1, 0]]],
+                      [[[0, 0], [1, 0]], [[FAR, 0], [FAR + 1, 0]]],
+                      {"tiling": 3, "cycles": 3, "filling": 3}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REGIONS))
+    def test_render_or_refuse(self, tmp_path, name):
+        cells, t1, t2, codes = self.REGIONS[name]
+        files = {}
+        for key, data in (("shape", {"cells": cells}),
+                          ("t1", {"dominoes": t1}), ("t2", {"dominoes": t2})):
+            files[key] = tmp_path / f"{key}.json"
+            files[key].write_text(json.dumps(data))
+        for mode, code in codes.items():
+            out = tmp_path / f"{mode}.svg"
+            done = run_capped(
+                "-m", "dominoflip.cli", "render", "--mode", mode,
+                "--shape", f"file:{files['shape']}", "--t1", str(files["t1"]),
+                "--t2", str(files["t2"]), "--out", str(out), timeout=60)
+            assert done.returncode == code, (mode, done.stderr)
+            assert "Traceback" not in done.stderr, mode
+            if code == 0:
+                assert svg_root(out.read_text()).get("width") == "96.0"
+            else:
+                assert done.stderr.startswith("error: region too "), mode

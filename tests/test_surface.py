@@ -18,7 +18,7 @@ from dominoflip import (Region, base_vertex, bfs_distances, build_flip_graph,
 from dominoflip.diameter import _vertex_levels
 from dominoflip.height import extremal_heights, label_distance
 from dominoflip.render import render
-from dominoflip.surface import _connected, cell_corners
+from dominoflip.surface import _connected, cell_corners, vertex_edges
 from dominoflip.tiling import is_tileable
 
 from conftest import (CORNER_PINCHES, punched_boxes, region_grid,
@@ -241,24 +241,31 @@ def brute_force_edge_table(cells):
     return table
 
 
+def rule_table(r):
+    """The edge rule read at every vertex, as brute_force_edge_table has it."""
+    return {u: Counter(vertex_edges(r.cells, u)) for u in r.vertex_set}
+
+
 class TestEdgeSigns:
     # holes and several components, then corner pinches
     @given(st.one_of(cells_strategy, punched_boxes(6)))
     def test_coordinate_rule_matches_membership_rule(self, cells):
         r = make_from_cells(cells)
-        table = {u: Counter(edges) for u, edges in r.vertex_edges.items()}
-        assert table == brute_force_edge_table(r.cells)
+        assert rule_table(r) == brute_force_edge_table(r.cells)
 
     @pytest.mark.parametrize("rows", CORNER_PINCHES)
     def test_edge_table_at_corner_pinches(self, rows):
         r = region_grid(len(rows[0]), len(rows), " ".join(rows))
-        table = {u: Counter(edges) for u, edges in r.vertex_edges.items()}
-        assert table == brute_force_edge_table(r.cells)
+        assert rule_table(r) == brute_force_edge_table(r.cells)
 
     def test_reads_no_domino_table(self):
         r = make_aztec(4)
-        r.vertex_edges
+        rule_table(r)
         assert "dominoes" not in r.__dict__
+
+    def test_no_edges_at_a_vertex_off_the_region(self):
+        # the oracle reads only the region's vertices
+        assert list(vertex_edges(frozenset({(0, 0)}), (5, 5))) == []
 
 
 class TestRings:
