@@ -21,17 +21,26 @@ from .surface import Cell, Region, _connected, is_black
 # cap peaks near 200 MB
 MAX_PROFILE_STATES = 1 << 20
 # estimated work the determinant may take (_determinant_work): square:40
-# is estimated at 2.6e7 and answers in about 2.6 s, square:200 at 2.7e11
+# is estimated at 1.8e7 and answers in about 1.5 s, square:200 at 2.7e11
 MAX_DETERMINANT_WORK = 1 << 25
 # time of one unit of the DP's estimate in units of the determinant's:
 # timed on rectangles from 9x40 to 24x12, both paths take as long where
 # the determinant's estimate is about three times the DP's
 PROFILE_UNIT_COST = 3
-# exponents e of the Mersenne primes 2^e - 1, up to one that no count
-# within MAX_DETERMINANT_WORK can outgrow
-MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
-                      4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
-                      44497, 86243)
+# the determinant's prime moduli, ascending: the Mersenne primes 2^e - 1
+# up to one that no count within MAX_DETERMINANT_WORK can outgrow, and
+# the largest prime 2^k - c below each 2^k, k = 128, 160, ..., 1280, so
+# that from 128 to 1280 bits no count takes a modulus more than 32 bits
+# longer than it needs (found by Miller-Rabin; 2^256 - 189, 2^512 - 569
+# and 2^1024 - 105 are the published values)
+_MODULI = tuple(sorted(
+    [(1 << e) - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
+                            3217, 4253, 4423, 9689, 9941, 11213, 19937,
+                            21701, 23209, 44497, 86243)]
+    + [(1 << k) - c for k, c in zip(range(128, 1281, 32), (
+        159, 47, 237, 63, 189, 167, 197, 657, 317, 435, 203, 47, 569, 759,
+        789, 527, 305, 399, 245, 509, 825, 105, 143, 243, 213, 645, 167,
+        1779, 105, 725, 89, 2555, 927, 107, 563, 635, 1175))]))
 
 
 def count_tilings(region: Region) -> int:
@@ -41,8 +50,8 @@ def count_tilings(region: Region) -> int:
     Each component is swept along its own narrow side, and its band b
     is the largest gap in sweep order between a cell and its upper
     neighbour: that bounds both the DP's profiles and the determinant's
-    fill.  With N black cells and e the exponent of the determinant's
-    Mersenne prime, a component takes the cheaper of two exact paths by
+    fill.  With N black cells and e the bit length of the determinant's
+    prime modulus, a component takes the cheaper of two exact paths by
     an up-front work estimate, a unit of the DP's weighing
     ``PROFILE_UNIT_COST`` of the determinant's:
 
@@ -68,7 +77,7 @@ def count_tilings(region: Region) -> int:
         w, order = _sweep(part)
         band = _band(w, order)
         n = len(order) // 2
-        work = _determinant_work(n, band, _mersenne_exponent(n))
+        work = _determinant_work(n, band, _modulus(n).bit_length())
         profiles = math.comb(band, band // 2)
         if (work < PROFILE_UNIT_COST * len(order) * profiles
                 and (work <= MAX_DETERMINANT_WORK
@@ -159,21 +168,21 @@ def _count_by_determinant(w: int, order: list[int]) -> int:
     matrix (Kasteleyn 1961, Temperley and Fisher 1961).
 
     A row of K has at most four unit entries, so |det K| <= 2^N by
-    Hadamard's bound, N being the rows.  One residue r modulo the
-    smallest Mersenne prime p above 2^(N+1) therefore fixes it: the
-    count is r or p - r, whichever is smaller.
+    Hadamard's bound, N being the rows.  One residue r modulo a prime p
+    above 2^(N+1) therefore fixes it: the count is r or p - r, whichever
+    is smaller.
     """
-    p = (1 << _mersenne_exponent(len(order) // 2)) - 1
+    p = _modulus(len(order) // 2)
     r = _kasteleyn_residue(w, order, p)
     return min(r, p - r)
 
 
-def _mersenne_exponent(n: int) -> int:
-    """The smallest listed exponent e > n + 1, so that 2^e - 1 is more
-    than twice any count of n black cells; the last one when none is,
-    whose work estimate is over the cap for any n that needs it."""
-    return next((e for e in MERSENNE_EXPONENTS if e > n + 1),
-                MERSENNE_EXPONENTS[-1])
+def _modulus(n: int) -> int:
+    """The smallest listed prime of at least n + 2 bits, so more than
+    twice any count of n black cells; the last one when none is, whose
+    work estimate is over the cap for any n that needs it."""
+    return next((p for p in _MODULI if p.bit_length() >= n + 2),
+                _MODULI[-1])
 
 
 def _determinant_work(n: int, band: int, bits: int) -> int:

@@ -91,15 +91,15 @@ class Region:
 
         The union of a connected cell set has Euler characteristic
         V - E + F = 1 - (number of holes).  With F cells, A edge-adjacent
-        cell pairs and V corner points, E = 4F - A, so the region is
-        hole-free exactly when V - 3F + A == 1.
+        cell pairs and V corner points (``_vertex_count``), E = 4F - A, so
+        the region is hole-free exactly when V - 3F + A == 1.
         """
         cells = self.cells
         if len(_connected(cells, [next(iter(cells))])) != len(cells):
             return False
         adjacent = sum(((x + 1, y) in cells) + ((x, y + 1) in cells)
                        for x, y in cells)
-        return len(self.vertex_set) - 3 * len(cells) + adjacent == 1
+        return _vertex_count(cells) - 3 * len(cells) + adjacent == 1
 
     @cached_property
     def interior_vertices(self) -> frozenset[Vertex]:
@@ -209,6 +209,23 @@ def _connected(cells: frozenset[Cell] | set[Cell], seeds: Iterable[Cell]) -> lis
                 add(nb)
                 push(nb)
     return queue
+
+
+def _vertex_count(cells: frozenset[Cell]) -> int:
+    """The number of corner points of the cells, with no set of them.
+
+    Each is counted at the first of its cells present in the order
+    upper-right, upper-left, lower-right, lower-left: a cell counts its
+    lower-left corner, its lower-right one when no cell is to its right,
+    its upper-left one when neither cell above that corner is present,
+    and its upper-right one when none of the other three cells round it
+    is."""
+    count = 0
+    for x, y in cells:
+        right, up = (x + 1, y) in cells, (x, y + 1) in cells
+        count += (1 + (not right) + (not up and (x - 1, y + 1) not in cells)
+                  + (not (right or up or (x + 1, y + 1) in cells)))
+    return count
 
 
 def is_simply_connected(region: Region) -> bool:

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -15,7 +17,7 @@ from dominoflip import (DominoError, build_flip_graph, connected_components,
                         region_to_json, tiling_to_json)
 from dominoflip.cli import main
 
-from conftest import run_capped
+from conftest import PACKAGE_ROOT, run_capped
 
 
 def run(capsys, *args):
@@ -428,6 +430,26 @@ class TestFileErrors:
                              "--emit-path", str(tmp_path / "missing" / "p"))
         assert (code, out) == (5, "")
         assert "No such file or directory" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["count", "--shape", "rect:4x4"],
+                                      ["--help"]], ids=["count", "help"])
+    def test_buffered_stdout_that_cannot_be_written_exits_5(self, argv):
+        # buffered, the output is first written when the run flushes it,
+        # after the command returned: the interpreter's own exit-time
+        # flush would report the failure as exit 120
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        path = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + path if path else "")
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "dominoflip.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+        assert done.returncode == 5, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
 
 
 class TestDiameter:

@@ -73,6 +73,17 @@ except SystemExit as exc:
 print(" ".join(sorted(sys.modules)))
 """
 
+# runs the CLI as MAIN_PROBE does, then prints how many objects the
+# garbage collector holds frozen
+FREEZE_PROBE = """
+import gc, runpy
+try:
+    runpy.run_module("dominoflip.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(gc.get_freeze_count())
+"""
+
 # runs the CLI in a bare namespace: without alter_sys, runpy registers
 # no module for the code it runs
 BARE_PROBE = """
@@ -303,3 +314,23 @@ def test_module_run_matches_main(argv, capsys, monkeypatch, tmp_path):
     written = {p.name: p.read_bytes() for p in (tmp_path / "main").iterdir()}
     assert written == {p.name: p.read_bytes()
                        for p in (tmp_path / "module").iterdir()}
+
+
+class TestExit:
+    """A module run freezes the heap after `main` returns, so the
+    collections at interpreter shutdown skip it; nothing else changes."""
+
+    def test_module_run_freezes_the_heap(self):
+        done = python("-c", FREEZE_PROBE, "count", "--shape", "rect:2x1")
+        assert done.returncode == 0, done.stderr.decode()
+        answer, frozen = done.stdout.decode().splitlines()
+        assert answer == "1"
+        assert int(frozen) > 0
+
+    def test_profiler_still_reports(self):
+        done = python("-m", "cProfile", "-m", "dominoflip.cli", "count",
+                      "--shape", "rect:2x1")
+        assert done.returncode == 0, done.stderr.decode()
+        answer, *report = done.stdout.decode().splitlines()
+        assert answer == "1"
+        assert any("function calls" in line for line in report)

@@ -18,7 +18,8 @@ from dominoflip import (Region, base_vertex, bfs_distances, build_flip_graph,
 from dominoflip.diameter import _vertex_levels
 from dominoflip.height import extremal_heights, label_distance
 from dominoflip.render import render
-from dominoflip.surface import _connected, cell_corners, vertex_edges
+from dominoflip.surface import (_connected, _vertex_count, cell_corners,
+                                vertex_edges)
 from dominoflip.tiling import is_tileable
 
 from conftest import (CORNER_PINCHES, punched_boxes, region_grid,
@@ -210,6 +211,17 @@ class TestSimplyConnected:
         assert [is_simply_connected(r) for _ in range(3)] == [answer] * 3
         assert r.simply_connected is answer and len(floods) == 1
 
+    # holes, corner pinches and several components included
+    @given(st.one_of(cells_strategy, punched_boxes(7)))
+    def test_vertex_count_matches_the_vertex_set(self, cells):
+        r = make_from_cells(cells)
+        assert _vertex_count(r.cells) == len(r.vertex_set)
+
+    @pytest.mark.parametrize("rows", CORNER_PINCHES)
+    def test_vertex_count_at_corner_pinches(self, rows):
+        r = region_grid(len(rows[0]), len(rows), " ".join(rows))
+        assert _vertex_count(r.cells) == len(r.vertex_set)
+
     def test_long_thin_l_in_bounded_memory(self):
         code = ("from dominoflip import Region, is_simply_connected\n"
                 "n = 5000\n"
@@ -390,6 +402,9 @@ class TestTablesBuilt:
             built = self.VERTEX_SETS[1:] & r.__dict__.keys()
             assert built == ({"interior_vertices"} if name == "geodesic"
                              else set()), name
+            if name in ("height_function", "distance_height"):
+                # their Euler check counts the vertices with no set
+                assert "vertex_set" not in r.__dict__, name
 
     def test_labels_and_pictures_build_no_domino_table(self):
         # only the mask code (enumeration, flip graphs, the two-ended

@@ -16,8 +16,7 @@ from dominoflip import (InvalidMoveError, NumericInstabilityError, Region,
                         tiling_from_json, tiling_to_json)
 from dominoflip.counting import (MAX_DETERMINANT_WORK, _band,
                                  _count_by_determinant, _count_by_profile,
-                                 _determinant_work, _mersenne_exponent,
-                                 _sweep)
+                                 _determinant_work, _modulus, _sweep)
 from dominoflip.surface import _connected
 from dominoflip.tiling import _backtrack_masks, _perfect_matching, is_tileable
 
@@ -26,6 +25,36 @@ from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, punched_boxes,
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
+
+
+def miller_rabin(n):
+    """Whether n > 37 passes Miller-Rabin to the twelve prime bases up
+    to 37, which no composite below 3.3e24 passes."""
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def lucas_lehmer(e):
+    """Whether the Mersenne number 2^e - 1, e an odd prime, is prime."""
+    m, s = (1 << e) - 1, 4
+    for _ in range(e - 2):
+        s = s * s - 2
+        s = (s & m) + (s >> e)  # below 2m, as 2^e = 1 mod m
+        if s >= m:
+            s -= m
+    return s == 0
 
 
 def box_count_tilings(region):
@@ -372,14 +401,17 @@ class TestTwoCountingPaths:
         (make_from_cells([(x, y) for x in range(8) for y in range(8)
                           if (x, y) not in ((0, 0), (7, 7))]), None),
         (STAIRCASE, "profile"),
-        (make_rectangle(8, 50), "profile"),
-        # the determinant's estimate is 1.8x the DP's, and it runs in
-        # half the DP's time
+        # the determinant's estimate is 1.8x the DP's, under the 3x a unit
+        # of the DP weighs, and it runs in about 0.9x the DP's time
+        (make_rectangle(8, 50), "determinant"),
+        # its estimate is 3.6x the DP's, and it takes twice the DP's time
+        (make_rectangle(6, 60), "profile"),
+        # its estimate is 0.8x the DP's, and it runs in half the DP's time
         (make_rectangle(10, 40), "determinant"),
         (make_rectangle(16, 16), "determinant"),
         (make_aztec(10), "determinant"),
     ], ids=["2x8000", "8x1000", "holed9", "mutilated8x8", "staircase",
-            "8x50", "10x40", "16x16", "aztec10"])
+            "8x50", "6x60", "10x40", "16x16", "aztec10"])
     def test_dispatch(self, monkeypatch, region, path):
         assert record_paths(monkeypatch, region) == (
             [] if path is None else [path])
@@ -414,11 +446,29 @@ class TestTwoCountingPaths:
         assert cap == MAX_DETERMINANT_WORK < estimate
 
     def test_every_count_within_the_cap_has_its_prime(self):
-        # n black cells need a Mersenne exponent above n + 1; from the
-        # n that no listed exponent serves, even a band of 1 is over the cap
-        last = dominoflip.counting.MERSENNE_EXPONENTS[-1]
-        assert _mersenne_exponent(last - 2) == last
-        assert _determinant_work(last - 1, 1, last) > MAX_DETERMINANT_WORK
+        # n black cells need a modulus of at least n + 2 bits, the
+        # shortest listed one; from the n that no listed modulus serves,
+        # even a band of 1 is over the cap
+        bits = 0
+        for p in dominoflip.counting._MODULI:
+            # the first n the one before leaves, and the last n it serves
+            assert _modulus(bits - 1) == _modulus(p.bit_length() - 2) == p
+            bits = p.bit_length()
+        assert _modulus(bits - 1) == _modulus(10 ** 9) == p
+        assert _determinant_work(bits - 1, 1, bits) > MAX_DETERMINANT_WORK
+
+    def test_moduli_are_ascending_primes(self):
+        # Miller-Rabin with fixed bases up to 2^1280, where all but the
+        # Mersenne primes lie, then Lucas-Lehmer on the Mersenne primes
+        # up to 2^4423 - 1; each larger one would take seconds
+        moduli = dominoflip.counting._MODULI
+        assert list(moduli) == sorted(set(moduli))
+        for p in moduli:
+            bits = p.bit_length()
+            if bits <= 1280:
+                assert miller_rabin(p), p
+            elif bits <= 4423:
+                assert p == (1 << bits) - 1 and lucas_lehmer(bits), bits
 
 
 class TestTileability:
