@@ -434,6 +434,9 @@ def _build_parser():
             self.print_usage(sys.stderr)
             self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
+        def print_help(self, file=None):  # argparse's own swallows OSError
+            (file or sys.stdout).write(self.format_help())
+
     parser = Parser(prog="dominoflip",
                     description="Domino tilings: counts, flip distances, "
                                 "diameters, and SVG pictures.")

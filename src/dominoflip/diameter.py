@@ -34,7 +34,7 @@ from operator import sub
 from .errors import DominoError, UntileableError
 from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, _listed,
                         bfs_distances, build_flip_graph)
-from .surface import Region, Vertex
+from .surface import Region, Vertex, cells_around
 from .tiling import Tiling
 
 
@@ -116,14 +116,16 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
 
 def _vertex_levels(region: Region) -> dict[Vertex, int]:
     """Every vertex's level, by one king-move search from the boundary."""
-    interior = region.interior_vertices
-    levels = dict.fromkeys(region.boundary_vertices, 0)
+    cells = region.cells
+    levels = {v: 0 for x, y in cells
+              for v in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
+              if not cells.issuperset(cells_around(v))}
     queue = list(levels)
     for x, y in queue:  # the list grows behind the loop, as a FIFO queue
         level = levels[x, y] + 1
         for v in ((x - 1, y - 1), (x, y - 1), (x + 1, y - 1), (x - 1, y),
                   (x + 1, y), (x - 1, y + 1), (x, y + 1), (x + 1, y + 1)):
-            if v in interior and v not in levels:
+            if v not in levels and v in cells:  # unreached, so interior
                 levels[v] = level
                 queue.append(v)
     return levels

@@ -26,7 +26,8 @@ from heapq import heapify, heappop, heappush
 
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
                      UntileableError)
-from .surface import Region, Vertex, is_simply_connected, vertex_edges
+from .surface import (Region, Vertex, _vertex_count, cells_around,
+                      interior_vertices, is_simply_connected, vertex_edges)
 from .tiling import Tiling, _check_tilings
 
 HeightValues = dict[Vertex, int]
@@ -95,11 +96,17 @@ def tiling_from_height(region: Region, values: HeightValues) -> Tiling:
     positively, close a loop whose steps of +1 or -3 sum to 0, so
     exactly one of them is a -3 edge, with a domino across it.  Edges
     are checked in the labels' key order, each from its positive end."""
-    if values.keys() != region.vertex_set:
+    cells = region.cells
+    try:  # every key a point (x, y) with a cell round it
+        keyed = all(isinstance(u, tuple) and not cells.isdisjoint(
+            cells_around(u)) for u in values)
+    except (TypeError, ValueError):  # a key that is not two numbers
+        keyed = False
+    if not keyed or len(values) != _vertex_count(cells):
         raise InvalidHeightError("labels must cover exactly the region vertices")
     dominoes: set = set()
     for u, hu in values.items():
-        for v, sign, flank in vertex_edges(region.cells, u):
+        for v, sign, flank in vertex_edges(cells, u):
             if sign == 1 and (step := values[v] - hu) != 1:
                 if step != -3 or flank is None:
                     raise InvalidHeightError(f"edge {u}->{v} steps by {step}; "
@@ -179,7 +186,7 @@ def geodesic(region: Region, t1: Tiling, t2: Tiling) -> list[Vertex]:
     that qualify yields the smallest.
     """
     h1, h2 = _labels(region, t1), _labels(region, t2)
-    anchors = sorted(region.interior_vertices)
+    anchors = interior_vertices(region.cells)
     n = len(anchors)
     # interior vertices by rank, then the boundary ones
     rank = {v: i for i, v in enumerate(dict.fromkeys([*anchors, *h1]))}

@@ -8,8 +8,10 @@ dual-adjacent when they share a unit edge (the cells are the vertices
 of the dual graph).
 
 The corner points of cells are the vertices of the region.  A vertex is
-interior when all four cells around it are present, else a boundary one;
-its unit edges are a rule on its coordinates and cells (``vertex_edges``).
+interior when all four cells around it are present, else a boundary one.
+A region stores no vertex set: the interior ones, the vertex count and a
+vertex's unit edges are rules on coordinates and cells
+(``interior_vertices``, ``_vertex_count``, ``vertex_edges``).
 """
 
 from __future__ import annotations
@@ -30,15 +32,17 @@ def is_black(cell: Cell) -> bool:
     return (cell[0] + cell[1]) % 2 == 0
 
 
-def cell_corners(cell: Cell) -> tuple[Vertex, Vertex, Vertex, Vertex]:
-    x, y = cell
-    return ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
-
-
 def cells_around(vertex: Vertex) -> tuple[Cell, Cell, Cell, Cell]:
     """The four cell slots around a lattice vertex: ll, lr, ul, ur."""
     x, y = vertex
     return ((x - 1, y - 1), (x, y - 1), (x - 1, y), (x, y))
+
+
+def interior_vertices(cells: frozenset[Cell]) -> list[Vertex]:
+    """The vertices with all four cells round them, in sorted order."""
+    return [(x + 1, y + 1) for x, y in sorted(cells)
+            if (x + 1, y) in cells and (x, y + 1) in cells
+            and (x + 1, y + 1) in cells]
 
 
 def vertex_edges(cells: frozenset[Cell], u: Vertex) -> Iterator[tuple]:
@@ -82,10 +86,6 @@ class Region:
         return cell in self.cells
 
     @cached_property
-    def vertex_set(self) -> frozenset[Vertex]:
-        return frozenset(v for c in self.cells for v in cell_corners(c))
-
-    @cached_property
     def simply_connected(self) -> bool:
         """True when the cells are edge-connected and enclose no hole.
 
@@ -100,16 +100,6 @@ class Region:
         adjacent = sum(((x + 1, y) in cells) + ((x, y + 1) in cells)
                        for x, y in cells)
         return _vertex_count(cells) - 3 * len(cells) + adjacent == 1
-
-    @cached_property
-    def interior_vertices(self) -> frozenset[Vertex]:
-        cells = self.cells
-        return frozenset(v for v in self.vertex_set
-                         if all(c in cells for c in cells_around(v)))
-
-    @cached_property
-    def boundary_vertices(self) -> frozenset[Vertex]:
-        return self.vertex_set - self.interior_vertices
 
     @cached_property
     def dominoes(self) -> dict[tuple[Cell, Cell], int]:
@@ -147,7 +137,7 @@ class Region:
         worth of bits rather than one bit per domino of the region."""
         bit = self.dominoes
         blocks = {}
-        for v in sorted(self.interior_vertices):
+        for v in interior_vertices(self.cells):
             ll, lr, ul, ur = cells_around(v)
             pairs = ((bit[ll, lr], bit[ul, ur]), (bit[ll, ul], bit[lr, ur]))
             s = min(map(min, pairs))
@@ -213,13 +203,9 @@ def _connected(cells: frozenset[Cell] | set[Cell], seeds: Iterable[Cell]) -> lis
 
 def _vertex_count(cells: frozenset[Cell]) -> int:
     """The number of corner points of the cells, with no set of them.
-
-    Each is counted at the first of its cells present in the order
-    upper-right, upper-left, lower-right, lower-left: a cell counts its
-    lower-left corner, its lower-right one when no cell is to its right,
-    its upper-left one when neither cell above that corner is present,
-    and its upper-right one when none of the other three cells round it
-    is."""
+    Each is counted by the first of its cells present in the order
+    upper-right, upper-left, lower-right, lower-left: a cell counts each
+    of its corners where the cells before it in that order are absent."""
     count = 0
     for x, y in cells:
         right, up = (x + 1, y) in cells, (x, y + 1) in cells

@@ -209,7 +209,6 @@ def first_tiling(region: Region) -> Tiling | None:
     return next(iter_tilings(region), None)
 
 
-
 def available_flips(region: Region, tiling: Tiling) -> list[Vertex]:
     """Anchors of all 2x2 blocks covered by two parallel dominoes, in
     lexicographic order."""

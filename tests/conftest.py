@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,28 @@ def region_grid(w, h, mask):
     cells = [(x, h - 1 - y) for y, row in enumerate(rows)
              for x, ch in enumerate(row) if ch == "#"]
     return Region(cells)
+
+
+def cell_corners(cell):
+    """The four corner points of a cell."""
+    x, y = cell
+    return ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
+
+
+def vertex_set(cells):
+    """Oracle: the corner points of the cells."""
+    return {v for c in cells for v in cell_corners(c)}
+
+
+def interior_set(cells):
+    """Oracle: the vertices that are a corner of four cells."""
+    counts = Counter(v for c in cells for v in cell_corners(c))
+    return {v for v, n in counts.items() if n == 4}
+
+
+def boundary_set(cells):
+    """Oracle: the vertices that are a corner of fewer than four cells."""
+    return vertex_set(cells) - interior_set(cells)
 
 
 # connected regions whose holes meet the outside or each other only at

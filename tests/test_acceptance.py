@@ -20,7 +20,7 @@ from dominoflip import (apply_flip, available_flips, bfs_distances,
                         height_function, join, make_aztec, make_holed_square,
                         make_rectangle, value_map, volumes)
 
-from conftest import load_tiling
+from conftest import load_tiling, vertex_set
 
 PAIR_REGIONS = {
     "rect4x3": make_rectangle(4, 3),
@@ -83,7 +83,7 @@ def test_criterion_2_per_vertex_bridge(graphs, heights):
             for i, t1 in enumerate(nodes):
                 for j, t2 in enumerate(nodes):
                     vm = value_map(region, cycle_collection(region, t1, t2))
-                    for v in region.vertex_set:
+                    for v in vertex_set(region.cells):
                         assert hs[i][v] - hs[j][v] == 4 * vm.signed(v), (name, i, j, v)
 
 

@@ -433,13 +433,23 @@ class TestFileErrors:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
-    @pytest.mark.parametrize("argv", [["count", "--shape", "rect:4x4"],
-                                      ["--help"]], ids=["count", "help"])
-    def test_buffered_stdout_that_cannot_be_written_exits_5(self, argv):
+    @pytest.mark.parametrize("argv,unbuffered", [
+        (argv, unbuffered)
+        for unbuffered in (False, True)
+        for argv in (["count", "--shape", "rect:4x4"], ["--help"],
+                     ["count", "--help"])
+    ], ids=["count", "help", "count-help", "count-unbuffered",
+            "help-unbuffered", "count-help-unbuffered"])
+    def test_buffered_stdout_that_cannot_be_written_exits_5(self, argv,
+                                                           unbuffered):
         # buffered, the output is first written when the run flushes it,
         # after the command returned: the interpreter's own exit-time
-        # flush would report the failure as exit 120
+        # flush would report the failure as exit 120.  Unbuffered, help
+        # text is written at once, where argparse's own writer would drop
+        # the error and exit 0
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         path = env.get("PYTHONPATH")
         env["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + path if path else "")
         with open("/dev/full", "w") as full:

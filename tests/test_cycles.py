@@ -13,7 +13,7 @@ from dominoflip.cycles import cycles_to_json
 from dominoflip.tiling import partner_map
 
 from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, region_grid,
-                      tileable_discs)
+                      tileable_discs, vertex_set)
 
 # the 6x6 board minus its central 2x2 block: a cycle round the hole
 # winds round (3, 3), which is not a vertex of the region
@@ -186,7 +186,7 @@ class TestValueMap:
         a, b = enumerate_tilings(r)
         vm = value_map(r, cycle_collection(r, a, b))
         assert vm.signed((1, 1)) == 1
-        assert all(vm.nu(v) == 0 for v in r.vertex_set if v != (1, 1))
+        assert all(vm.nu(v) == 0 for v in vertex_set(r.cells) if v != (1, 1))
 
     def test_7x4_total_sixteen(self):
         r = make_rectangle(7, 4)
@@ -202,7 +202,7 @@ class TestValueMap:
         for i, t1 in enumerate(tilings):
             for j, t2 in enumerate(tilings):
                 vm = value_map(r, cycle_collection(r, t1, t2))
-                for v in r.vertex_set:
+                for v in vertex_set(r.cells):
                     assert heights[i][v] - heights[j][v] == 4 * vm.signed(v)
 
     def test_matches_a_ray_count_on_holed_square_5(self):
@@ -217,7 +217,7 @@ class TestValueMap:
                 for t2 in tilings[::step2]:
                     cc = cycle_collection(r, t1, t2)
                     expected = {}
-                    for v in r.vertex_set:
+                    for v in vertex_set(r.cells):
                         windings = [ray_winding(c, v) for c in cc]
                         for winding, cycle in zip(windings, cc):
                             assert winding in (0, cycle.orientation)

@@ -16,10 +16,10 @@ from dominoflip import (DominoError, InvalidHeightError, Region,
                         region_from_json, tiling_from_height,
                         tiling_from_json)
 from dominoflip.height import extremal_heights, label_distance
-from dominoflip.surface import cell_corners
 from dominoflip.tiling import is_tileable
 
-from conftest import FIXTURES, load_tiling, punched_boxes, tileable_discs
+from conftest import (FIXTURES, boundary_set, cell_corners, interior_set,
+                      load_tiling, punched_boxes, tileable_discs, vertex_set)
 
 # an L-shaped 16-cell region with a reference tiling and the height
 # labels it must produce (base vertex (0, 0))
@@ -60,7 +60,7 @@ class TestHeightFunction:
         reference = height_function(r, tilings[0])
         for t in tilings[1:]:
             h = height_function(r, t)
-            for v in r.boundary_vertices:
+            for v in boundary_set(r.cells):
                 assert h[v] == reference[v]
 
     def test_rejects_holed_region(self):
@@ -131,7 +131,7 @@ class TestBijection:
     def test_corrupted_value_rejected(self):
         r = make_rectangle(4, 3)
         h = height_function(r, enumerate_tilings(r)[0])
-        v = next(iter(r.interior_vertices))
+        v = min(interior_set(r.cells))
         h[v] += 1
         with pytest.raises(InvalidHeightError):
             tiling_from_height(r, h)
@@ -146,7 +146,7 @@ class TestBijection:
         region = Region(set(cells) - removed)
         disc = Region(cells)
         labels = height_function(disc, first_tiling(disc))
-        values = {v: labels[v] for v in region.vertex_set}
+        values = {v: labels[v] for v in vertex_set(region.cells)}
         vertices = sorted(values)
         for v in data.draw(st.lists(st.sampled_from(vertices), max_size=8)):
             values[v] += data.draw(st.sampled_from((-4, 4)))
@@ -179,6 +179,30 @@ class TestBijection:
         r = make_rectangle(2, 2)
         h = height_function(r, enumerate_tilings(r)[0])
         h.pop((1, 1))
+        with pytest.raises(InvalidHeightError):
+            tiling_from_height(r, h)
+
+    @pytest.mark.parametrize("swap,extra", [
+        ((3, 3), None), ((100, -100), None), ("a", None), (("a", 1), None),
+        ((0, 0, 0), None), (frozenset({0, 1}), None), (None, (3, 3)),
+        (None, (100, 100)),
+    ], ids=["in-hole", "far-off", "not-a-tuple", "not-numbers", "3-tuple",
+            "a-set", "extra-in-hole", "extra-far-off"])
+    def test_wrong_key_rejected(self, swap, extra):
+        # a 6x6 brick tiling's labels, on the board less the bricks of
+        # its middle 2x2 block, whose centre (3, 3) has no cell round it
+        board = make_rectangle(6, 6)
+        bricks = {((x, y), (x + 1, y)) for x in (0, 2, 4) for y in range(6)}
+        h = height_function(board, frozenset(bricks))
+        block = {((2, 2), (3, 2)), ((2, 3), (3, 3))}
+        r = make_from_cells(c for d in bricks - block for c in d)
+        del h[3, 3]
+        assert tiling_from_height(r, dict(h)) == bricks - block
+        if swap is not None:
+            del h[0, 0]
+            h[swap] = 0
+        if extra is not None:
+            h[extra] = 0
         with pytest.raises(InvalidHeightError):
             tiling_from_height(r, h)
 
@@ -369,7 +393,7 @@ class TestFlipLocality:
         for t in enumerate_tilings(region):
             before = height_function(region, t)
             flips = available_flips(region, t)
-            for x, y in region.interior_vertices:
+            for x, y in interior_set(region.cells):
                 h = before[x, y]
                 around = [before[v] for v in ((x + 1, y), (x - 1, y),
                                               (x, y + 1), (x, y - 1))]

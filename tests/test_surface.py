@@ -6,24 +6,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dominoflip.surface
-from dominoflip import (Region, base_vertex, bfs_distances, build_flip_graph,
-                        connected_components, cycle_collection,
-                        distance_cycles, distance_height, enumerate_tilings,
-                        export_voxels, extremal_tilings, filling_shape,
-                        geodesic, height_function, is_black,
-                        is_simply_connected, join, make_aztec,
-                        make_from_cells, make_holed_square, make_rectangle,
-                        meet, region_from_json, region_to_json,
-                        tiling_from_height)
+from dominoflip import (Region, apply_flip, available_flips, base_vertex,
+                        bfs_distances, build_flip_graph, connected_components,
+                        cycle_collection, diameter_levels, distance_cycles,
+                        distance_height, enumerate_tilings, export_voxels,
+                        extremal_tilings, filling_shape, geodesic,
+                        height_function, is_black, is_simply_connected, join,
+                        make_aztec, make_from_cells, make_holed_square,
+                        make_rectangle, meet, region_from_json,
+                        region_to_json, tiling_from_height)
 from dominoflip.diameter import _vertex_levels
 from dominoflip.height import extremal_heights, label_distance
 from dominoflip.render import render
-from dominoflip.surface import (_connected, _vertex_count, cell_corners,
+from dominoflip.surface import (_connected, _vertex_count, interior_vertices,
                                 vertex_edges)
 from dominoflip.tiling import is_tileable
 
-from conftest import (CORNER_PINCHES, punched_boxes, region_grid,
-                      run_capped, tileable_discs)
+from conftest import (CORNER_PINCHES, boundary_set, cell_corners,
+                      interior_set, punched_boxes, region_grid, run_capped,
+                      tileable_discs, vertex_set)
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
@@ -62,19 +63,19 @@ class TestConstructors:
     def test_rectangle_2x2(self):
         r = make_rectangle(2, 2)
         assert len(r.cells) == 4
-        assert len(r.vertex_set) == 9
-        assert len(r.interior_vertices) == 1
+        assert len(vertex_set(r.cells)) == 9
+        assert len(interior_set(r.cells)) == 1
 
     def test_rectangle_4x3(self):
         r = make_rectangle(4, 3)
         assert len(r.cells) == 12
-        assert len(r.vertex_set) == 20
-        assert len(r.interior_vertices) == 6
+        assert len(vertex_set(r.cells)) == 20
+        assert len(interior_set(r.cells)) == 6
 
     def test_rectangle_1x1(self):
         r = make_rectangle(1, 1)
         assert len(r.cells) == 1
-        assert len(r.interior_vertices) == 0
+        assert len(interior_set(r.cells)) == 0
 
     @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (-1, 2)])
     def test_rectangle_rejects_bad_dims(self, m, n):
@@ -87,13 +88,13 @@ class TestConstructors:
     def test_aztec_examples(self, n, cells, interior):
         r = make_aztec(n)
         assert len(r.cells) == cells
-        assert len(r.interior_vertices) == interior
+        assert len(interior_set(r.cells)) == interior
 
     def test_aztec_formulas_up_to_six(self):
         for n in range(1, 7):
             r = make_aztec(n)
             assert len(r.cells) == 2 * n * (n + 1)
-            assert len(r.interior_vertices) == 2 * n * n - 2 * n + 1
+            assert len(interior_set(r.cells)) == 2 * n * n - 2 * n + 1
 
     def test_aztec_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -134,8 +135,8 @@ class TestVertexCounts:
     @given(st.integers(1, 6), st.integers(1, 6))
     def test_rectangle_vertex_formulas(self, m, n):
         r = make_rectangle(m, n)
-        assert len(r.vertex_set) == (m + 1) * (n + 1)
-        assert len(r.interior_vertices) == (m - 1) * (n - 1)
+        assert len(vertex_set(r.cells)) == (m + 1) * (n + 1)
+        assert len(interior_set(r.cells)) == (m - 1) * (n - 1)
 
     @given(cells_strategy)
     def test_coloring_is_proper(self, cells):
@@ -149,7 +150,19 @@ class TestVertexCounts:
     def test_base_vertex_is_the_smallest_boundary_vertex(self, cells):
         # holed and disconnected regions too
         r = make_from_cells(cells)
-        assert base_vertex(r) == min(r.boundary_vertices) == min(r.vertex_set)
+        assert base_vertex(r) == min(boundary_set(r.cells)) == min(
+            vertex_set(r.cells))
+
+    # holes, corner pinches and several components included
+    @given(st.one_of(cells_strategy, punched_boxes(7)))
+    def test_interior_rule_matches_the_corner_count(self, cells):
+        cells = frozenset(cells)
+        assert interior_vertices(cells) == sorted(interior_set(cells))
+
+    @pytest.mark.parametrize("rows", CORNER_PINCHES)
+    def test_interior_rule_at_corner_pinches(self, rows):
+        r = region_grid(len(rows[0]), len(rows), " ".join(rows))
+        assert interior_vertices(r.cells) == sorted(interior_set(r.cells))
 
 
 class TestSimplyConnected:
@@ -215,12 +228,12 @@ class TestSimplyConnected:
     @given(st.one_of(cells_strategy, punched_boxes(7)))
     def test_vertex_count_matches_the_vertex_set(self, cells):
         r = make_from_cells(cells)
-        assert _vertex_count(r.cells) == len(r.vertex_set)
+        assert _vertex_count(r.cells) == len(vertex_set(r.cells))
 
     @pytest.mark.parametrize("rows", CORNER_PINCHES)
     def test_vertex_count_at_corner_pinches(self, rows):
         r = region_grid(len(rows[0]), len(rows), " ".join(rows))
-        assert _vertex_count(r.cells) == len(r.vertex_set)
+        assert _vertex_count(r.cells) == len(vertex_set(r.cells))
 
     def test_long_thin_l_in_bounded_memory(self):
         code = ("from dominoflip import Region, is_simply_connected\n"
@@ -255,7 +268,7 @@ def brute_force_edge_table(cells):
 
 def rule_table(r):
     """The edge rule read at every vertex, as brute_force_edge_table has it."""
-    return {u: Counter(vertex_edges(r.cells, u)) for u in r.vertex_set}
+    return {u: Counter(vertex_edges(r.cells, u)) for u in vertex_set(r.cells)}
 
 
 class TestEdgeSigns:
@@ -289,14 +302,14 @@ class TestRings:
         r = make_aztec(2)
         levels = _vertex_levels(r)
         assert {v for v, lev in levels.items() if lev == 1} == (
-            r.interior_vertices)
+            interior_set(r.cells))
         assert sum(levels.values()) == 5
 
     def test_boundary_vertices_are_level_zero(self):
         for r in (make_rectangle(5, 4), make_aztec(3)):
             levels = _vertex_levels(r)
             assert {v for v, lev in levels.items() if lev == 0} == (
-                r.boundary_vertices)
+                boundary_set(r.cells))
 
     @given(punched_boxes(9))
     def test_levels_drop_by_one_after_peeling(self, cells):
@@ -304,14 +317,13 @@ class TestRings:
         # several components
         r = Region(cells)
         levels = _vertex_levels(r)
-        assert set(levels) == r.vertex_set
-        assert {v for v, lev in levels.items() if lev == 0} == (
-            r.boundary_vertices)
-        ring = {c for c in r.cells
-                if set(cell_corners(c)) & r.boundary_vertices}
+        boundary = boundary_set(r.cells)
+        assert set(levels) == vertex_set(r.cells)
+        assert {v for v, lev in levels.items() if lev == 0} == boundary
+        ring = {c for c in r.cells if set(cell_corners(c)) & boundary}
         left = r.cells - ring
         deeper = _vertex_levels(Region(left)) if left else {}
-        for v in r.interior_vertices:
+        for v in interior_set(r.cells):
             # one peel down, or 1 when its cells all leave with the ring
             assert levels[v] == deeper.get(v, 0) + 1
 
@@ -354,9 +366,11 @@ class TestDominoMasks:
 
 
 class TestTablesBuilt:
-    # each route builds only the region tables it reads; the tilings
-    # come from another instance of the region, so no cache leaks in
-    VERTEX_SETS = ("vertex_set", "interior_vertices", "boundary_vertices")
+    # each route builds only the region tables it reads, and a region
+    # caches no vertex table; the tilings come from another instance of
+    # the region, so no cache leaks in
+    CACHES = {"cells", "simply_connected", "dominoes", "flip_blocks",
+              "bounds"}
 
     def test_lattice_spread_builds_no_domino_table(self):
         r = make_rectangle(6, 6)
@@ -376,15 +390,15 @@ class TestTablesBuilt:
         for r, t1, t2, distance in cases:
             assert distance_cycles(r, t1, t2) == distance
             assert export_voxels(filling_shape(r, t1, t2))
-            assert not any(name in r.__dict__ for name in self.VERTEX_SETS)
-            assert "dominoes" not in r.__dict__
+            assert r.__dict__.keys() <= self.CACHES - {"dominoes"}
 
     @pytest.mark.parametrize("shape", [make_rectangle(6, 6), make_aztec(3)],
                              ids=["6x6", "aztec3"])
     def test_label_routes_build_no_boundary_or_interior_set(self, shape):
-        # labels start at the smallest cell's corner and the extremes'
-        # passes start from the boundary walk's labels, so only the
-        # geodesic, which ranks the interior vertices, builds either set
+        # labels start at the smallest cell's corner, the extremes'
+        # passes start from the boundary walk's labels, the Euler check
+        # counts the vertices and the geodesic reads the interior ones by
+        # rule, so no route caches a vertex table, nor the domino one
         tmin, tmax = extremal_tilings(shape)
         routes = {
             "height_function": lambda r: height_function(r, tmin),
@@ -399,12 +413,23 @@ class TestTablesBuilt:
         for name, route in routes.items():
             r = Region(shape.cells)
             assert route(r), name
-            built = self.VERTEX_SETS[1:] & r.__dict__.keys()
-            assert built == ({"interior_vertices"} if name == "geodesic"
-                             else set()), name
-            if name in ("height_function", "distance_height"):
-                # their Euler check counts the vertices with no set
-                assert "vertex_set" not in r.__dict__, name
+            assert r.__dict__.keys() <= self.CACHES - {"dominoes"}, name
+
+    def test_mask_and_level_routes_build_no_vertex_sets(self):
+        tmin, tmax = extremal_tilings(make_rectangle(4, 4))
+        anchor = available_flips(make_rectangle(4, 4), tmin)[0]
+        routes = {
+            "flip graph": build_flip_graph,
+            "available_flips": lambda r: available_flips(r, tmin),
+            "apply_flip": lambda r: apply_flip(r, tmin, anchor),
+            "diameter_levels": diameter_levels,
+            "tiling_from_height": lambda r: tiling_from_height(
+                r, height_function(make_rectangle(4, 4), tmax)),
+        }
+        for name, route in routes.items():
+            r = make_from_cells(make_rectangle(4, 4).cells)
+            assert route(r), name
+            assert r.__dict__.keys() <= self.CACHES, name
 
     def test_labels_and_pictures_build_no_domino_table(self):
         # only the mask code (enumeration, flip graphs, the two-ended
