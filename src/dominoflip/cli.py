@@ -7,7 +7,7 @@ only the answer on stdout; --json wraps it in an envelope
 
 Exit codes: 0 ok, 1 cross-method disagreement or unreachable pair,
 2 untileable or unsupported region, 3 bad arguments or input files,
-4 resource budget exceeded, 5 output I/O failure.
+4 resource budget or cap exceeded, 5 output I/O failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from functools import partial
 from types import SimpleNamespace
 
 from . import _OWNER
-from .errors import (DEFAULT_NODE_BUDGET, DominoError, ResourceLimitError,
+from .errors import (DEFAULT_NODE_BUDGET, DominoError,
+                     NumericInstabilityError, ResourceLimitError,
                      UnsupportedRegionError, UntileableError)
 from .surface import (Region, is_simply_connected, make_aztec,
                       make_holed_square, make_rectangle, region_from_json)
@@ -63,7 +64,7 @@ EXIT_IO = 5
 # matches it, so subclasses come before DominoError
 _EXIT_CODES = (
     ((UntileableError, UnsupportedRegionError), EXIT_UNTILEABLE),
-    ((ResourceLimitError, MemoryError), EXIT_BUDGET),
+    ((ResourceLimitError, NumericInstabilityError, MemoryError), EXIT_BUDGET),
     (ValueError, EXIT_BAD_INPUT),
     (OSError, EXIT_IO),
     (DominoError, EXIT_DISAGREE),

@@ -273,8 +273,10 @@ def count_rectangle_closed_form(m: int, n: int) -> int:
     # past 2**53 the float grid is coarser than 1, so a clean rounding
     # residue certifies nothing
     if not math.isfinite(product) or abs(product) >= 2.0 ** 53:
+        size = (f"about {product:.3g}" if math.isfinite(product)
+                else "past the float range")
         raise NumericInstabilityError(
-            f"product for {m}x{n} exceeds float integer precision")
+            f"closed-form product for {m}x{n} is {size}, cap is 2^53")
     nearest = round(product)
     if abs(product - nearest) > 1e-6 * max(1.0, abs(product)):
         raise NumericInstabilityError(

@@ -32,8 +32,8 @@ from itertools import compress
 from operator import sub
 
 from .errors import DominoError, UntileableError
-from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, _listed,
-                        bfs_distances, build_flip_graph)
+from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, bfs_distances,
+                        build_flip_graph)
 from .surface import Region, Vertex, cells_around
 from .tiling import Tiling
 
@@ -71,7 +71,6 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
     n = len(graph)
     if not n:
         raise UntileableError("region has no tiling")
-    graph = _listed(graph)
     degree = list(map(sub, graph.offsets[1:], graph.offsets))
     rows: dict[int, array] = {}
     lo, hi = [0] * n, [n] * n  # every eccentricity is below the node count

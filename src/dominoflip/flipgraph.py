@@ -6,12 +6,11 @@ masks one flip away, found by value.  The edges sit in compressed
 sparse row form: ``targets`` is one typed array holding every node's
 sorted neighbour ids back to back, and node i's run is
 ``targets[offsets[i]:offsets[i + 1]]``.  The mask-to-id dict lives only
-while the build runs.  Searches and exports make no list per node,
-though a run of many searches reads the offsets from one list built
-for it (``_listed``).  Only JSON export decodes tilings;
-``FlipGraph.nodes``, ``adjacency`` and the mask-to-id ``index`` are
-built on first use.  ``distance_bfs`` searches the same graph without
-building it.
+while the build runs.  Searches read these arrays as built and make no
+list per node; an export writes its text into one buffer as it goes,
+decoding one tiling at a time for JSON.  ``FlipGraph.nodes``,
+``adjacency`` and the mask-to-id ``index`` are built on first use.
+``distance_bfs`` searches the same graph without building it.
 """
 
 from __future__ import annotations
@@ -20,16 +19,16 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from functools import cached_property
+from io import StringIO
 
 from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
 from .surface import Region
-from .tiling import (Tiling, _backtrack_masks, _check_tilings, _pack,
-                     tiling_to_json)
+from .tiling import Tiling, _backtrack_masks, _check_tilings, _pack
 
 
 class FlipGraph:
-    def __init__(self, region: Region, masks: list[int],
-                 offsets: array | list[int], targets: array):
+    def __init__(self, region: Region, masks: list[int], offsets: array,
+                 targets: array):
         self.region = region
         self.masks = masks
         self.offsets = offsets
@@ -124,13 +123,6 @@ def distance_bfs(region: Region, t1: Tiling, t2: Tiling,
     return None
 
 
-def _listed(graph: FlipGraph) -> FlipGraph:
-    """The same graph with its offsets in a list, for many searches: a
-    list hands out the ints it holds, where an array boxes each read."""
-    return FlipGraph(graph.region, graph.masks, graph.offsets.tolist(),
-                     graph.targets)
-
-
 def _bfs(graph: FlipGraph, source: int, dist: list[int | None]) -> array:
     """Breadth-first search from source through nodes whose dist entry
     is None, filling in their distances; returns the nodes reached, in
@@ -167,8 +159,6 @@ def bfs_distance(graph: FlipGraph, i: int, j: int) -> int | None:
 
 def connected_components(graph: FlipGraph) -> list[list[int]]:
     """Node partition, components ordered by smallest member."""
-    # one list for every search keeps the whole partition linear
-    graph = _listed(graph)
     seen: list[int | None] = [None] * len(graph)
     return [sorted(_bfs(graph, start, seen))
             for start in range(len(graph)) if seen[start] is None]
@@ -185,21 +175,27 @@ def _edges(graph: FlipGraph) -> Iterator[tuple[int, int]]:
 
 
 def export_graph(graph: FlipGraph, format: str = "dot") -> str:
-    """Render the graph as DOT or JSON text (newline-terminated)."""
+    """Render the graph as DOT or JSON text (newline-terminated), written
+    into one buffer a node and an edge at a time.  The JSON is json.dumps'
+    compact text of {"nodes": [each tiling's tiling_to_json dominoes],
+    "edges": [[i, j], ...]}."""
+    out = StringIO()
     if format == "dot":
-        lines = ["graph tilings {"]
-        lines.extend(f"  {i};" for i in range(len(graph)))
-        lines.extend(f"  {i} -- {j};" for i, j in _edges(graph))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        import json
-
-        decode = graph.region.decode
-        payload = {
-            "nodes": [tiling_to_json(decode(m))["dominoes"]
-                      for m in graph.masks],
-            "edges": [[i, j] for i, j in _edges(graph)],
-        }
-        return json.dumps(payload, separators=(",", ":")) + "\n"
-    raise ValueError(f"unknown export format {format!r}")
+        out.write("graph tilings {\n")
+        out.writelines(f"  {i};\n" for i in range(len(graph)))
+        out.writelines(f"  {i} -- {j};\n" for i, j in _edges(graph))
+        out.write("}\n")
+    elif format == "json":
+        text = {((a, b), (c, d)): f"[[{a},{b}],[{c},{d}]]"
+                for (a, b), (c, d) in graph.region.dominoes}.__getitem__
+        nodes = ("[" + ",".join(map(text, sorted(graph.region.decode(m))))
+                 + "]" for m in graph.masks)
+        edges = (f"[{i},{j}]" for i, j in _edges(graph))
+        for head, items in (('{"nodes":[', nodes), ('],"edges":[', edges)):
+            out.write(head)
+            for k, item in enumerate(items):
+                out.write("," + item if k else item)
+        out.write("]}\n")
+    else:
+        raise ValueError(f"unknown export format {format!r}")
+    return out.getvalue()

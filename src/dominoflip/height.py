@@ -61,16 +61,19 @@ def _labels(region: Region, tiling: Tiling) -> HeightValues:
 def _walk(region: Region, tiling: Tiling | None) -> HeightValues:
     """Labels from 0 at the base vertex, breadth first along the edges
     that no domino of the tiling crosses, each step by its edge's sign;
-    with no tiling, along the boundary edges alone.  A vertex's edges are
-    read off its cells once, when the walk reaches it."""
+    with no tiling, along the boundary edges alone, refusing a region
+    whose boundary walk does not close.  A vertex's edges are read off
+    its cells once, when the walk reaches it."""
     cells = region.cells
     values: HeightValues = {base_vertex(region): 0}
     queue = list(values)
     for u in queue:  # the list grows behind the loop, as a FIFO queue
         hu = values[u]
         for v, sign, flank in vertex_edges(cells, u):
-            if v not in values and (flank is None or tiling is not None
-                                    and flank not in tiling):
+            if v in values:
+                if tiling is None and flank is None and values[v] != hu + sign:
+                    raise UntileableError("region has no tiling")
+            elif flank is None or tiling is not None and flank not in tiling:
                 values[v] = hu + sign
                 queue.append(v)
     return values
@@ -138,18 +141,15 @@ def extremal_heights(region: Region) -> tuple[HeightValues, HeightValues]:
     labels of the boundary walk, which with no hole passes through every
     boundary vertex, finds it.  The least labeling is the mirror: labels
     negated, the two costs swapped.  The region tiles exactly when the
-    boundary walk closes, each edge stepping by its sign, and neither
-    pass moves a boundary label.  A pass reads a vertex's edges once, as
-    it settles the vertex.
+    boundary walk closes, each edge stepping by its sign, which the walk
+    checks as it goes, and neither pass moves a boundary label.  A pass
+    reads a vertex's edges once, as it settles the vertex.
     """
     if not is_simply_connected(region):
         raise UnsupportedRegionError(
             "extremal tilings need a simply connected region")
     values = _walk(region, None)  # the boundary edges alone
     cells = region.cells
-    if any(values[v] - h != sign for u, h in values.items()
-           for v, sign, flank in vertex_edges(cells, u) if flank is None):
-        raise UntileableError("region has no tiling")
     h_min, h_max = {}, {}
     for sign, best in ((-1, h_min), (1, h_max)):
         heap = [(sign * h, b) for b, h in values.items()]

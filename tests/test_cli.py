@@ -67,6 +67,19 @@ class TestCount:
         assert code == 0
         assert out.split() == ["12988816", "12988816"]
 
+    @pytest.mark.parametrize("shape,size", [
+        ("rect:12x12", "about 5.31e+16"),
+        ("rect:2x30000", "past the float range"),
+    ], ids=["12x12", "2x30000"])
+    def test_closed_form_past_float_precision_exits_4(self, capsys, shape,
+                                                      size):
+        # a product past 2^53 is over a cap, not a disagreement of methods
+        code, out, err = run(capsys, "count", "--shape", shape,
+                             "--closed-form")
+        assert (code, out) == (4, "")
+        assert err == (f"error: closed-form product for {shape[5:]} is "
+                       f"{size}, cap is 2^53\n")
+
     def test_untileable_prints_zero_and_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "count", "--shape",
                              mutilated_board(tmp_path))

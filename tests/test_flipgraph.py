@@ -11,7 +11,8 @@ from dominoflip import (Region, ResourceLimitError, available_flips,
                         connected_components, count_tilings,
                         diameter_of_graph, distance_bfs, enumerate_tilings,
                         export_graph, is_simply_connected, make_aztec,
-                        make_holed_square, make_rectangle)
+                        make_from_cells, make_holed_square, make_rectangle,
+                        tiling_to_json)
 
 from conftest import punched_boxes, tileable_discs
 
@@ -25,6 +26,21 @@ def differ_by_one_block(t1, t2):
     cells = {c for d in diff for c in d}
     x, y = min(cells)
     return cells == {(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)}
+
+
+def listed_export(graph, format):
+    """The export built whole, as lines or as one decoded JSON tree."""
+    edges = [(i, j) for i, nbs in enumerate(graph.adjacency)
+             for j in nbs if i < j]
+    if format == "dot":
+        lines = ["graph tilings {"]
+        lines.extend(f"  {i};" for i in range(len(graph)))
+        lines.extend(f"  {i} -- {j};" for i, j in edges)
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    payload = {"nodes": [tiling_to_json(t)["dominoes"] for t in graph.nodes],
+               "edges": [[i, j] for i, j in edges]}
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 class TestBuild:
@@ -274,3 +290,26 @@ class TestExport:
         g = build_flip_graph(make_rectangle(2, 2))
         assert export_graph(g, "dot").endswith("\n")
         assert export_graph(g, "json").endswith("\n")
+
+    @pytest.mark.parametrize("format", ["dot", "json"])
+    @pytest.mark.parametrize("region", [
+        make_holed_square(5), make_aztec(4), make_rectangle(6, 5),
+        make_rectangle(3, 3),
+        make_from_cells((x, y) for x in range(-3, 2) for y in range(-2, 2))],
+        ids=["holed-square:5", "aztec:4", "rect:6x5", "untileable-3x3",
+             "offset-5x4"])
+    def test_bytes_match_the_export_built_whole(self, region, format):
+        g = build_flip_graph(region)
+        assert export_graph(g, format) == listed_export(g, format)
+
+    def test_json_peak_is_a_few_times_its_text(self):
+        g = build_flip_graph(make_aztec(4))
+        tracemalloc.start()
+        try:
+            text = export_graph(g, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text, the buffer it is written into and one tiling at a
+        # time; a decoded tree of every tiling is over 20 times the text
+        assert peak < 5 * len(text)
