@@ -294,9 +294,9 @@ def cmd_render(args, shape: ShapeSpec) -> int:
 def cmd_extremes(args, shape: ShapeSpec) -> int:
     region = shape.region
     labels = _lib.extremal_heights(region)
-    tilings = [_lib.tiling_from_height(region, h) for h in labels]
     paths = (f"{args.out}.tmin.json", f"{args.out}.tmax.json")
-    for path, tiling in zip(paths, tilings):
+    for path, h in zip(paths, labels):  # one tiling held at a time
+        tiling = _lib.tiling_from_height(region, h)
         _write(path, _json_line(_lib.tiling_to_json(tiling)))
     spread = _lib.label_distance(*labels)
     _emit(args, {"tmin": paths[0], "tmax": paths[1], "distance": spread},

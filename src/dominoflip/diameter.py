@@ -31,10 +31,8 @@ from array import array
 from itertools import compress
 from operator import sub
 
-from .errors import DominoError, UntileableError
-from .flipgraph import (DEFAULT_NODE_BUDGET, FlipGraph, bfs_distances,
-                        build_flip_graph)
-from .surface import Region, Vertex, cells_around
+from .errors import DEFAULT_NODE_BUDGET, DominoError, UntileableError
+from .surface import Region, Vertex
 from .tiling import Tiling
 
 
@@ -49,7 +47,14 @@ class DiameterReport:
 def diameter_bfs(region: Region,
                  budget: int = DEFAULT_NODE_BUDGET) -> DiameterReport:
     """Exact diameter by eccentricity-bounded breadth-first search."""
+    from .flipgraph import build_flip_graph  # only graph searches load it
     return diameter_of_graph(build_flip_graph(region, budget))
+
+
+def bfs_distances(graph: FlipGraph, source: int) -> list[int | None]:
+    """`flipgraph.bfs_distances`, imported when a search first calls it."""
+    from .flipgraph import bfs_distances
+    return bfs_distances(graph, source)
 
 
 def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
@@ -116,9 +121,16 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
 def _vertex_levels(region: Region) -> dict[Vertex, int]:
     """Every vertex's level, by one king-move search from the boundary."""
     cells = region.cells
-    levels = {v: 0 for x, y in cells
-              for v in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
-              if not cells.issuperset(cells_around(v))}
+    levels = {}
+    for x, y in cells:  # a side with no cell across it ends at the boundary
+        if (x, y - 1) not in cells:
+            levels[x, y] = levels[x + 1, y] = 0
+        if (x, y + 1) not in cells:
+            levels[x, y + 1] = levels[x + 1, y + 1] = 0
+        if (x - 1, y) not in cells:
+            levels[x, y] = levels[x, y + 1] = 0
+        if (x + 1, y) not in cells:
+            levels[x + 1, y] = levels[x + 1, y + 1] = 0
     queue = list(levels)
     for x, y in queue:  # the list grows behind the loop, as a FIFO queue
         level = levels[x, y] + 1

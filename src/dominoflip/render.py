@@ -57,32 +57,38 @@ class _Board:
         return (self.margin + (x - self.x0 + shift) * self.s,
                 self.margin + (self.y1 + 1 - y - shift) * self.s)
 
-    def cell_rect(self, cell, fill: str, stroke: str, width: float) -> str:
-        px, py = self.point(cell[0], cell[1] + 1)
+    def rect(self, x: int, y: int, w: int, h: int, fill: str, stroke: str,
+             width: str) -> str:
+        """The w-by-h block of cells whose lower-left cell is (x, y)."""
+        px, py = self.point(x, y + h)
         return (f'<rect x="{_fmt(px)}" y="{_fmt(py)}" '
-                f'width="{_fmt(self.s)}" height="{_fmt(self.s)}" '
-                f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
+                f'width="{_fmt(w * self.s)}" height="{_fmt(h * self.s)}" '
+                f'fill="{fill}" stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _pair(px: float, py: float) -> str:
+    return f"{_fmt(px)},{_fmt(py)}"
+
+
+def _polygon(points: list[str], fill: str, stroke: str | None = None,
+             width: str = "") -> str:
+    """A polygon through points written "x,y"; outlined if stroked."""
+    edge = f' stroke="{stroke}" stroke-width="{width}"' if stroke else ""
+    return f'<polygon points="{" ".join(points)}" fill="{fill}"{edge}/>'
 
 
 def _grid_body(board: _Board, region: Region) -> list[str]:
-    body = []
-    for cell in sorted(region.cells):
-        fill = SHADE if is_black(cell) else "#ffffff"
-        body.append(board.cell_rect(cell, fill, GRID, 1.0))
-    return body
+    return [board.rect(x, y, 1, 1, SHADE if is_black((x, y)) else "#ffffff",
+                       GRID, "1.0") for x, y in sorted(region.cells)]
 
 
 def render_tiling(region: Region, tiling: Tiling, cell_size: int = 24) -> str:
     """Shaded chessboard cells with one outlined rectangle per domino."""
     board = _Board(region, cell_size)
-    body = _grid_body(board, region)
-    for a, b in sorted(tiling):
-        px, py = board.point(min(a[0], b[0]), max(a[1], b[1]) + 1)
-        w = board.s * (2 if a[1] == b[1] else 1)
-        h = board.s * (2 if a[0] == b[0] else 1)
-        body.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" '
-                    f'width="{_fmt(w)}" height="{_fmt(h)}" '
-                    f'fill="none" stroke="{INK}" stroke-width="2.5"/>')
+    body = _grid_body(board, region) + [
+        board.rect(min(a[0], b[0]), min(a[1], b[1]), 1 + (a[1] == b[1]),
+                   1 + (a[0] == b[0]), "none", INK, "2.5")
+        for a, b in sorted(tiling)]
     return _document(board.width, board.height, body)
 
 
@@ -96,8 +102,7 @@ def _arrowhead(board: _Board, a, b, color: str) -> str:
     tip = (mx + ux * size, my + uy * size)
     left = (mx - ux * size - uy * size * 0.7, my - uy * size + ux * size * 0.7)
     right = (mx - ux * size + uy * size * 0.7, my - uy * size - ux * size * 0.7)
-    pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (tip, left, right))
-    return f'<polygon points="{pts}" fill="{color}"/>'
+    return _polygon([_pair(*p) for p in (tip, left, right)], color)
 
 
 def render_cycles(region: Region, t1: Tiling, t2: Tiling,
@@ -110,11 +115,8 @@ def render_cycles(region: Region, t1: Tiling, t2: Tiling,
     body = _grid_body(board, region)
     for cycle in cycle_collection(region, t1, t2):
         color = POSITIVE if cycle.orientation > 0 else NEGATIVE
-        pts = " ".join(
-            "{},{}".format(*map(_fmt, board.point(*cell, 0.5)))
-            for cell in cycle.cells)
-        body.append(f'<polygon points="{pts}" fill="none" '
-                    f'stroke="{color}" stroke-width="2.5"/>')
+        pts = [_pair(*board.point(*cell, 0.5)) for cell in cycle.cells]
+        body.append(_polygon(pts, "none", color, "2.5"))
         body.append(_arrowhead(board, cycle.cells[0], cycle.cells[1], color))
     return _document(board.width, board.height, body)
 
@@ -127,8 +129,14 @@ def _iso(u: float, x: int, y: int, z: int) -> tuple[float, float]:
         raise ValueError("region too far out to draw") from None
 
 
-_TOP_ABOVE, _LEFT_ABOVE, _RIGHT_ABOVE = "#f5f5f5", "#c8c8c8", "#9a9a9a"
-_TOP_BELOW, _LEFT_BELOW, _RIGHT_BELOW = "#dbe9f7", "#b3cde8", "#8aa8c8"
+# the faces drawn, as corner offsets from a cube's lower corner and a
+# fill; a plate cell is the top face of a cube whose top lies at zero
+_TOP = ((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
+_LEFT = ((0, 1, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1))
+_RIGHT = ((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1))
+_PLATE = ((_TOP, "#eeeeee"),)
+_ABOVE = ((_TOP, "#f5f5f5"), (_LEFT, "#c8c8c8"), (_RIGHT, "#9a9a9a"))
+_BELOW = ((_TOP, "#dbe9f7"), (_LEFT, "#b3cde8"), (_RIGHT, "#8aa8c8"))
 
 
 def render_filling(region: Region, t1: Tiling, t2: Tiling,
@@ -140,36 +148,26 @@ def render_filling(region: Region, t1: Tiling, t2: Tiling,
     voxels = export_voxels(filling_shape(region, t1, t2))
     x0, y0, x1, y1 = region.bounds
     zs = [v[2] for v in voxels] or [0]
-    corners = [_iso(u, x, y, z)
-               for x in (x0 - 1, x1 + 2) for y in (y0 - 1, y1 + 2)
-               for z in (min(zs), max(zs) + 2)]
-    min_px = min(p[0] for p in corners)
-    min_py = min(p[1] for p in corners)
-    width = max(p[0] for p in corners) - min_px
-    height = max(p[1] for p in corners) - min_py
+    xs, ys = zip(*(_iso(u, x, y, z)
+                   for x in (x0 - 1, x1 + 2) for y in (y0 - 1, y1 + 2)
+                   for z in (min(zs), max(zs) + 2)))
+    min_px, min_py = min(xs), min(ys)
+    width, height = max(xs) - min_px, max(ys) - min_py
 
-    def poly(points, fill):
-        pts = " ".join(
-            f"{_fmt(px - min_px)},{_fmt(py - min_py)}" for px, py in points)
-        return (f'<polygon points="{pts}" fill="{fill}" '
-                f'stroke="#555555" stroke-width="0.8"/>')
+    class Screen(dict):  # each lattice point projected and written once
+        def __missing__(self, p: tuple[int, int, int]) -> str:
+            px, py = _iso(u, *p)
+            text = self[p] = _pair(px - min_px, py - min_py)
+            return text
 
-    body = []
-    for cx, cy in sorted(region.cells, key=lambda c: (c[0] + c[1], c)):
-        quad = [_iso(u, cx, cy, 0), _iso(u, cx + 1, cy, 0),
-                _iso(u, cx + 1, cy + 1, 0), _iso(u, cx, cy + 1, 0)]
-        body.append(poly(quad, "#eeeeee"))
-    for x, y, z in sorted(voxels, key=lambda v: (v[0] + v[1], v[2], v)):
-        below = z < 0
-        top = [_iso(u, x, y, z + 1), _iso(u, x + 1, y, z + 1),
-               _iso(u, x + 1, y + 1, z + 1), _iso(u, x, y + 1, z + 1)]
-        left = [_iso(u, x, y + 1, z), _iso(u, x + 1, y + 1, z),
-                _iso(u, x + 1, y + 1, z + 1), _iso(u, x, y + 1, z + 1)]
-        right = [_iso(u, x + 1, y, z), _iso(u, x + 1, y + 1, z),
-                 _iso(u, x + 1, y + 1, z + 1), _iso(u, x + 1, y, z + 1)]
-        body.append(poly(top, _TOP_BELOW if below else _TOP_ABOVE))
-        body.append(poly(left, _LEFT_BELOW if below else _LEFT_ABOVE))
-        body.append(poly(right, _RIGHT_BELOW if below else _RIGHT_ABOVE))
+    cubes = [(x, y, -1, _PLATE)
+             for x, y in sorted(region.cells, key=lambda c: (c[0] + c[1], c))]
+    cubes += [(x, y, z, _BELOW if z < 0 else _ABOVE) for x, y, z in
+              sorted(voxels, key=lambda v: (v[0] + v[1], v[2], v))]
+    at = Screen()
+    body = [_polygon([at[x + dx, y + dy, z + dz] for dx, dy, dz in corners],
+                     fill, "#555555", "0.8")
+            for x, y, z, faces in cubes for corners, fill in faces]
     return _document(width, height, body)
 
 

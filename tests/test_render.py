@@ -1,10 +1,11 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from dominoflip import enumerate_tilings, make_rectangle
+from dominoflip import enumerate_tilings, make_aztec, make_rectangle
 from dominoflip.render import (render, render_cycles, render_filling,
                                render_tiling)
 
@@ -86,6 +87,64 @@ class TestDispatch:
         assert render(r, "tiling", a) == render_tiling(r, a)
         assert render(r, "cycles", a, b, 7) == render_cycles(r, a, b, 7)
         assert render(r, "filling", b, a, 7) == render_filling(r, b, a, 7)
+
+
+def pinned_pair(name):
+    if name == "7x4":
+        return (make_rectangle(7, 4), load_tiling("pair_7x4_a.json"),
+                load_tiling("pair_7x4_b.json"))
+    region = make_aztec(3)
+    tilings = enumerate_tilings(region)
+    return region, tilings[0], tilings[-1]
+
+
+# SHA-256 of the tiling, cycles and filling pictures of each pair, in
+# both orders (reversed, the filling's cubes lie below zero), at two
+# cell sizes
+PINNED_SVG = {
+    ("7x4", "ab", 24): (
+        "620d18aa66bfe58c9590eb0253e2e2ad30998f0e49adb88335c937ef4380330b",
+        "3c332c23879c02b98d7565162658fe6a5ada8bd1c6ea15b156af612469547c2f",
+        "4345e4e3350236b0fab8a95b435c05d11f9d755c1bd2a3ea2b1b7a72e13d80ba"),
+    ("7x4", "ab", 17): (
+        "acb91beced8bf2f8e2d8d85d315624b2f3f49794dd5c6134dfc1e09315116db5",
+        "51c1602bb395d4d77752aed71ff8223d0f5552458d2c0ade1e20d35bb66f7b87",
+        "17a66633acaa3197d1a764b1bc1ad3c570c68d30bd5bbb8b65e393816b2a25c6"),
+    ("7x4", "ba", 24): (
+        "bd8cbcf149f5a6f564f09170692ddae64e77114b3a033ec26fa477349849984f",
+        "e03ab3809f53d272de0b80aac6958ed01a086ac51ddc9bd12d144308e27c1d68",
+        "2aca0d58de60ea2234d59b103a8b395948961151a972fd902967c7411a922396"),
+    ("7x4", "ba", 17): (
+        "14c8d80c71b1ff637ac9edce11e6b6421d801f2963c4855d98f71d698d2e9448",
+        "e02de5b1d37d83dc4cbaa7246a3ab7bb6683c5d57ea2bae7870e73f3221d19f0",
+        "6e6cc67f0c4cad66f5bbe067013b1e9bb6c65cd66a5908c1a786f5a43f295f26"),
+    ("aztec:3", "ab", 24): (
+        "22c16385bc37df87734c5fff03be0df21bcbc713b9f4c788e5e52845375936aa",
+        "d1e724486cc6d352df320ed321d717f4a2be49e0353532797bfce584e6f673bd",
+        "1ea56c5ee4e9e77e4322772fa7557e00490151d793320a4ab597621256ff8f81"),
+    ("aztec:3", "ab", 17): (
+        "8badc474e8d5505f74bad6b0e679dc4964a25d8516bb6808a22cfad5cf8b6c92",
+        "04de8426ce427f4c76467b9d1ef0e4f1731c93f498f090398c70067b95e23621",
+        "ffed1e4424ef82886f0037ec7b4154a8c8ce46ef4ec99437c7f531a08372c64b"),
+    ("aztec:3", "ba", 24): (
+        "2472811d73ed8dbf7996119a0b31fc4a8573f86ec750f4f14900ebfeabb2f6d7",
+        "1a3ab6846cf610ba8f09c36836d785fbe2cafe8662c083da2d5f7a807ff9dcd7",
+        "2085a5438f4cafa61a44b8b922d9e1f6ebbcedd30514570f85fdf0d2af438b46"),
+    ("aztec:3", "ba", 17): (
+        "13751272af0d817dc63fdba81900c597c76873a4db1f7239f042f9b89af090e8",
+        "0cff721c2da76cc9aa8b60ee72569ac5b459fe915d117795a6d7c7f0ec9eae2c",
+        "768e8bb12f8e3171c6b611b09cd6939e71fa8cc74453d21f5395087ad2249d32"),
+}
+
+
+@pytest.mark.parametrize("name, order, size", sorted(PINNED_SVG), ids=str)
+def test_pinned_bytes(name, order, size):
+    region, a, b = pinned_pair(name)
+    t1, t2 = (a, b) if order == "ab" else (b, a)
+    digests = tuple(
+        hashlib.sha256(render(region, mode, t1, t2, size).encode()).hexdigest()
+        for mode in ("tiling", "cycles", "filling"))
+    assert digests == PINNED_SVG[name, order, size]
 
 
 # (renderer, whether it draws a pair of tilings)

@@ -327,6 +327,17 @@ class TestRings:
             # one peel down, or 1 when its cells all leave with the ring
             assert levels[v] == deeper.get(v, 0) + 1
 
+    @given(st.one_of(tileable_discs(8), punched_boxes(9)))
+    def test_levels_are_king_distances_to_the_boundary(self, cells):
+        # oracle: the fewest king moves from each vertex to one with a
+        # cell missing round it, by brute force over those vertices;
+        # punched boxes bring holes, pinches and several components
+        boundary = boundary_set(cells)
+        expected = {v: min(max(abs(v[0] - b[0]), abs(v[1] - b[1]))
+                           for b in boundary)
+                    for v in vertex_set(cells)}
+        assert _vertex_levels(Region(cells)) == expected
+
 
 def cross(arm):
     """Two 2-cell-wide bars, 2 * arm cells long, crossing at the origin."""
