@@ -87,19 +87,17 @@ class ShapeSpec:
         self.kind = kind
         # count the cells first, clamping what a builder would reject
         if kind in ("rect", "square"):
-            w, sep, h = (rest.partition("x") if kind == "rect"
-                         else (rest, "x", rest))
-            if not sep:
-                raise ValueError(f"bad rectangle spec {text!r}; expected rect:MxN")
-            self.dims = (int(w), int(h))
+            w, _, h = (rest.partition("x") if kind == "rect"
+                       else (rest, "x", rest))
+            self.dims = (self._size(w), self._size(h))
             cells = max(self.dims[0], 0) * max(self.dims[1], 0)
             build = partial(make_rectangle, *self.dims)
         elif kind == "aztec":
-            self.order = int(rest)
+            self.order = self._size(rest)
             cells = 2 * max(self.order, 0) * (self.order + 1)
             build = partial(make_aztec, self.order)
         elif kind == "holed-square":
-            side = int(rest)
+            side = self._size(rest)
             cells = max(side, 0) ** 2 - 1
             build = partial(make_holed_square, side)
         elif kind == "file":
@@ -113,6 +111,13 @@ class ShapeSpec:
             raise ResourceLimitError(
                 f"shape {text!r} has {cells} cells, cap is {MAX_SHAPE_CELLS}")
         self.region = build()
+
+    def _size(self, field: str) -> int:
+        try:
+            return int(field)
+        except ValueError:
+            raise ValueError(f"bad shape spec {self.text!r}; its sizes "
+                             "must be integers") from None
 
     def closed_form_count(self) -> int:
         if self.kind in ("rect", "square"):
@@ -143,6 +148,8 @@ def _read_json(path: str):
         raise ValueError(str(exc)) from exc
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _json_line(data) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import NumericInstabilityError, ResourceLimitError
-from .surface import Cell, Region, _connected, is_black
+from .surface import Region, _pieces, is_black
 
 # live profiles the DP may hold; refusing 40x40 with a hole at this
 # cap peaks near 200 MB
@@ -69,9 +69,9 @@ def count_tilings(region: Region) -> int:
     then the DP counts instead, and raises once it holds more than
     ``MAX_PROFILE_STATES`` live profiles.
     """
-    parts = _balanced_components(region.cells)
-    if parts is None:
-        return 0
+    parts = list(_pieces(region.cells))
+    if any(2 * sum(map(is_black, part)) != len(part) for part in parts):
+        return 0  # every domino covers one black and one white cell
     total = 1
     for part in parts:
         w, order = _sweep(part)
@@ -92,20 +92,6 @@ def count_tilings(region: Region) -> int:
         if not total:
             return 0
     return total
-
-
-def _balanced_components(cells) -> list[list[Cell]] | None:
-    """The edge-connected components of the cells, or None when one of
-    them has unequal black and white cells and so no tiling."""
-    left = set(cells)
-    parts = []
-    while left:
-        part = _connected(left, [next(iter(left))])
-        if 2 * sum(map(is_black, part)) != len(part):
-            return None  # every domino covers one black and one white cell
-        left.difference_update(part)
-        parts.append(part)
-    return parts
 
 
 def _sweep(cells) -> tuple[int, list[int]]:

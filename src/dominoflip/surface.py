@@ -104,14 +104,10 @@ class Region:
     @cached_property
     def dominoes(self) -> dict[tuple[Cell, Cell], int]:
         """The region's dominoes, each to its bit in a tiling's mask, in
-        bit order.  Each follows its first cell in a breadth-first flood
-        of each component from its smallest cell, so the four of a 2x2
-        block lie a few flood levels apart however long the region is."""
-        flood: dict[Cell, None] = {}
-        for cell in sorted(self.cells):
-            if cell not in flood:
-                flood.update(dict.fromkeys(_connected(self.cells, [cell])))
-        pairs = (((x, y), p) for x, y in flood
+        bit order.  Each follows its first cell in ``_pieces``' flood
+        order, so the four of a 2x2 block lie a few flood levels apart
+        however long the region is."""
+        pairs = (((x, y), p) for piece in _pieces(self.cells) for x, y in piece
                  for p in ((x + 1, y), (x, y + 1)) if p in self.cells)
         return {d: i for i, d in enumerate(pairs)}
 
@@ -199,6 +195,17 @@ def _connected(cells: frozenset[Cell] | set[Cell], seeds: Iterable[Cell]) -> lis
                 add(nb)
                 push(nb)
     return queue
+
+
+def _pieces(cells: frozenset[Cell]) -> Iterator[list[Cell]]:
+    """The edge-connected pieces of the cells, in the order of their
+    smallest cells, each in breadth-first flood order from that cell."""
+    left = set(cells)
+    for cell in sorted(cells):
+        if cell in left:
+            piece = _connected(left, [cell])
+            left.difference_update(piece)
+            yield piece
 
 
 def _vertex_count(cells: frozenset[Cell]) -> int:

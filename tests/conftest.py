@@ -135,6 +135,15 @@ def tileable_discs(draw, max_side):
     return [(x + ox, y + oy) for x, y in sorted(frame - outside)]
 
 
+@st.composite
+def two_discs(draw, max_side):
+    """Two ``tileable_discs``, the second moved 200 cells right, so they
+    are two pieces too far apart to touch: (first, second, union)."""
+    first = draw(tileable_discs(max_side))
+    second = [(x + 200, y) for x, y in draw(tileable_discs(max_side))]
+    return first, second, first + second
+
+
 def _flood(seed, cells):
     """The cells reachable from seed by unit steps inside cells."""
     seen, queue = {seed}, [seed]

@@ -183,6 +183,15 @@ class TestCount:
         assert code == 3
         assert "shape" in err
 
+    @pytest.mark.parametrize("spec", ["rect:3x", "rect:x3", "rect:3",
+                                      "rect:3x2x1", "square:a", "aztec:",
+                                      "holed-square:2.5"])
+    def test_sizes_that_are_not_integers_name_the_spec(self, capsys, spec):
+        code, out, err = run(capsys, "count", "--shape", spec)
+        assert (code, out) == (3, "")
+        assert err == (f"error: bad shape spec {spec!r}; its sizes must be "
+                       "integers\n")
+
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
     @pytest.mark.parametrize("command", ["count", "components"])
     def test_counts_print_at_any_length(self, capsys, command, flags):
@@ -427,6 +436,36 @@ class TestFileErrors:
                              "--t2", str(deep), "--method", "all")
         assert (code, out) == (3, "")
         assert err == f"error: {deep}: JSON nested too deeply\n"
+
+    def test_shape_file_that_is_not_json_names_its_path(self, capsys,
+                                                        tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text("")
+        code, out, err = run(capsys, "count", "--shape", f"file:{empty}")
+        assert (code, out) == (3, "")
+        assert err == (f"error: {empty}: Expecting value: line 1 column 1 "
+                       "(char 0)\n")
+
+    def test_tiling_that_is_not_json_names_its_path(self, capsys, tmp_path,
+                                                    fixtures_dir):
+        cut = tmp_path / "cut.json"
+        cut.write_text('{"dominoes": [[[0, 0], [1, 0]]')
+        code, out, err = run(capsys, "distance", "--shape", "rect:6x2",
+                             "--t1", str(fixtures_dir / "brick_6x2.json"),
+                             "--t2", str(cut))
+        assert (code, out) == (3, "")
+        assert err == (f"error: {cut}: Expecting ',' delimiter: line 1 "
+                       "column 31 (char 30)\n")
+
+    def test_tiling_that_is_not_utf8_names_its_path(self, capsys, tmp_path,
+                                                    fixtures_dir):
+        raw = tmp_path / "raw.json"
+        raw.write_bytes(b"\xff")
+        code, out, err = run(capsys, "distance", "--shape", "rect:6x2",
+                             "--t1", str(raw),
+                             "--t2", str(fixtures_dir / "brick_6x2.json"))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {raw}: 'utf-8' codec can't decode")
 
     def test_out_into_a_missing_directory_exits_5(self, capsys, tmp_path):
         code, out, err = run(capsys, "extremes", "--shape", "rect:2x2",

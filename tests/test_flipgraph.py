@@ -14,7 +14,7 @@ from dominoflip import (Region, ResourceLimitError, available_flips,
                         make_from_cells, make_holed_square, make_rectangle,
                         tiling_to_json)
 
-from conftest import punched_boxes, tileable_discs
+from conftest import punched_boxes, tileable_discs, two_discs
 
 
 def differ_by_one_block(t1, t2):
@@ -102,6 +102,47 @@ class TestBuild:
         assert asked == []
         assert g.nodes == enumerate_tilings(region)
         assert asked == [region]
+
+
+def check_node_order(region):
+    """The canonical node order, block by block.  The tilings that hold
+    a block's horizontal pair and those that hold its vertical pair,
+    each in node order, are paired by the flip k-th to k-th, and the
+    horizontal holder has the lower id.  So each CSR row is the node's
+    lower neighbours in block order, then its higher ones in reverse."""
+    g = build_flip_graph(region)
+    masks = g.masks
+    node = {m: i for i, m in enumerate(masks)}
+    lower, higher = [[] for _ in masks], [[] for _ in masks]
+    for s, h, v in region.flip_blocks.values():
+        across = [i for i, m in enumerate(masks) if (m >> s) & h == h]
+        along = [i for i, m in enumerate(masks) if (m >> s) & v == v]
+        assert [node[masks[i] ^ (h | v) << s] for i in across] == along
+        for i, j in zip(across, along):
+            assert i < j
+            higher[i].append(j)
+            lower[j].append(i)
+    for i in range(len(g)):
+        row = g.targets[g.offsets[i]:g.offsets[i + 1]].tolist()
+        assert row == lower[i] + higher[i][::-1]
+
+
+class TestNodeOrder:
+    @given(tileable_discs(6))
+    def test_discs(self, cells):
+        check_node_order(make_from_cells(cells))
+
+    @given(two_discs(4))
+    def test_two_pieces(self, discs):
+        check_node_order(make_from_cells(discs[2]))
+
+    @pytest.mark.parametrize("region", [
+        make_rectangle(8, 4), make_aztec(4), make_holed_square(5),
+        Region([(x, y) for x in range(6) for y in range(5)
+                if (x, y) not in ((2, 2), (4, 3))]),
+    ], ids=["8x4", "aztec:4", "holed-square:5", "6x5-two-holes"])
+    def test_fixed_regions(self, region):
+        check_node_order(region)
 
 
 class TestBfs:

@@ -18,8 +18,8 @@ from dominoflip import (Region, apply_flip, available_flips, base_vertex,
 from dominoflip.diameter import _vertex_levels
 from dominoflip.height import extremal_heights, label_distance
 from dominoflip.render import render
-from dominoflip.surface import (_connected, _vertex_count, interior_vertices,
-                                vertex_edges)
+from dominoflip.surface import (_connected, _pieces, _vertex_count,
+                                interior_vertices, vertex_edges)
 from dominoflip.tiling import is_tileable
 
 from conftest import (CORNER_PINCHES, boundary_set, cell_corners,
@@ -343,6 +343,65 @@ def cross(arm):
     """Two 2-cell-wide bars, 2 * arm cells long, crossing at the origin."""
     bar = [(x, y) for x in range(-arm, arm) for y in (0, 1)]
     return Region(bar + [(y, x) for x, y in bar])
+
+
+def blocks(*corners):
+    """The 2x2 blocks of cells with these lower-left corners."""
+    return [(x + dx, y + dy) for x, y in corners for dx in (0, 1)
+            for dy in (0, 1)]
+
+
+TWO_APART = blocks((0, 0), (4, 0))
+TWO_AT_A_CORNER = blocks((0, 0), (2, 2))
+# a 2x2 island inside a 6x6 ring, one cell of water between them
+ISLAND = blocks((2, 2)) + [(x, y) for x in range(6) for y in range(6)
+                           if not (0 < x < 5 and 0 < y < 5)]
+RING_FLOOD = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3),
+              (4, 0), (0, 4), (5, 0), (0, 5), (5, 1), (1, 5), (5, 2), (2, 5),
+              (5, 3), (3, 5), (5, 4), (4, 5), (5, 5)]
+
+
+def block_dominoes(x, y):
+    """A 2x2 block's dominoes in flood order from its corner (x, y)."""
+    return [((x, y), (x + 1, y)), ((x, y), (x, y + 1)),
+            ((x + 1, y), (x + 1, y + 1)), ((x, y + 1), (x + 1, y + 1))]
+
+
+class TestPieces:
+    @pytest.mark.parametrize("cells,pieces", [
+        (TWO_APART, [[(0, 0), (1, 0), (0, 1), (1, 1)],
+                     [(4, 0), (5, 0), (4, 1), (5, 1)]]),
+        (TWO_AT_A_CORNER, [[(0, 0), (1, 0), (0, 1), (1, 1)],
+                           [(2, 2), (3, 2), (2, 3), (3, 3)]]),
+        (ISLAND, [RING_FLOOD, [(2, 2), (3, 2), (2, 3), (3, 3)]]),
+    ], ids=["apart", "corner", "island"])
+    def test_pieces_in_order_of_their_smallest_cells(self, cells, pieces):
+        assert list(_pieces(frozenset(cells))) == pieces
+
+    @pytest.mark.parametrize("cells,dominoes", [
+        (TWO_APART, block_dominoes(0, 0) + block_dominoes(4, 0)),
+        (TWO_AT_A_CORNER, block_dominoes(0, 0) + block_dominoes(2, 2)),
+        # each ring cell's right, then upper partner, in the ring's flood
+        # order, then the island's
+        (ISLAND, [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (2, 0)),
+                  ((0, 1), (0, 2)), ((2, 0), (3, 0)), ((0, 2), (0, 3)),
+                  ((3, 0), (4, 0)), ((0, 3), (0, 4)), ((4, 0), (5, 0)),
+                  ((0, 4), (0, 5)), ((5, 0), (5, 1)), ((0, 5), (1, 5)),
+                  ((5, 1), (5, 2)), ((1, 5), (2, 5)), ((5, 2), (5, 3)),
+                  ((2, 5), (3, 5)), ((5, 3), (5, 4)), ((3, 5), (4, 5)),
+                  ((5, 4), (5, 5)), ((4, 5), (5, 5))] + block_dominoes(2, 2)),
+    ], ids=["apart", "corner", "island"])
+    def test_domino_bits_follow_the_pieces(self, cells, dominoes):
+        assert list(make_from_cells(cells).dominoes) == dominoes
+
+    @given(punched_boxes(8))
+    def test_pieces_partition_the_cells(self, cells):
+        pieces = list(_pieces(frozenset(cells)))
+        assert sorted(c for piece in pieces for c in piece) == sorted(cells)
+        assert [min(piece) for piece in pieces] == sorted(
+            min(piece) for piece in pieces)
+        for piece in pieces:
+            assert _connected(frozenset(cells), [piece[0]]) == piece
 
 
 class TestDominoMasks:

@@ -17,11 +17,11 @@ from dominoflip import (InvalidMoveError, NumericInstabilityError, Region,
 from dominoflip.counting import (MAX_DETERMINANT_WORK, _band,
                                  _count_by_determinant, _count_by_profile,
                                  _determinant_work, _modulus, _sweep)
-from dominoflip.surface import _connected
+from dominoflip.surface import _pieces
 from dominoflip.tiling import _backtrack_masks, _perfect_matching, is_tileable
 
 from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, punched_boxes,
-                      region_grid, tileable_discs)
+                      region_grid, tileable_discs, two_discs)
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
@@ -374,10 +374,7 @@ class TestTwoCountingPaths:
 
     @given(punched_boxes(10))
     def test_agree_on_every_component(self, cells):
-        left = set(cells)
-        while left:
-            part = _connected(left, [next(iter(left))])
-            left.difference_update(part)
+        for part in _pieces(frozenset(cells)):
             if 2 * sum(map(is_black, part)) == len(part):
                 sweep = _sweep(part)
                 assert (_count_by_determinant(*sweep)
@@ -429,6 +426,22 @@ class TestTwoCountingPaths:
         assert record_paths(monkeypatch, make_rectangle(16, 16)) == ["profile"]
         with pytest.raises(ResourceLimitError, match="determinant"):
             record_paths(monkeypatch, make_rectangle(200, 200))
+
+    def test_unbalanced_pieces_count_nothing(self, monkeypatch):
+        # a 3-cell bar, two black cells and a white one, and one far
+        # white cell: balanced as a whole, but no piece is counted, not
+        # even a rectangle before them whose determinant is over the cap
+        bar = [(0, 0), (1, 0), (2, 0), (5, 6)]
+        assert count_tilings(make_from_cells(bar)) == 0
+        board = [(x, y) for x in range(-500, -300) for y in range(200)]
+        assert record_paths(monkeypatch, make_from_cells(board + bar)) == []
+
+    @given(two_discs(8))
+    def test_pieces_apart_multiply(self, discs):
+        first, second, union = discs
+        assert count_tilings(make_from_cells(union)) == (
+            count_tilings(make_from_cells(first))
+            * count_tilings(make_from_cells(second)))
 
     def test_components_counted_on_their_own_axes(self):
         # swept together along one axis, the block's rows run across its
