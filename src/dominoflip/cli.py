@@ -108,14 +108,26 @@ class ShapeSpec:
         else:
             raise ValueError(f"unknown shape kind {kind!r}")
         if cells > MAX_SHAPE_CELLS:
+            # a count this long comes from a spec as long: print neither
             raise ResourceLimitError(
-                f"shape {text!r} has {cells} cells, cap is {MAX_SHAPE_CELLS}")
+                f"shape {text!r} has {cells} cells, cap is {MAX_SHAPE_CELLS}"
+                if cells < 10 ** 40 else
+                f"{kind} shape has more cells than the cap of "
+                f"{MAX_SHAPE_CELLS}")
         self.region = build()
 
     def _size(self, field: str) -> int:
         try:
             return int(field)
         except ValueError:
+            import re
+
+            # int()'s own grammar: what it refuses then is past its
+            # limit on digits, which bounds the time to read them
+            if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", field):
+                raise ValueError(f"bad {self.kind} shape spec; a size has "
+                                 f"{sum(map(str.isdecimal, field))} digits, "
+                                 "too many to read") from None
             raise ValueError(f"bad shape spec {self.text!r}; its sizes "
                              "must be integers") from None
 

@@ -67,31 +67,42 @@ def count_tilings(region: Region) -> int:
     ``MAX_DETERMINANT_WORK`` raises ``ResourceLimitError`` before it
     starts, unless the DP's ``C(b, b // 2)`` fits ``MAX_PROFILE_STATES``:
     then the DP counts instead, and raises once it holds more than
-    ``MAX_PROFILE_STATES`` live profiles.
+    ``MAX_PROFILE_STATES`` live profiles.  A piece with no tiling
+    answers 0 wherever it lies, so a refusal is raised only once every
+    other piece has counted.
     """
     parts = list(_pieces(region.cells))
     if any(2 * sum(map(is_black, part)) != len(part) for part in parts):
         return 0  # every domino covers one black and one white cell
-    total = 1
+    total, refusal = 1, None
     for part in parts:
-        w, order = _sweep(part)
-        band = _band(w, order)
-        n = len(order) // 2
-        work = _determinant_work(n, band, _modulus(n).bit_length())
-        profiles = math.comb(band, band // 2)
-        if (work < PROFILE_UNIT_COST * len(order) * profiles
-                and (work <= MAX_DETERMINANT_WORK
-                     or profiles > MAX_PROFILE_STATES)):
-            if work > MAX_DETERMINANT_WORK:
-                raise ResourceLimitError(
-                    f"determinant elimination needs an estimated {work} "
-                    f"work units, cap is {MAX_DETERMINANT_WORK}")
-            total *= _count_by_determinant(w, order)
-        else:
-            total *= _count_by_profile(w, order)
+        try:
+            total *= _count_piece(part)
+        except ResourceLimitError as error:
+            refusal = refusal or error
         if not total:
             return 0
+    if refusal:
+        raise refusal
     return total
+
+
+def _count_piece(part: list) -> int:
+    """One edge-connected piece's count, by the cheaper path."""
+    w, order = _sweep(part)
+    band = _band(w, order)
+    n = len(order) // 2
+    work = _determinant_work(n, band, _modulus(n).bit_length())
+    profiles = math.comb(band, band // 2)
+    if (work < PROFILE_UNIT_COST * len(order) * profiles
+            and (work <= MAX_DETERMINANT_WORK
+                 or profiles > MAX_PROFILE_STATES)):
+        if work > MAX_DETERMINANT_WORK:
+            raise ResourceLimitError(
+                f"determinant elimination needs an estimated {work} "
+                f"work units, cap is {MAX_DETERMINANT_WORK}")
+        return _count_by_determinant(w, order)
+    return _count_by_profile(w, order)
 
 
 def _sweep(cells) -> tuple[int, list[int]]:

@@ -97,10 +97,12 @@ def value_map(region: Region, collection: CycleCollection) -> ValueMap:
     integer scanline, and a cycle's winding number round a vertex is
     the sum of its crossings of the rightward ray from it: +1 up, -1
     down.  So the crossings of all cycles, summed from the right along
-    each scanline, give each vertex of the row its value.  A closed
-    cycle crosses a scanline as often up as down, so the sum is 0 left
-    of the leftmost crossing; a vertex with no region cell round it (in
-    a hole) has no value.
+    each scanline, give each vertex of the row its value.  The sum
+    changes only at a crossing, so each scanline steps from crossing to
+    crossing and skips the spans where it is 0, however far apart the
+    cycles lie.  A closed cycle crosses a scanline as often up as down,
+    so the sum is 0 left of the leftmost crossing; a vertex with no
+    region cell round it (in a hole) has no value.
     """
     crossings: dict[int, list[tuple[int, int]]] = {}
     for cycle in collection:
@@ -111,13 +113,14 @@ def value_map(region: Region, collection: CycleCollection) -> ValueMap:
     cells = region.cells
     values: dict[Vertex, int] = {}
     for y, events in crossings.items():
-        events.sort()
+        events.sort(reverse=True)
         count = 0
-        for vx in range(events[-1][0], events[0][0], -1):
-            while events[-1][0] >= vx:
-                count += events.pop()[1]
-            if count and not cells.isdisjoint(cells_around((vx, y))):
-                values[vx, y] = count
+        for (x, step), (left, _) in zip(events, events[1:]):
+            count += step
+            if count:  # the vertices from x to the next crossing left
+                for vx in range(x, left, -1):
+                    if not cells.isdisjoint(cells_around((vx, y))):
+                        values[vx, y] = count
     return ValueMap(values)
 
 

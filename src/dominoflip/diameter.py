@@ -32,7 +32,7 @@ from itertools import compress
 from operator import sub
 
 from .errors import DEFAULT_NODE_BUDGET, DominoError, UntileableError
-from .surface import Region, Vertex
+from .surface import _KING, Region, Vertex, _flood
 from .tiling import Tiling
 
 
@@ -121,25 +121,17 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
 def _vertex_levels(region: Region) -> dict[Vertex, int]:
     """Every vertex's level, by one king-move search from the boundary."""
     cells = region.cells
-    levels = {}
+    seeds = {}
     for x, y in cells:  # a side with no cell across it ends at the boundary
         if (x, y - 1) not in cells:
-            levels[x, y] = levels[x + 1, y] = 0
+            seeds[x, y] = seeds[x + 1, y] = 0
         if (x, y + 1) not in cells:
-            levels[x, y + 1] = levels[x + 1, y + 1] = 0
+            seeds[x, y + 1] = seeds[x + 1, y + 1] = 0
         if (x - 1, y) not in cells:
-            levels[x, y] = levels[x, y + 1] = 0
+            seeds[x, y] = seeds[x, y + 1] = 0
         if (x + 1, y) not in cells:
-            levels[x + 1, y] = levels[x + 1, y + 1] = 0
-    queue = list(levels)
-    for x, y in queue:  # the list grows behind the loop, as a FIFO queue
-        level = levels[x, y] + 1
-        for v in ((x - 1, y - 1), (x, y - 1), (x + 1, y - 1), (x - 1, y),
-                  (x + 1, y), (x - 1, y + 1), (x, y + 1), (x + 1, y + 1)):
-            if v not in levels and v in cells:  # unreached, so interior
-                levels[v] = level
-                queue.append(v)
-    return levels
+            seeds[x + 1, y] = seeds[x + 1, y + 1] = 0
+    return _flood(cells, seeds, _KING)  # all it reaches past them is interior
 
 
 def diameter_levels(region: Region) -> int:

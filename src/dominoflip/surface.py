@@ -95,7 +95,7 @@ class Region:
         the region is hole-free exactly when V - 3F + A == 1.
         """
         cells = self.cells
-        if len(_connected(cells, [next(iter(cells))])) != len(cells):
+        if len(_flood(cells, [next(iter(cells))], _SIDES)) != len(cells):
             return False
         adjacent = sum(((x + 1, y) in cells) + ((x, y + 1) in cells)
                        for x, y in cells)
@@ -183,18 +183,25 @@ def make_from_cells(cells: Iterable[Cell]) -> Region:
     return Region(cells)
 
 
-def _connected(cells: frozenset[Cell] | set[Cell], seeds: Iterable[Cell]) -> list[Cell]:
-    """Cells reachable from the seeds by unit steps inside the given set,
-    each once, in the order a breadth-first flood reaches them."""
-    seen = set(seeds)
-    queue = list(seen)
-    add, push = seen.add, queue.append
-    for x, y in queue:
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb not in seen and nb in cells:
-                add(nb)
-                push(nb)
-    return queue
+# unit steps: the four sides (Region.dominoes' bit order), the king's eight
+_SIDES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_KING = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+
+
+def _flood(inside, seeds: Iterable[Cell], steps) -> dict[Cell, int]:
+    """Each point the seeds reach by the steps through points of inside,
+    mapped to its step count from the nearest seed, in the order a
+    breadth-first flood reaches them.  Seeds need not be inside."""
+    reached = dict.fromkeys(seeds, 0)
+    queue = list(reached)
+    for x, y in queue:  # the list grows behind the loop, as a FIFO queue
+        level = reached[x, y] + 1
+        for dx, dy in steps:
+            p = (x + dx, y + dy)
+            if p not in reached and p in inside:
+                reached[p] = level
+                queue.append(p)
+    return reached
 
 
 def _pieces(cells: frozenset[Cell]) -> Iterator[list[Cell]]:
@@ -203,7 +210,7 @@ def _pieces(cells: frozenset[Cell]) -> Iterator[list[Cell]]:
     left = set(cells)
     for cell in sorted(cells):
         if cell in left:
-            piece = _connected(left, [cell])
+            piece = list(_flood(left, [cell], _SIDES))
             left.difference_update(piece)
             yield piece
 

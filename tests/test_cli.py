@@ -103,6 +103,20 @@ class TestCount:
         estimate, cap = map(int, re.findall(r"\d+", done.stderr))
         assert cap == dominoflip.counting.MAX_DETERMINANT_WORK < estimate
 
+    @pytest.mark.parametrize("shift", [-1000, 1000], ids=["left", "right"])
+    def test_untileable_piece_answers_0_beside_one_over_the_cap(
+            self, capsys, tmp_path, fixtures_dir, shift):
+        # the board's determinant is over the cap and the spur has no
+        # tiling, so the answer is 0 whichever piece comes first
+        spur = json.loads((fixtures_dir / "spur_12x6.json").read_text())
+        path = tmp_path / "board_and_spur.json"
+        path.write_text(json.dumps({"cells": [
+            *([x, y] for x in range(200) for y in range(200)),
+            *([x + shift, y] for x, y in spur["cells"])]}))
+        code, out, err = run(capsys, "count", "--shape", f"file:{path}")
+        assert (code, out, err) == (2, "0\n",
+                                    "warning: region is untileable\n")
+
     def test_components_counted_on_their_own_axes(self, tmp_path):
         # a 2x40 block and a domino far away: swept together along one
         # axis the block's profiles pass the state cap
@@ -216,6 +230,30 @@ class TestCount:
                                            "result": result}
             else:
                 assert out == expected
+
+    @pytest.mark.parametrize("shape", [
+        "rect:{ones}x{ones}", "rect:{ones}x2", "aztec:{ones}"],
+        ids=["6000-digit count", "3000-digit count", "aztec"])
+    def test_cap_refusal_prints_no_long_count(self, capsys, shape):
+        # the count may be past what Python turns into text, and the
+        # spec is as long as the count
+        shape = shape.format(ones="1" * 3000)
+        code, out, err = run(capsys, "count", "--shape", shape)
+        assert (code, out) == (4, "")
+        kind = shape.partition(":")[0]
+        assert err == (f"error: {kind} shape has more cells than the cap "
+                       f"of {dominoflip.cli.MAX_SHAPE_CELLS}\n")
+
+    @pytest.mark.parametrize("shape,digits", [
+        (f"rect:2x{'9' * 6000}", 6000), (f"square:{'1_' * 4999}1", 5000),
+        (f"holed-square: +{'7' * 4400} ", 4400)],
+        ids=["rect", "square with underscores", "holed-square signed"])
+    def test_sizes_past_the_digit_limit_say_so(self, capsys, shape, digits):
+        code, out, err = run(capsys, "count", "--shape", shape)
+        kind = shape.partition(":")[0]
+        assert (code, out) == (3, "")
+        assert err == (f"error: bad {kind} shape spec; a size has {digits} "
+                       "digits, too many to read\n")
 
     @pytest.mark.parametrize("where", ["budget", "shape", "file"])
     def test_huge_input_integers_still_exit_3(self, capsys, tmp_path, where):

@@ -1,5 +1,7 @@
+import json
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,7 @@ from dominoflip.cycles import cycles_to_json
 from dominoflip.tiling import partner_map
 
 from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, region_grid,
-                      tileable_discs, vertex_set)
+                      run_capped, tileable_discs, vertex_set)
 
 # the 6x6 board minus its central 2x2 block: a cycle round the hole
 # winds round (3, 3), which is not a vertex of the region
@@ -240,6 +242,31 @@ class TestValueMap:
                 assert distance_cycles(HOLED_BOARD, t1, t2) is None
                 assert vm.total == total
                 assert (3, 3) not in vm.values
+
+    @pytest.mark.parametrize("command,expected", [
+        (["distance", "--method", "cycles"], "2\n"),
+        (["export", "--what", "voxels"],
+         '{"voxels": [[1, 1, 0], [1000000001, 1, 0]]}\n'),
+    ], ids=["distance", "voxels"])
+    def test_scanlines_skip_the_gap_between_cycles(self, tmp_path, command,
+                                                   expected):
+        # two 2x2 blocks 10^9 columns apart, each turned by one flip: a
+        # scanline that stepped through every column would not finish
+        files = {"region": {"cells": [[x + gap, y] for gap in (0, 10 ** 9)
+                                      for x in (0, 1) for y in (0, 1)]},
+                 "flat": {"dominoes": [[[gap, y], [gap + 1, y]]
+                                       for gap in (0, 10 ** 9)
+                                       for y in (0, 1)]},
+                 "tall": {"dominoes": [[[gap + x, 0], [gap + x, 1]]
+                                       for gap in (0, 10 ** 9)
+                                       for x in (0, 1)]}}
+        for name, data in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        done = run_capped("-m", "dominoflip.cli", *command, "--shape",
+                          f"file:{tmp_path / 'region.json'}",
+                          "--t1", str(tmp_path / "flat.json"),
+                          "--t2", str(tmp_path / "tall.json"), timeout=20)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 class TestDistance:

@@ -18,8 +18,9 @@ from dominoflip import (Region, apply_flip, available_flips, base_vertex,
 from dominoflip.diameter import _vertex_levels
 from dominoflip.height import extremal_heights, label_distance
 from dominoflip.render import render
-from dominoflip.surface import (_connected, _pieces, _vertex_count,
-                                interior_vertices, vertex_edges)
+from dominoflip.surface import (_KING, _SIDES, _flood, _pieces,
+                                _vertex_count, interior_vertices,
+                                vertex_edges)
 from dominoflip.tiling import is_tileable
 
 from conftest import (CORNER_PINCHES, boundary_set, cell_corners,
@@ -34,12 +35,13 @@ def flood_is_simply_connected(region):
     """Oracle: edge-connected, and every cell of the bounding box padded
     by one that is not in the region is reachable from outside."""
     cells = region.cells
-    if len(_connected(cells, [min(cells)])) != len(cells):
+    if len(_flood(cells, [min(cells)], _SIDES)) != len(cells):
         return False
     x0, y0, x1, y1 = region.bounds
     box = {(x, y) for x in range(x0 - 1, x1 + 2) for y in range(y0 - 1, y1 + 2)}
     complement = box - cells
-    return len(_connected(complement, [(x0 - 1, y0 - 1)])) == len(complement)
+    return (len(_flood(complement, [(x0 - 1, y0 - 1)], _SIDES))
+            == len(complement))
 
 
 def membership_edge_sign(cells, u, v):
@@ -183,7 +185,7 @@ class TestSimplyConnected:
     @pytest.mark.parametrize("rows", CORNER_PINCHES)
     def test_corner_pinch_encloses_a_hole(self, rows):
         r = region_grid(len(rows[0]), len(rows), " ".join(rows))
-        assert len(_connected(r.cells, [min(r.cells)])) == len(r.cells)
+        assert len(_flood(r.cells, [min(r.cells)], _SIDES)) == len(r.cells)
         assert not is_simply_connected(r)
         assert not flood_is_simply_connected(r)
 
@@ -216,9 +218,9 @@ class TestSimplyConnected:
 
         def counted(*args):
             floods.append(args)
-            return _connected(*args)
+            return _flood(*args)
 
-        monkeypatch.setattr(dominoflip.surface, "_connected", counted)
+        monkeypatch.setattr(dominoflip.surface, "_flood", counted)
         r = Region(cells)
         answer = is_simply_connected(r)
         assert [is_simply_connected(r) for _ in range(3)] == [answer] * 3
@@ -291,6 +293,27 @@ class TestEdgeSigns:
     def test_no_edges_at_a_vertex_off_the_region(self):
         # the oracle reads only the region's vertices
         assert list(vertex_edges(frozenset({(0, 0)}), (5, 5))) == []
+
+
+class TestFlood:
+    @given(punched_boxes(8), st.sampled_from([_SIDES, _KING]))
+    def test_step_counts_from_the_nearest_seed(self, cells, steps):
+        # oracle: grow the reached set one whole level at a time; one
+        # seed lies outside the cells, which the flood keeps at 0 and
+        # steps out of
+        outside = (min(x for x, _ in cells) - 2, 0)
+        seeds = [max(cells), outside, min(cells)]
+        expected, front, level = {}, set(seeds), 0
+        while front:
+            expected.update(dict.fromkeys(front, level))
+            level += 1
+            front = {(x + dx, y + dy) for x, y in front for dx, dy in steps
+                     if (x + dx, y + dy) in cells} - expected.keys()
+        reached = _flood(frozenset(cells), seeds, steps)
+        assert reached == expected
+        starts = list(dict.fromkeys(seeds))
+        assert list(reached)[:len(starts)] == starts
+        assert list(reached.values()) == sorted(reached.values())
 
 
 class TestRings:
@@ -401,7 +424,7 @@ class TestPieces:
         assert [min(piece) for piece in pieces] == sorted(
             min(piece) for piece in pieces)
         for piece in pieces:
-            assert _connected(frozenset(cells), [piece[0]]) == piece
+            assert list(_flood(frozenset(cells), [piece[0]], _SIDES)) == piece
 
 
 class TestDominoMasks:
