@@ -76,6 +76,20 @@ _EXIT_CODES = (
 MAX_SHAPE_CELLS = 1 << 20
 
 
+def _int(text: str, what: str) -> int | None:
+    """int(text), or None when text is no integer.  An integer past int()'s
+    limit on digits raises ValueError naming only its digit count."""
+    try:
+        return int(text)
+    except ValueError:
+        import re
+
+        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):  # int()'s grammar
+            raise ValueError(f"{what} has {sum(map(str.isdecimal, text))} "
+                             "digits, too many to read") from None
+        return None
+
+
 class ShapeSpec:
     """Parsed --shape argument; remembers the kind for closed forms."""
 
@@ -117,19 +131,11 @@ class ShapeSpec:
         self.region = build()
 
     def _size(self, field: str) -> int:
-        try:
-            return int(field)
-        except ValueError:
-            import re
-
-            # int()'s own grammar: what it refuses then is past its
-            # limit on digits, which bounds the time to read them
-            if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", field):
-                raise ValueError(f"bad {self.kind} shape spec; a size has "
-                                 f"{sum(map(str.isdecimal, field))} digits, "
-                                 "too many to read") from None
+        size = _int(field, f"bad {self.kind} shape spec; a size")
+        if size is None:
             raise ValueError(f"bad shape spec {self.text!r}; its sizes "
-                             "must be integers") from None
+                             "must be integers")
+        return size
 
     def closed_form_count(self) -> int:
         if self.kind in ("rect", "square"):
@@ -456,6 +462,11 @@ def _build_parser():
 
         def print_help(self, file=None):  # argparse's own swallows OSError
             (file or sys.stdout).write(self.format_help())
+
+        def _get_value(self, action, arg_string):
+            if action.type is int:  # argparse's message echoes the value
+                _int(arg_string, f"argument {action.option_strings[0]}")
+            return super()._get_value(action, arg_string)
 
     parser = Parser(prog="dominoflip",
                     description="Domino tilings: counts, flip distances, "

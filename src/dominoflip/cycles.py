@@ -97,12 +97,9 @@ def value_map(region: Region, collection: CycleCollection) -> ValueMap:
     integer scanline, and a cycle's winding number round a vertex is
     the sum of its crossings of the rightward ray from it: +1 up, -1
     down.  So the crossings of all cycles, summed from the right along
-    each scanline, give each vertex of the row its value.  The sum
-    changes only at a crossing, so each scanline steps from crossing to
-    crossing and skips the spans where it is 0, however far apart the
-    cycles lie.  A closed cycle crosses a scanline as often up as down,
-    so the sum is 0 left of the leftmost crossing; a vertex with no
-    region cell round it (in a hole) has no value.
+    each scanline, give each vertex of the row its value.  A scanline
+    merges its crossings with its vertices, the corners of the cells
+    below and above it, so a hole or a gap between cycles costs nothing.
     """
     crossings: dict[int, list[tuple[int, int]]] = {}
     for cycle in collection:
@@ -110,17 +107,22 @@ def value_map(region: Region, collection: CycleCollection) -> ValueMap:
             if x1 == x2:  # up across y2, or down across y1
                 y, step = (y2, 1) if y2 > y1 else (y1, -1)
                 crossings.setdefault(y, []).append((x1, step))
-    cells = region.cells
+    # the x of each cell in a row next to a scanline with crossings
+    rows: dict[int, list[int]] = {r: [] for y in crossings for r in (y - 1, y)}
+    for x, y in region.cells:
+        if y in rows:
+            rows[y].append(x)
     values: dict[Vertex, int] = {}
     for y, events in crossings.items():
-        events.sort(reverse=True)
+        events.sort()  # the rightmost last
         count = 0
-        for (x, step), (left, _) in zip(events, events[1:]):
-            count += step
-            if count:  # the vertices from x to the next crossing left
-                for vx in range(x, left, -1):
-                    if not cells.isdisjoint(cells_around((vx, y))):
-                        values[vx, y] = count
+        corners = {*rows[y - 1], *rows[y]}  # of the cells below and above
+        corners.update([x + 1 for x in corners])
+        for vx in sorted(corners, reverse=True):
+            while events and events[-1][0] >= vx:  # crossings right of vx
+                count += events.pop()[1]
+            if count:
+                values[vx, y] = count
     return ValueMap(values)
 
 

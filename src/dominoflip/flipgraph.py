@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cached_property
 from io import StringIO
 
 from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
 from .surface import Region
-from .tiling import Tiling, _backtrack_masks, _check_tilings, _pack
+from .tiling import Tiling, _backtrack_masks, _check_tilings, _flips, _pack
 
 
 class FlipGraph:
@@ -67,12 +67,6 @@ def _check_budget(region: Region, budget: int) -> int:
         raise ResourceLimitError(
             f"flip graph would have {total} nodes, budget is {budget}")
     return total
-
-
-def _flips(blocks: Iterable[tuple[int, int, int]], m: int) -> list[int]:
-    """The masks one flip away from the tiling mask m, in block order."""
-    return [m ^ (h | v) << s for s, h, v in blocks
-            if (t := m >> s) & h == h or t & v == v]
 
 
 def build_flip_graph(region: Region,

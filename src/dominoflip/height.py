@@ -39,12 +39,7 @@ def base_vertex(region: Region) -> Vertex:
 
 
 def height_function(region: Region, tiling: Tiling) -> HeightValues:
-    """Height labels of every region vertex under the given tiling."""
-    return _labels(region, tiling)
-
-
-def _labels(region: Region, tiling: Tiling) -> HeightValues:
-    """The walk's labels, once region and tiling pass their checks.
+    """Height labels of every region vertex under the given tiling.
 
     One walk is enough (Thurston 1990).  No domino crosses its six
     perimeter edges, so the walk reaches every vertex of an
@@ -89,7 +84,8 @@ def label_distance(h1: HeightValues, h2: HeightValues) -> int:
 
 def distance_height(region: Region, t1: Tiling, t2: Tiling) -> int:
     """Flip distance as a quarter of the summed label differences."""
-    return label_distance(_labels(region, t1), _labels(region, t2))
+    return label_distance(height_function(region, t1),
+                          height_function(region, t2))
 
 
 def tiling_from_height(region: Region, values: HeightValues) -> Tiling:
@@ -120,13 +116,13 @@ def tiling_from_height(region: Region, values: HeightValues) -> Tiling:
 
 def join(region: Region, t1: Tiling, t2: Tiling) -> Tiling:
     """Tiling of the pointwise maximum of the two height labelings."""
-    h1, h2 = _labels(region, t1), _labels(region, t2)
+    h1, h2 = height_function(region, t1), height_function(region, t2)
     return tiling_from_height(region, {v: max(h1[v], h2[v]) for v in h1})
 
 
 def meet(region: Region, t1: Tiling, t2: Tiling) -> Tiling:
     """Tiling of the pointwise minimum of the two height labelings."""
-    h1, h2 = _labels(region, t1), _labels(region, t2)
+    h1, h2 = height_function(region, t1), height_function(region, t2)
     return tiling_from_height(region, {v: min(h1[v], h2[v]) for v in h1})
 
 
@@ -185,7 +181,7 @@ def geodesic(region: Region, t1: Tiling, t2: Tiling) -> list[Vertex]:
     four neighbours are checked again after a flip; a heap of the ranks
     that qualify yields the smallest.
     """
-    h1, h2 = _labels(region, t1), _labels(region, t2)
+    h1, h2 = height_function(region, t1), height_function(region, t2)
     anchors = interior_vertices(region.cells)
     n = len(anchors)
     # interior vertices by rank, then the boundary ones

@@ -127,10 +127,10 @@ class Region:
     def flip_blocks(self) -> dict[Vertex, tuple[int, int, int]]:
         """Per interior vertex, in sorted order: (s, h, v), the masks of
         the horizontal and the vertical domino pair of the 2x2 block
-        around it shifted down by s, the lowest of their bits.  A tiling
-        m holds the pair h when (m >> s) & h == h, and a flip there is
-        m ^ ((h | v) << s).  Shifted, an entry takes a few flood levels'
-        worth of bits rather than one bit per domino of the region."""
+        around it shifted down by s, the lowest of their bits, as
+        ``tiling._flips`` reads them.  Shifted, an entry takes a few flood
+        levels' worth of bits rather than one bit per domino of the
+        region."""
         bit = self.dominoes
         blocks = {}
         for v in interior_vertices(self.cells):

@@ -7,9 +7,9 @@ distance search a tiling is an int instead, its mask, with bit i set
 when it holds the i-th of ``Region.dominoes``.  A flip is then one xor:
 when a 2x2 block holds one of its two parallel domino pairs, the
 flipped tiling toggles all four of the block's dominoes
-(``Region.flip_blocks``).  Only the mask code builds the domino
-table: validity reads the cells alone, and height labels (``height``)
-and cycles need neither.
+(``Region.flip_blocks``, ``_flips``).  Only the mask code builds the
+domino table: validity reads the cells alone, and height labels
+(``height``) and cycles need neither.
 
 Enumeration backtracks on the lexicographically smallest uncovered
 cell, trying its right partner before its upper partner, on masks
@@ -209,24 +209,28 @@ def first_tiling(region: Region) -> Tiling | None:
     return next(iter_tilings(region), None)
 
 
+def _flips(blocks: Iterable[tuple[int, int, int]], m: int) -> list[int]:
+    """The masks one flip away from the tiling mask m, in block order:
+    a block (s, h, v) flips when m holds its pair h or its pair v."""
+    return [m ^ (h | v) << s for s, h, v in blocks
+            if (t := m >> s) & h == h or t & v == v]
+
+
 def available_flips(region: Region, tiling: Tiling) -> list[Vertex]:
     """Anchors of all 2x2 blocks covered by two parallel dominoes, in
     lexicographic order."""
     _check_tilings(region, tiling)
     m = region.encode(tiling)
-    return [anchor for anchor, (s, h, v) in region.flip_blocks.items()
-            if (m >> s) & h == h or (m >> s) & v == v]
+    return [anchor for anchor, block in region.flip_blocks.items()
+            if _flips((block,), m)]
 
 
 def apply_flip(region: Region, tiling: Tiling, anchor: Vertex) -> Tiling:
     """Rotate the 2x2 block at the anchor a quarter turn."""
     _check_tilings(region, tiling)
     block = region.flip_blocks.get(anchor)
-    if block is not None:
-        s, h, v = block
-        m = region.encode(tiling)
-        if (m >> s) & h == h or (m >> s) & v == v:
-            return region.decode(m ^ (h | v) << s)
+    if flipped := block and _flips((block,), region.encode(tiling)):
+        return region.decode(flipped[0])
     raise InvalidMoveError(f"vertex {anchor} is not a flippable anchor")
 
 

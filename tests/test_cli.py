@@ -268,6 +268,24 @@ class TestCount:
         assert (code, out) == (3, "")
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not int_digit_limit(), reason="ints have no limit")
+    @pytest.mark.parametrize("joined", [False, True], ids=["apart", "joined"])
+    @pytest.mark.parametrize("flag", ["--budget", "--cell-size"])
+    def test_option_integers_past_the_digit_limit_say_so(
+            self, capsys, fixtures_dir, tmp_path, flag, joined):
+        # argparse's own message would echo all 6,000 digits
+        argv = (["count", "--shape", "rect:2x2"] if flag == "--budget" else
+                ["render", "--shape", "rect:6x2", "--out",
+                 str(tmp_path / "x.svg"),
+                 "--t1", str(fixtures_dir / "brick_6x2.json")])
+        huge = "9" * 6000
+        code, out, err = run(capsys, *argv, *([f"{flag}={huge}"] if joined
+                                               else [flag, huge]))
+        assert (code, out) == (3, "")
+        assert err == (f"error: argument {flag} has 6000 digits, "
+                       "too many to read\n")
+        assert len(err) < 200
+
 
 class TestDistance:
     def test_identical_files(self, capsys, fixtures_dir):
@@ -310,7 +328,7 @@ class TestDistance:
         # labels; each route checks its tilings once, as the loader does
         # (this once took 14 checks, 4 labelings and 4 tilings from labels)
         calls = Counter()
-        for module, name in ((dominoflip.height, "_labels"),
+        for module, name in ((dominoflip.height, "height_function"),
                              (dominoflip.height, "tiling_from_height"),
                              (dominoflip.tiling, "is_valid_tiling")):
             def counted(*args, _real=getattr(module, name), _name=name):
@@ -325,7 +343,8 @@ class TestDistance:
                            "--method", "all", "--emit-path", str(out_file))
         assert (code, out) == (0, "5 5 5\n")
         assert len(json.loads(out_file.read_text())["flips"]) == 5
-        assert calls["_labels"] == 2 and "tiling_from_height" not in calls
+        assert calls["height_function"] == 2
+        assert "tiling_from_height" not in calls
         assert calls["is_valid_tiling"] <= 8
 
     @pytest.mark.parametrize("method,budget,code", [

@@ -268,6 +268,37 @@ class TestValueMap:
                           "--t2", str(tmp_path / "tall.json"), timeout=20)
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
+    @pytest.mark.parametrize("command,code", [
+        (["distance", "--method", "cycles"], 1),
+        (["export", "--what", "voxels"], 0)], ids=["distance", "voxels"])
+    def test_scanlines_skip_a_hole(self, tmp_path, command, code):
+        # a ring of cells one wide round a 20,000 x 20,000 hole, and its
+        # two tilings: their one cycle winds round the hole, so a scanline
+        # that stepped through every column of a nonzero span would pay
+        # for the hole's 4 * 10^8 vertices
+        k = 20_000
+        ring = ([(x, 0) for x in range(k + 1)]
+                + [(k + 1, y) for y in range(k + 1)]
+                + [(x, k + 1) for x in range(k + 1, 0, -1)]
+                + [(0, y) for y in range(k + 1, 0, -1)])
+        assert len(ring) == 80_004
+        files = {"region": {"cells": ring}}
+        for name, start in (("t1", 0), ("t2", 1)):
+            pairs = zip(ring[start::2], (ring[1:] + ring[:1])[start::2])
+            files[name] = {"dominoes": [sorted(p) for p in pairs]}
+        for name, data in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        done = run_capped("-m", "dominoflip.cli", *command, "--shape",
+                          f"file:{tmp_path / 'region.json'}",
+                          "--t1", str(tmp_path / "t1.json"),
+                          "--t2", str(tmp_path / "t2.json"), timeout=20)
+        assert done.returncode == code, done.stderr
+        if code:
+            assert done.stdout == "unreachable\n"
+        else:  # value 1 on each of the hole's 4k corner vertices
+            voxels = json.loads(done.stdout)["voxels"]
+            assert len(voxels) == 4 * k and voxels[-1] == [k + 1, k + 1, 0]
+
 
 class TestDistance:
     def test_matches_bfs_on_4x3(self):

@@ -6,13 +6,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dominoflip.tiling
-from dominoflip import (Region, ResourceLimitError, available_flips,
-                        bfs_distance, bfs_distances, build_flip_graph,
-                        connected_components, count_tilings,
-                        diameter_of_graph, distance_bfs, enumerate_tilings,
-                        export_graph, is_simply_connected, make_aztec,
-                        make_from_cells, make_holed_square, make_rectangle,
-                        tiling_to_json)
+from dominoflip import (Region, ResourceLimitError, apply_flip,
+                        available_flips, bfs_distance, bfs_distances,
+                        build_flip_graph, connected_components,
+                        count_tilings, diameter_of_graph, distance_bfs,
+                        enumerate_tilings, export_graph, is_simply_connected,
+                        make_aztec, make_from_cells, make_holed_square,
+                        make_rectangle, tiling_to_json)
 
 from conftest import punched_boxes, tileable_discs, two_discs
 
@@ -125,6 +125,28 @@ def check_node_order(region):
     for i in range(len(g)):
         row = g.targets[g.offsets[i]:g.offsets[i + 1]].tolist()
         assert row == lower[i] + higher[i][::-1]
+
+
+def check_flips_agree(region):
+    """The public flips of each tiling are the graph's, order included."""
+    blocks = region.flip_blocks.values()
+    for t in enumerate_tilings(region):
+        assert [region.encode(apply_flip(region, t, anchor))
+                for anchor in available_flips(region, t)] == \
+            dominoflip.tiling._flips(blocks, region.encode(t))
+
+
+class TestFlipsAgree:
+    @given(tileable_discs(6))
+    def test_discs(self, cells):
+        check_flips_agree(make_from_cells(cells))
+
+    @given(two_discs(4))
+    def test_two_pieces(self, discs):
+        check_flips_agree(make_from_cells(discs[2]))
+
+    def test_holed_square(self):
+        check_flips_agree(make_holed_square(5))
 
 
 class TestNodeOrder:
