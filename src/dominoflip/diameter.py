@@ -63,15 +63,14 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
     Every node keeps a lower and an upper bound on its eccentricity.  A
     search from v with eccentricity e gives each w the bounds
     max(d, e - d) and e + d, d = d(v, w), by the triangle inequality.
-    A double sweep seeds the bounds with searches from node 0, from the
-    first node a farthest from it, from the first node b farthest from
-    a, and from a node minimising max(d(a, w), d(b, w)).  Sources then
-    alternate between the unsettled node with the largest upper bound
-    and the one with the smallest lower bound, ties going to the higher
-    degree and then the smaller node, until the largest lower and upper
-    bounds meet (Takes and Kosters 2011).  The realizers are those of an
-    all-pairs scan: the smallest node whose eccentricity is the
-    diameter, and the smallest node that far from it.
+    One search from node 0 seeds the bounds; a double sweep saves a
+    search or few on some graphs, but costs more on more of them.
+    Sources then alternate between the unsettled node with the largest
+    upper bound and the one with the smallest lower bound, ties going to
+    the higher degree and then the smaller node, until the largest lower
+    and upper bounds meet (Takes and Kosters 2011).  The realizers are
+    those of an all-pairs scan: the smallest node whose eccentricity is
+    the diameter, and the smallest node that far from it.
     """
     n = len(graph)
     if not n:
@@ -96,11 +95,7 @@ def diameter_of_graph(graph: FlipGraph) -> DiameterReport:
         return max(compress(range(n), map(value.__eq__, values)),
                    key=degree.__getitem__)  # max keeps the first of equals
 
-    d0 = search(0)
-    da = search(d0.index(max(d0)))
-    db = search(da.index(max(da)))
-    middle = list(map(max, da, db))
-    search(pick(middle, min(middle)))
+    search(0)
     widest = True
     while max(lo) < max(hi):
         if widest:

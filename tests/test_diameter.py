@@ -262,9 +262,10 @@ class TestBfs:
         assert len(sources) == len(set(sources))
         assert 100 * len(sources) <= len(graph.nodes)
 
-    def test_double_sweep_searches_on_the_bench_shapes(self, monkeypatch):
-        # the search workload's shapes in perfbench/jobs.py, where the
-        # double sweep leaves 58 searches in all (66 without it)
+    def test_searches_on_the_bench_shapes(self, monkeypatch):
+        # the search workload's shapes in perfbench/jobs.py: one seed
+        # from node 0 leaves 55 searches in all, where a double sweep
+        # before the alternation left 58 and the alternation alone 66
         regions = [make_rectangle(w, h) for w, h in (
             (4, 4), (5, 4), (6, 4), (9, 2), (10, 3), (3, 10), (14, 2),
             (2, 14), (7, 4), (4, 7), (6, 5), (5, 6), (8, 4))]
@@ -273,7 +274,7 @@ class TestBfs:
             sources = searched_sources(build_flip_graph(region), monkeypatch)
             assert len(sources) == len(set(sources))
             total += len(sources)
-        assert total <= 58
+        assert total <= 55
 
     def test_levels_upper_bound_simply_connected(self):
         for region in (make_rectangle(4, 3), make_rectangle(5, 2),
