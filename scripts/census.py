@@ -9,8 +9,8 @@ On each one of even size the script checks:
 - ``count_tilings`` against the enumeration, and against ``is_tileable``;
 - on a simply connected region, the flip-graph search
   (``diameter_of_graph``) against the lattice spread
-  ``label_distance(*extremal_heights(region))``, with the level sum
-  ``diameter_levels`` held only as an upper bound;
+  (``diameter_lattice``), with the level sum ``diameter_levels`` held
+  only as an upper bound;
 - the flip distance from the canonically first tiling to every other
   one: breadth-first search against heights and cycles on a simply
   connected region, and cycles against breadth-first search, unreachable
@@ -26,11 +26,10 @@ Usage:
 import argparse
 import sys
 
-from dominoflip import (DominoError, Region, count_tilings, diameter_levels,
-                        diameter_of_graph, distance_cycles, distance_height,
-                        enumerate_tilings)
+from dominoflip import (DominoError, Region, count_tilings, diameter_lattice,
+                        diameter_levels, diameter_of_graph, distance_cycles,
+                        distance_height, enumerate_tilings)
 from dominoflip.flipgraph import bfs_distances, build_flip_graph
-from dominoflip.height import extremal_heights, label_distance
 from dominoflip.tiling import is_tileable
 
 COLUMNS = ("polyominoes", "tileable", "simply connected", "level sum above",
@@ -92,8 +91,7 @@ def check(cells, row):
     if region.simply_connected:
         row["simply connected"] += 1
         search = diameter_of_graph(graph).value
-        agree("diameter", search=search,
-              lattice=label_distance(*extremal_heights(region)))
+        agree("diameter", search=search, lattice=diameter_lattice(region))
         levels = diameter_levels(region)
         if levels < search:
             raise Disagreement(f"level sum {levels} below the diameter {search}")

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Tabulate flip-graph sizes and diameters for standard shapes.
 
-For every shape the level sum, the lattice spread (the height gap
-between the two extreme tilings) and the closed form are printed; when
-the tiling count stays within --bfs-limit, the flip-graph search
-confirms the diameter as well, and the script stops with an assertion
-error on any row where the routes disagree.
+For every shape the level sum, the lattice spread (``diameter_lattice``,
+the height gap between the two extreme tilings and so the exact
+diameter) and the closed form are printed; when the tiling count stays
+within --bfs-limit, the flip-graph search confirms the diameter as
+well, and the script stops with an assertion error on any row where
+the routes disagree.
 
 Usage:
     python scripts/diameter_table.py --max-rect 8 --max-aztec 6
@@ -14,9 +15,8 @@ Usage:
 import argparse
 
 from dominoflip import (count_tilings, diameter_aztec_closed, diameter_bfs,
-                        diameter_levels, diameter_rectangle_closed,
-                        make_aztec, make_rectangle)
-from dominoflip.height import extremal_heights, label_distance
+                        diameter_lattice, diameter_levels,
+                        diameter_rectangle_closed, make_aztec, make_rectangle)
 
 
 def rows(max_rect, max_aztec, bfs_limit):
@@ -46,7 +46,7 @@ def main():
                                              args.bfs_limit):
         count = count_tilings(region)
         levels = diameter_levels(region)
-        lattice = label_distance(*extremal_heights(region))
+        lattice = diameter_lattice(region)
         assert levels == lattice == closed, label
         searched = "-"
         if count <= limit:

@@ -11,7 +11,7 @@ _PUBLIC = {
     "cycles": ("CycleCollection", "OrientedCycle", "ValueMap",
                "cycle_collection", "distance_cycles", "value_map"),
     "diameter": ("DiameterReport", "diameter_aztec_closed", "diameter_bfs",
-                 "diameter_levels", "diameter_of_graph",
+                 "diameter_lattice", "diameter_levels", "diameter_of_graph",
                  "diameter_rectangle_closed", "diameter_square_closed"),
     "errors": ("DEFAULT_NODE_BUDGET", "DominoError", "InvalidHeightError",
                "InvalidMoveError", "NumericInstabilityError",

@@ -5,9 +5,10 @@ holed-square:K, file:PATH), tilings as JSON files.  Plain output puts
 only the answer on stdout; --json wraps it in an envelope
 {"command": ..., "result": ...}.  Diagnostics go to stderr.
 
-Exit codes: 0 ok, 1 cross-method disagreement or unreachable pair,
-2 untileable or unsupported region, 3 bad arguments or input files,
-4 resource budget or cap exceeded, 5 output I/O failure.
+Exit codes: 0 ok, 1 cross-method disagreement (a level sum below the
+diameter too) or unreachable pair, 2 untileable or unsupported region,
+3 bad arguments or input files, 4 resource budget or cap exceeded,
+5 output I/O failure.
 """
 
 from __future__ import annotations
@@ -259,28 +260,36 @@ def cmd_diameter(args, shape: ShapeSpec) -> int:
     if not _lib.is_tileable(region):
         raise UntileableError("region is untileable")
     values: dict[str, int] = {}
-    realizers = None
-    if args.method in ("levels", "all"):
-        values["levels"] = _lib.diameter_levels(region)
-    if args.method in ("closed", "all"):
-        try:
-            values["closed"] = shape.closed_form_diameter()
-        except ValueError:
-            # shapes without a closed form only fail hard when asked for it
-            if args.method == "closed":
-                raise
+    for name, route, refusal in (
+            ("lattice", lambda: _lib.diameter_lattice(region),
+             UnsupportedRegionError),
+            ("closed", shape.closed_form_diameter, ValueError)):
+        if args.method in (name, "all"):
+            try:
+                values[name] = route()
+            except refusal:
+                # `all` skips holes and shapes with no closed form
+                if args.method == name:
+                    raise
     if args.method in ("bfs", "all"):
         report = _lib.diameter_of_graph(
             _lib.build_flip_graph(region, args.budget))
         values["bfs"] = report.value
-        realizers = [_lib.tiling_to_json(t) for t in report.realizers]
-    result = {"diameter": next(iter(values.values())), "method": args.method}
+    if args.method in ("levels", "all"):
+        values["levels"] = _lib.diameter_levels(region)
+    diameter = next(iter(values.values()))  # exact unless levels alone
+    result = {"diameter": diameter, "method": args.method}
     if len(values) > 1:
         result["methods"] = values
-    if realizers is not None:
-        result["realizers"] = realizers
+    if "bfs" in values:
+        result["realizers"] = list(map(_lib.tiling_to_json, report.realizers))
     _emit(args, result, [[values[k] for k in sorted(values)]])
-    return _agree(values)
+    code = _agree({k: v for k, v in values.items() if k != "levels"})
+    if not code and values.get("levels", diameter) < diameter:
+        print(f"error: level sum {values['levels']} is below the diameter "
+              f"{diameter}", file=sys.stderr)
+        return EXIT_DISAGREE
+    return code
 
 
 def _tileable_graph(region: Region, budget: int):
@@ -380,8 +389,8 @@ _COMMANDS = {
                          "help": "write the geodesic flip list as JSON"}),
     )),
     "diameter": (cmd_diameter, "diameter of the flip graph", (
-        ("--method", {"choices": ["bfs", "levels", "closed", "all"],
-                      "default": "levels"}),
+        ("--method", {"choices": ["lattice", "bfs", "levels", "closed",
+                                  "all"], "default": "lattice"}),
     )),
     "components": (cmd_components,
                    "connected components of the flip graph", ()),

@@ -1,18 +1,15 @@
-"""Flip-graph diameters: graph search, level sums, closed forms.
+"""Flip-graph diameters: lattice spreads, search, level sums, closed forms.
 
-The search is exact and uses nothing but the graph: breadth-first
-searches from a few tilings bound every tiling's eccentricity from both
-sides until the bounds pin the diameter, so it needs a handful of
-searches rather than one per tiling.
+On a simply connected region the exact diameter is the height gap
+between the two extreme tilings, as every tiling's heights lie between
+theirs (Thurston 1990; Propp 2002).  A region in pieces has the product
+of their flip graphs, so the sum of their diameters; a piece with a hole
+is refused.  The search is exact too, and reads nothing but the graph.
 
 The level sum over all region vertices bounds every flip distance from
 above (no column of a filling shape can exceed its vertex's level).  It
 is attained on rectangles and Aztec diamonds, where the closed forms
-specialize it, but not in general.  On a simply connected region the
-exact diameter is the height gap between the two extreme tilings,
-``label_distance(*extremal_heights(region))``, because every tiling's
-heights lie between theirs; that lattice spread is what the sum is
-checked against.
+specialize it, but not in general, so it is checked as a bound.
 
 A peel removes every cell touching the region's boundary, leaving a
 smaller region to peel again.  The level of a vertex counts how many
@@ -32,7 +29,7 @@ from itertools import compress
 from operator import sub
 
 from .errors import DEFAULT_NODE_BUDGET, DominoError, UntileableError
-from .surface import _KING, Region, Vertex, _flood
+from .surface import _KING, Region, Vertex, _flood, _pieces
 from .tiling import Tiling
 
 
@@ -42,6 +39,14 @@ class DiameterReport:
         self.value = value
         self.method = method
         self.realizers = realizers
+
+
+def diameter_lattice(region: Region) -> int:
+    """Exact diameter: each edge-connected piece's lattice spread, summed."""
+    from .height import extremal_heights, label_distance  # loaded on use
+    parts = ([region] if region.simply_connected
+             else map(Region, _pieces(region.cells)))
+    return sum(label_distance(*extremal_heights(part)) for part in parts)
 
 
 def diameter_bfs(region: Region,

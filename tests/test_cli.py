@@ -602,16 +602,63 @@ class TestDiameter:
         code, out, _ = run(capsys, "diameter", "--shape", "rect:6x2",
                            "--method", "all")
         assert code == 0
-        assert out.split() == ["5", "5", "5"]
+        assert out.split() == ["5", "5", "5", "5"]
 
     def test_methods_disagree_exits_1(self, capsys, monkeypatch):
+        # the level sum is a bound: below the exact routes, it disagrees
         monkeypatch.setattr(dominoflip.cli, "diameter_levels",
                             lambda region: 4)
         code, out, err = run(capsys, "diameter", "--shape", "rect:6x2",
                              "--method", "all")
-        assert (code, out) == (1, "5 5 4\n")
+        assert (code, out) == (1, "5 5 5 4\n")
+        assert err == "error: level sum 4 is below the diameter 5\n"
+
+    def test_exact_methods_disagree_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(dominoflip.cli, "diameter_lattice",
+                            lambda region: 4)
+        code, out, err = run(capsys, "diameter", "--shape", "rect:6x2",
+                             "--method", "all")
+        assert (code, out) == (1, "5 5 4 5\n")
         assert err == ("error: methods disagree: "
-                       "{'levels': 4, 'closed': 5, 'bfs': 5}\n")
+                       "{'lattice': 4, 'closed': 5, 'bfs': 5}\n")
+
+    def test_levels_above_the_diameter_is_a_bound(self, capsys, tmp_path):
+        # one tiling, so diameter 0, round an interior vertex of level 1
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps({"cells": [
+            [-1, 0], [0, 0], [1, 0], [2, 0], [0, 1], [1, 1]]}))
+        shape = f"file:{path}"
+        assert run(capsys, "diameter", "--shape", shape) == (0, "0\n", "")
+        assert run(capsys, "diameter", "--shape", shape, "--method",
+                   "all") == (0, "0 0 1\n", "")
+        assert run(capsys, "diameter", "--shape", shape, "--method",
+                   "levels") == (0, "1\n", "")
+
+    @pytest.mark.parametrize("cells", [
+        [(0, 0), (1, 0), (0, 1), (1, 1), (5, 0), (6, 0), (5, 1), (6, 1)],
+        [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)],
+    ], ids=["apart", "corner"])
+    def test_two_blocks_add(self, capsys, tmp_path, cells):
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps({"cells": cells}))
+        shape = f"file:{path}"
+        assert run(capsys, "diameter", "--shape", shape) == (0, "2\n", "")
+        assert run(capsys, "diameter", "--shape", shape, "--method",
+                   "all") == (0, "2 2 2\n", "")
+
+    def test_hole_refused_by_default(self, capsys):
+        assert run(capsys, "diameter", "--shape", "holed-square:5") == (
+            2, "", "error: extremal tilings need a simply connected region\n")
+        assert run(capsys, "diameter", "--shape", "holed-square:5",
+                   "--method", "all") == (
+            1, "", "error: flip graph is disconnected; diameter undefined\n")
+
+    def test_lattice_json_carries_no_realizers(self, capsys):
+        code, out, _ = run(capsys, "diameter", "--shape", "rect:4x3",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["result"] == {"diameter": 6,
+                                             "method": "lattice"}
 
     def test_single_tiling_deeper_than_the_recursion_limit(self, capsys):
         # 1,000 nested choices, so the enumerator keeps its own stack
@@ -641,7 +688,7 @@ class TestDiameter:
         code, out, _ = run(capsys, "diameter", "--shape", f"file:{path}",
                            "--method", "all")
         assert code == 0
-        assert out.split() == ["8", "8"]  # bfs and levels, no closed form
+        assert out.split() == ["8", "8", "8"]  # no closed form
 
     def test_closed_form_unavailable_exits_3(self, capsys):
         code, _, err = run(capsys, "diameter", "--shape", "holed-square:5",

@@ -76,7 +76,7 @@ OUT_OF_RANGE = st.sampled_from(
      "", "1.5", "0x10", " 3"])
 INTEGERS = st.one_of(st.integers(1, 40).map(str), OUT_OF_RANGE)
 METHODS = {"distance": ["bfs", "height", "cycles", "all"],
-           "diameter": ["bfs", "levels", "closed", "all"]}
+           "diameter": ["lattice", "bfs", "levels", "closed", "all"]}
 
 
 def shapes(inputs):

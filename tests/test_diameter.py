@@ -4,17 +4,17 @@ from hypothesis import strategies as st
 
 import dominoflip.diameter
 from dominoflip import (DominoError, FlipGraph, Region, UntileableError,
-                        bfs_distances, build_flip_graph,
-                        diameter_aztec_closed, diameter_bfs, diameter_levels,
+                        UnsupportedRegionError, bfs_distances,
+                        build_flip_graph, diameter_aztec_closed,
+                        diameter_bfs, diameter_lattice, diameter_levels,
                         diameter_of_graph, diameter_rectangle_closed,
                         diameter_square_closed, distance_height,
                         enumerate_tilings, extremal_tilings,
                         is_simply_connected, make_aztec, make_from_cells,
                         make_holed_square, make_rectangle)
 from dominoflip.flipgraph import _pack
-from dominoflip.height import extremal_heights, label_distance
 
-from conftest import tileable_discs
+from conftest import tileable_discs, two_discs
 
 # one tiling, so diameter 0, around an interior vertex of level 1
 ONE_TILING_SIX = make_from_cells([(-1, 0), (0, 0), (1, 0), (2, 0),
@@ -153,10 +153,18 @@ class TestLevels:
                 if (m * n) % 2 == 0:
                     assert (diameter_levels(make_rectangle(m, n))
                             == diameter_rectangle_closed(m, n)), (m, n)
+        # the exact route holds the closed form past the search's reach
+        for n in range(1, 41):
+            for m in range(n, 41):
+                if (m * n) % 2 == 0:
+                    assert (diameter_lattice(make_rectangle(m, n))
+                            == diameter_rectangle_closed(m, n)), (m, n)
 
     def test_matches_aztec_closed_forms(self):
         for n in range(1, 7):
             assert diameter_levels(make_aztec(n)) == diameter_aztec_closed(n)
+        for n in range(1, 41):
+            assert diameter_lattice(make_aztec(n)) == diameter_aztec_closed(n)
 
     def test_exact_on_rectangles_and_aztec_diamonds(self):
         # the lattice spread is the exact diameter of a simply connected
@@ -164,20 +172,32 @@ class TestLevels:
         for region in (make_rectangle(4, 4), make_rectangle(6, 2),
                        make_rectangle(7, 4), make_aztec(1), make_aztec(2),
                        make_aztec(3)):
-            assert (diameter_levels(region)
-                    == label_distance(*extremal_heights(region))
+            assert (diameter_levels(region) == diameter_lattice(region)
                     == diameter_bfs(region).value)
 
     @given(tileable_discs(7))
     def test_bounds_the_lattice_spread(self, cells):
         region = Region(cells)
-        assert diameter_levels(region) >= label_distance(
-            *extremal_heights(region))
+        assert diameter_levels(region) >= diameter_lattice(region)
 
     def test_exceeds_the_diameter_on_a_one_tiling_region(self):
         assert diameter_levels(ONE_TILING_SIX) == 1
-        assert label_distance(*extremal_heights(ONE_TILING_SIX)) == 0
+        assert diameter_lattice(ONE_TILING_SIX) == 0
         assert diameter_bfs(ONE_TILING_SIX).value == 0
+
+
+class TestLattice:
+    @given(two_discs(4))
+    def test_pieces_add(self, discs):
+        # the flip graph of two pieces is the product of theirs
+        first, second, union = map(Region, discs)
+        assert (diameter_lattice(union)
+                == diameter_lattice(first) + diameter_lattice(second)
+                == diameter_of_graph(build_flip_graph(union)).value)
+
+    def test_refuses_a_hole(self):
+        with pytest.raises(UnsupportedRegionError, match="simply connected"):
+            diameter_lattice(make_holed_square(5))
 
 
 class TestBfs:

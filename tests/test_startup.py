@@ -20,9 +20,9 @@ from dominoflip.cli import main
 from conftest import FIXTURES, PACKAGE_ROOT
 
 # `dominoflip.__all__` when the package imported every module up front,
-# plus `distance_bfs` and the `counting` module, added since, less
-# `RingDecomposition`, `is_saturnian` and `ring_decomposition`, removed
-# with the ring-cycle certificate
+# plus `diameter_lattice`, `distance_bfs` and the `counting` module,
+# added since, less `RingDecomposition`, `is_saturnian` and
+# `ring_decomposition`, removed with the ring-cycle certificate
 PUBLIC_NAMES = [
     "Cell", "CycleCollection", "DEFAULT_NODE_BUDGET", "DiameterReport",
     "Domino", "DominoError", "FillingShape", "FlipGraph",
@@ -33,8 +33,8 @@ PUBLIC_NAMES = [
     "bfs_distances", "build_flip_graph", "connected_components",
     "count_aztec_closed_form", "count_rectangle_closed_form",
     "count_tilings", "counting", "cycle_collection", "cycles", "diameter",
-    "diameter_aztec_closed", "diameter_bfs", "diameter_levels",
-    "diameter_of_graph", "diameter_rectangle_closed",
+    "diameter_aztec_closed", "diameter_bfs", "diameter_lattice",
+    "diameter_levels", "diameter_of_graph", "diameter_rectangle_closed",
     "diameter_square_closed", "distance_bfs", "distance_cycles",
     "distance_height", "domino",
     "enumerate_tilings", "errors", "export_graph", "export_voxels",
@@ -177,6 +177,12 @@ class TestImportSet:
                                    "--shape", "rect:12x12")
         assert "dominoflip.diameter" in loaded
         assert "dominoflip.flipgraph" not in loaded
+
+    def test_default_diameter_loads_no_counting_or_flip_graph(self):
+        # the lattice spread reads heights, neither a count nor a graph
+        loaded = modules_loaded_by("diameter", "--shape", "rect:12x12")
+        assert "dominoflip.height" in loaded
+        assert not loaded & {"dominoflip.counting", "dominoflip.flipgraph"}
 
     @pytest.mark.parametrize("argv", [
         ["diameter", "--method", "levels", "--shape", "rect:12x12"],

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 import dominoflip.surface
 from dominoflip import (Region, apply_flip, available_flips, base_vertex,
                         bfs_distances, build_flip_graph, connected_components,
-                        cycle_collection, diameter_levels, distance_cycles,
-                        distance_height, enumerate_tilings, export_voxels,
-                        extremal_tilings, filling_shape, geodesic,
-                        height_function, is_black, is_simply_connected, join,
-                        make_aztec, make_from_cells, make_holed_square,
-                        make_rectangle, meet, region_from_json,
-                        region_to_json, tiling_from_height)
+                        cycle_collection, diameter_lattice, diameter_levels,
+                        distance_cycles, distance_height, enumerate_tilings,
+                        export_voxels, extremal_tilings, filling_shape,
+                        geodesic, height_function, is_black,
+                        is_simply_connected, join, make_aztec,
+                        make_from_cells, make_holed_square, make_rectangle,
+                        meet, region_from_json, region_to_json,
+                        tiling_from_height)
 from dominoflip.diameter import _vertex_levels
-from dominoflip.height import extremal_heights, label_distance
+from dominoflip.height import extremal_heights
 from dominoflip.render import render
 from dominoflip.surface import (_KING, _SIDES, _flood, _pieces,
                                 _vertex_count, interior_vertices,
@@ -467,7 +468,7 @@ class TestTablesBuilt:
 
     def test_lattice_spread_builds_no_domino_table(self):
         r = make_rectangle(6, 6)
-        assert label_distance(*extremal_heights(r)) == 35
+        assert diameter_lattice(r) == 35
         assert "dominoes" not in r.__dict__
 
     def test_cycle_routes_build_no_vertex_sets(self):
@@ -500,7 +501,7 @@ class TestTablesBuilt:
             "meet": lambda r: meet(r, tmin, tmax),
             "extremal_heights": extremal_heights,
             "extremal_tilings": extremal_tilings,
-            "lattice spread": lambda r: label_distance(*extremal_heights(r)),
+            "diameter_lattice": diameter_lattice,
             "geodesic": lambda r: geodesic(r, tmin, tmax),
         }
         for name, route in routes.items():
