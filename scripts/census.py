@@ -17,7 +17,9 @@ On each one of even size the script checks:
   pairs included, on one with a hole or a corner pinch.
 
 It prints one row per size and a total row, or stops at the first
-disagreement, naming the cells, and exits 1.
+disagreement, naming the cells, and exits 1.  On stderr it then prints
+the CPU time (``time.process_time``) each library route took, summed
+over the census, one line per route.
 
 Usage:
     python scripts/census.py --max-cells 10
@@ -25,6 +27,8 @@ Usage:
 
 import argparse
 import sys
+import time
+from collections import Counter
 
 from dominoflip import (DominoError, Region, count_tilings, diameter_lattice,
                         diameter_levels, diameter_of_graph, distance_cycles,
@@ -36,8 +40,21 @@ COLUMNS = ("polyominoes", "tileable", "simply connected", "level sum above",
            "distance pairs", "holed pairs")
 
 
+# CPU seconds per library route, summed over every call
+CPU = Counter()
+
+
 class Disagreement(Exception):
     pass
+
+
+def timed(route, *args):
+    """route(*args), adding its CPU time to CPU under the route's name."""
+    start = time.process_time()
+    try:
+        return route(*args)
+    finally:
+        CPU[route.__name__] += time.process_time() - start
 
 
 def polyominoes(max_cells):
@@ -76,35 +93,36 @@ def agree(what, **routes):
 def check(cells, row):
     """Hold the routes to each other on one region, counting into row."""
     region = Region(cells)
-    tilings = enumerate_tilings(region)
-    agree("tilings", count_tilings=count_tilings(region),
+    tilings = timed(enumerate_tilings, region)
+    agree("tilings", count_tilings=timed(count_tilings, region),
           enumeration=len(tilings))
-    agree("tileable", is_tileable=is_tileable(region),
+    agree("tileable", is_tileable=timed(is_tileable, region),
           enumeration=bool(tilings))
     if not tilings:
         return
     row["tileable"] += 1
-    graph = build_flip_graph(region)
+    graph = timed(build_flip_graph, region)
     first = tilings[0]
-    bfs = bfs_distances(graph, graph.node_index(first))
+    bfs = timed(bfs_distances, graph, graph.node_index(first))
     pairs = [(t, bfs[graph.node_index(t)]) for t in tilings[1:]]
     if region.simply_connected:
         row["simply connected"] += 1
-        search = diameter_of_graph(graph).value
-        agree("diameter", search=search, lattice=diameter_lattice(region))
-        levels = diameter_levels(region)
+        search = timed(diameter_of_graph, graph).value
+        agree("diameter", search=search,
+              lattice=timed(diameter_lattice, region))
+        levels = timed(diameter_levels, region)
         if levels < search:
             raise Disagreement(f"level sum {levels} below the diameter {search}")
         row["level sum above"] += levels > search
         for t, d in pairs:
             agree("distance from the first tiling", bfs=d,
-                  height=distance_height(region, first, t),
-                  cycles=distance_cycles(region, first, t))
+                  height=timed(distance_height, region, first, t),
+                  cycles=timed(distance_cycles, region, first, t))
         row["distance pairs"] += len(pairs)
     else:
         for t, d in pairs:
             agree("distance from the first tiling", bfs=d,
-                  cycles=distance_cycles(region, first, t))
+                  cycles=timed(distance_cycles, region, first, t))
         row["holed pairs"] += len(pairs)
 
 
@@ -126,6 +144,8 @@ def census(max_cells):
     print(f"{'cells':>5}" + "".join(f"  {c:>{len(c)}}" for c in COLUMNS))
     for label, row in [*rows.items(), (f"<={max_cells}", total)]:
         print(f"{label:>5}" + "".join(f"  {row[c]:>{len(c)},}" for c in COLUMNS))
+    for route, seconds in CPU.items():
+        print(f"cpu {route:<17} {seconds:8.3f} s", file=sys.stderr)
 
 
 def main(argv=None):

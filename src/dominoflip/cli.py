@@ -4,6 +4,7 @@ Shapes are given as compact specs (rect:MxN, square:N, aztec:N,
 holed-square:K, file:PATH), tilings as JSON files.  Plain output puts
 only the answer on stdout; --json wraps it in an envelope
 {"command": ..., "result": ...}.  Diagnostics go to stderr.
+--method all runs every route that answers the region, in order.
 
 Exit codes: 0 ok, 1 cross-method disagreement (a level sum below the
 diameter too) or unreachable pair, 2 untileable or unsupported region,
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 
 from . import _OWNER
@@ -26,34 +27,32 @@ from .surface import (Region, is_simply_connected, make_aztec,
                       make_holed_square, make_rectangle, region_from_json)
 
 # Library names by owning module: the package's table plus the names it
-# does not export.  __getattr__ below imports each on first use, so a job
-# loads only the modules its command needs.  Commands read them as
-# ``_lib.render``, which finds a name replaced on the module too.
+# does not export.  ``_lib.render`` finds one replaced on the module too.
 _OWNER = {**_OWNER, "render": "render", "cycles_to_json": "cycles",
           "voxels_to_json": "filling", "is_tileable": "tiling",
           "extremal_heights": "height", "label_distance": "height"}
 
 
-def __getattr__(name: str):
-    if name not in _OWNER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # `from .module import name` spelled out, so -X importtime lists it
-    module = __import__(_OWNER[name], globals(), None, (name,), 1)
-    value = globals()[name] = getattr(module, name)
-    return value
-
-
 class _Names:
-    """This module's names as attributes, lazy ones bound on first use.
-    It reads the namespace the code runs in, which is not always a
-    registered module: runpy without alter_sys runs it in a bare dict."""
+    """This module's names as attributes, and its __getattr__: a library
+    name is imported on first use, so a job loads only the modules its
+    command needs.  It reads the namespace the code runs in, which is a
+    bare dict when runpy runs it without alter_sys."""
 
     def __getattr__(self, name: str):
         scope = globals()
-        return scope[name] if name in scope else scope["__getattr__"](name)
+        if name not in scope:
+            if name not in _OWNER:
+                raise AttributeError(f"module {__name__!r} has no "
+                                     f"attribute {name!r}")
+            # `from .module import name`, so -X importtime lists it
+            module = __import__(_OWNER[name], scope, None, (name,), 1)
+            scope[name] = getattr(module, name)
+        return scope[name]
 
 
 _lib = _Names()
+__getattr__ = _lib.__getattr__
 
 EXIT_DISAGREE = 1
 EXIT_UNTILEABLE = 2
@@ -147,8 +146,7 @@ class ShapeSpec:
 
     def closed_form_diameter(self) -> int:
         if self.kind in ("rect", "square"):
-            m, n = sorted(self.dims, reverse=True)
-            return _lib.diameter_rectangle_closed(m, n)
+            return _lib.diameter_rectangle_closed(*sorted(self.dims)[::-1])
         if self.kind == "aztec":
             return _lib.diameter_aztec_closed(self.order)
         raise ValueError(f"no closed-form diameter for shape {self.text!r}")
@@ -228,28 +226,38 @@ def cmd_count(args, shape: ShapeSpec) -> int:
     return 0
 
 
+def _values(method: str, routes) -> dict:
+    """The value of each route run, by name.  A route is (name, thunk,
+    refusal): named alone it raises its refusal; `all` runs every route
+    in order and skips one that raises its own refusal."""
+    values = {}
+    for name, route, refusal in routes:
+        if method in (name, "all"):
+            try:
+                values[name] = route()
+            except refusal:
+                if method == name:
+                    raise
+    return values
+
+
 def cmd_distance(args, shape: ShapeSpec) -> int:
     region = shape.region
     t1 = _load_tiling(args.t1, region)
     t2 = _load_tiling(args.t2, region)
-    values: dict[str, int | None] = {}
-    path = None
-    if args.method in ("height", "all"):
-        if args.emit_path is None:
-            values["height"] = _lib.distance_height(region, t1, t2)
-        else:  # the geodesic's length is the height distance
-            path = _lib.geodesic(region, t1, t2)
-            values["height"] = len(path)
-    if args.method in ("cycles", "all"):
-        values["cycles"] = _lib.distance_cycles(region, t1, t2)
-    if args.method in ("bfs", "all"):
-        values["bfs"] = _lib.distance_bfs(region, t1, t2, args.budget)
-    if args.emit_path is not None:
-        path = _lib.geodesic(region, t1, t2) if path is None else path
-        _write(args.emit_path, _json_line({"flips": path}))  # [x, y] each
+    path = cache(lambda: _lib.geodesic(region, t1, t2))
+    emit = args.emit_path is not None
+    values = _values(args.method, (
+        ("height", (lambda: len(path())) if emit  # the height distance
+         else lambda: _lib.distance_height(region, t1, t2),
+         () if emit else UnsupportedRegionError),  # a path needs heights
+        ("cycles", lambda: _lib.distance_cycles(region, t1, t2), ()),
+        ("bfs", lambda: _lib.distance_bfs(region, t1, t2, args.budget), ())))
+    if emit:
+        _write(args.emit_path, _json_line({"flips": path()}))  # [x, y] each
     _emit(args, values, [["unreachable" if values[k] is None else values[k]
                           for k in sorted(values)]])
-    if any(v is None for v in values.values()):
+    if None in values.values():
         print("error: tilings are not flip-connected", file=sys.stderr)
         return EXIT_DISAGREE
     return _agree(values)
@@ -259,29 +267,21 @@ def cmd_diameter(args, shape: ShapeSpec) -> int:
     region = shape.region
     if not _lib.is_tileable(region):
         raise UntileableError("region is untileable")
-    values: dict[str, int] = {}
-    for name, route, refusal in (
-            ("lattice", lambda: _lib.diameter_lattice(region),
-             UnsupportedRegionError),
-            ("closed", shape.closed_form_diameter, ValueError)):
-        if args.method in (name, "all"):
-            try:
-                values[name] = route()
-            except refusal:
-                # `all` skips holes and shapes with no closed form
-                if args.method == name:
-                    raise
-    if args.method in ("bfs", "all"):
-        report = _lib.diameter_of_graph(
-            _lib.build_flip_graph(region, args.budget))
+    values = _values(args.method, (
+        ("lattice", lambda: _lib.diameter_lattice(region),
+         UnsupportedRegionError),  # on a hole
+        ("closed", shape.closed_form_diameter, ValueError),  # none known
+        ("bfs", lambda: _lib.diameter_of_graph(
+            _lib.build_flip_graph(region, args.budget)), ()),
+        ("levels", lambda: _lib.diameter_levels(region), ())))
+    report = values.get("bfs")
+    if report is not None:  # its value, in its place among the methods
         values["bfs"] = report.value
-    if args.method in ("levels", "all"):
-        values["levels"] = _lib.diameter_levels(region)
     diameter = next(iter(values.values()))  # exact unless levels alone
     result = {"diameter": diameter, "method": args.method}
     if len(values) > 1:
         result["methods"] = values
-    if "bfs" in values:
+    if report is not None:
         result["realizers"] = list(map(_lib.tiling_to_json, report.realizers))
     _emit(args, result, [[values[k] for k in sorted(values)]])
     code = _agree({k: v for k, v in values.items() if k != "levels"})

@@ -31,6 +31,15 @@ def test_every_route_agrees_up_to_eight_cells():
     # then the pairs checked from the first tiling: hole-free, and not
     total = done.stdout.splitlines()[-1].split()
     assert total == ["<=8", "2,962", "1,698", "1,681", "260", "349", "1"]
+    # then one line per library route on stderr: its CPU seconds
+    lines = [line.split() for line in done.stderr.splitlines()]
+    assert [line[1] for line in lines] == [
+        "enumerate_tilings", "count_tilings", "is_tileable",
+        "build_flip_graph", "bfs_distances", "diameter_of_graph",
+        "diameter_lattice", "diameter_levels", "distance_height",
+        "distance_cycles"]
+    assert all(line[0] == "cpu" and float(line[2]) >= 0 and line[3] == "s"
+               for line in lines)
 
 
 def test_a_disagreement_names_the_cells(monkeypatch, capsys):

@@ -287,6 +287,22 @@ class TestCount:
         assert len(err) < 200
 
 
+def holed_square_5_pair(tmp_path, across=False):
+    """--t1 and --t2 for holed-square:5: the first and last tilings of its
+    largest flip component, or the first tilings of its first two."""
+    graph = build_flip_graph(make_holed_square(5))
+    components = connected_components(graph)
+    big = max(components, key=len)
+    nodes = ([c[0] for c in components[:2]] if across
+             else [big[0], big[-1]])
+    argv = []
+    for flag, i in zip(("--t1", "--t2"), nodes):
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(tiling_to_json(graph.nodes[i])))
+        argv += [flag, str(path)]
+    return argv
+
+
 class TestDistance:
     def test_identical_files(self, capsys, fixtures_dir):
         t = str(fixtures_dir / "brick_6x2.json")
@@ -431,6 +447,46 @@ class TestDistance:
                              "--method", method)
         assert (code, out) == (1, "unreachable\n")
         assert err == "error: tilings are not flip-connected\n"
+
+    def test_all_on_a_holed_region_skips_heights(self, capsys, tmp_path):
+        # heights refuse a hole, so `all` holds cycles to the search
+        argv = ["distance", "--shape", "holed-square:5",
+                *holed_square_5_pair(tmp_path), "--method", "all"]
+        assert run(capsys, *argv) == (0, "6 6\n", "")
+        assert run(capsys, *argv, "--json") == (
+            0, '{"command": "distance", "result": {"cycles": 6, "bfs": 6}}\n',
+            "")
+
+    def test_all_across_flip_components_unreachable(self, capsys, tmp_path):
+        assert run(capsys, "distance", "--shape", "holed-square:5",
+                   *holed_square_5_pair(tmp_path, across=True),
+                   "--method", "all") == (
+            1, "unreachable unreachable\n",
+            "error: tilings are not flip-connected\n")
+
+    def test_all_on_blocks_touching_at_a_corner(self, capsys, tmp_path):
+        blocks = [(0, 0), (2, 2)]
+        files = {"region": {"cells": [[x + dx, y + dy] for x, y in blocks
+                                      for dx in (0, 1) for dy in (0, 1)]},
+                 "flat": {"dominoes": [[[x, y + dy], [x + 1, y + dy]]
+                                       for x, y in blocks for dy in (0, 1)]},
+                 "tall": {"dominoes": [[[x + dx, y], [x + dx, y + 1]]
+                                       for x, y in blocks for dx in (0, 1)]}}
+        for name, data in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        assert run(capsys, "distance", "--shape",
+                   f"file:{tmp_path / 'region.json'}",
+                   "--t1", str(tmp_path / "flat.json"),
+                   "--t2", str(tmp_path / "tall.json"),
+                   "--method", "all") == (0, "2 2\n", "")
+
+    def test_all_on_a_holed_region_disagrees(self, capsys, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setattr(dominoflip.cli, "distance_cycles",
+                            lambda region, t1, t2: 5)
+        assert run(capsys, "distance", "--shape", "holed-square:5",
+                   *holed_square_5_pair(tmp_path), "--method", "all") == (
+            1, "6 5\n", "error: methods disagree: {'cycles': 5, 'bfs': 6}\n")
 
     def test_budget_below_the_tiling_count_exits_4(self, capsys,
                                                    fixtures_dir):
