@@ -23,8 +23,8 @@ from . import _OWNER
 from .errors import (DEFAULT_NODE_BUDGET, DominoError,
                      NumericInstabilityError, ResourceLimitError,
                      UnsupportedRegionError, UntileableError)
-from .surface import (Region, is_simply_connected, make_aztec,
-                      make_holed_square, make_rectangle, region_from_json)
+from .surface import (Region, make_aztec, make_holed_square,
+                      make_rectangle, region_from_json)
 
 # Library names by owning module: the package's table plus the names it
 # does not export.  ``_lib.render`` finds one replaced on the module too.
@@ -220,10 +220,11 @@ def cmd_count(args, shape: ShapeSpec) -> int:
     if args.closed_form:
         result["closed_form"] = shape.closed_form_count()
     _emit(args, result, [[value] for value in result.values()])
-    if exact == 0:
+    code = _agree(result)
+    if not code and exact == 0:
         print("warning: region is untileable", file=sys.stderr)
         return EXIT_UNTILEABLE
-    return 0
+    return code
 
 
 def _values(method: str, routes) -> dict:
@@ -301,9 +302,9 @@ def _tileable_graph(region: Region, budget: int):
 
 def cmd_components(args, shape: ShapeSpec) -> int:
     region = shape.region
-    if is_simply_connected(region):
-        # flips join every two tilings of a simply connected region
-        # (Thurston 1990), so its one component holds them all
+    if region.bases is not None:
+        # a region with no hole has one flip component (Thurston 1990),
+        # in pieces a product of such ones: it holds every tiling
         total = _lib.count_tilings(region)
         if not total:
             raise UntileableError("region is untileable")
@@ -463,12 +464,6 @@ def _build_parser():
     import argparse
 
     class Parser(argparse.ArgumentParser):
-        # argparse exits with 2 on usage errors; this CLI reserves 2 for
-        # untileable regions, so remap
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
-
         def print_help(self, file=None):  # argparse's own swallows OSError
             (file or sys.stdout).write(self.format_help())
 
@@ -499,8 +494,9 @@ def main(argv: list[str] | None = None) -> int:
                 try:
                     args = _build_parser().parse_args(argv)
                 except SystemExit as exc:
-                    return (exc.code if isinstance(exc.code, int)
-                            else EXIT_BAD_INPUT)
+                    # 0 after help; 2 on a usage error, which exits 3
+                    # here, as this CLI keeps 2 for untileable regions
+                    return EXIT_BAD_INPUT if exc.code else 0
             return args.func(args, ShapeSpec(args.shape))
         finally:
             # buffered output, help text included, is written here, where

@@ -1,9 +1,8 @@
 """Flip-graph diameters: lattice spreads, search, level sums, closed forms.
 
-On a simply connected region the exact diameter is the height gap
-between the two extreme tilings, as every tiling's heights lie between
-theirs (Thurston 1990; Propp 2002).  A region in pieces has the product
-of their flip graphs, so the sum of their diameters; a piece with a hole
+On a region with no hole, in pieces too, the exact diameter is the
+height gap between the two extreme tilings, as every tiling's heights
+lie between theirs (Thurston 1990; Propp 2002).  A region with a hole
 is refused.  The search is exact too, and reads nothing but the graph.
 
 The level sum over all region vertices bounds every flip distance from
@@ -29,7 +28,7 @@ from itertools import compress
 from operator import sub
 
 from .errors import DEFAULT_NODE_BUDGET, DominoError, UntileableError
-from .surface import _KING, Region, Vertex, _flood, _pieces
+from .surface import _KING, Region, Vertex, _flood
 from .tiling import Tiling
 
 
@@ -42,11 +41,9 @@ class DiameterReport:
 
 
 def diameter_lattice(region: Region) -> int:
-    """Exact diameter: each edge-connected piece's lattice spread, summed."""
+    """Exact diameter: the height gap between the extreme tilings."""
     from .height import extremal_heights, label_distance  # loaded on use
-    parts = ([region] if region.simply_connected
-             else map(Region, _pieces(region.cells)))
-    return sum(label_distance(*extremal_heights(part)) for part in parts)
+    return label_distance(*extremal_heights(region))
 
 
 def diameter_bfs(region: Region,

@@ -14,7 +14,7 @@ class UntileableError(DominoError):
 
 
 class UnsupportedRegionError(DominoError):
-    """The operation requires a simply connected region."""
+    """The operation requires a region with no hole."""
 
 
 class InvalidMoveError(DominoError):

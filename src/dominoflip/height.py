@@ -5,12 +5,14 @@ the black cell on its right, so edges run clockwise around black cells
 and counterclockwise around white ones.  Walking an edge positively
 raises the label by 1 when no domino crosses the edge, and lowers it by
 3 when the edge lies inside a domino.  Labels are anchored at 0 on the
-base vertex, the lower-left corner of the smallest cell.
+base of each component (cells joined by sides or corners): the
+lower-left corner of its smallest cell.
 
-On a simply connected region this pins a unique labeling per tiling.
+On a region with no hole this pins a unique labeling per tiling.
 Every tiling gives the boundary the labels of a walk round it, as no
-domino crosses a boundary edge.  A flip moves exactly one label (its
-anchor's) by 4, and the pointwise max and min of two labelings are
+domino crosses a boundary edge; every edge at a corner where two pieces
+touch is one, so one walk labels both.  A flip moves exactly one label
+(its anchor's) by 4, and the pointwise max and min of two labelings are
 again labelings of tilings, so the tilings form a distributive lattice
 whose extremes realize the flip-graph diameter.  Everything here works
 on labels alone: the extremes are the greatest and the least labeling
@@ -27,7 +29,7 @@ from heapq import heapify, heappop, heappush
 from .errors import (DominoError, InvalidHeightError, UnsupportedRegionError,
                      UntileableError)
 from .surface import (Region, Vertex, _vertex_count, cells_around,
-                      interior_vertices, is_simply_connected, vertex_edges)
+                      interior_vertices, vertex_edges)
 from .tiling import Tiling, _check_tilings
 
 HeightValues = dict[Vertex, int]
@@ -42,25 +44,25 @@ def height_function(region: Region, tiling: Tiling) -> HeightValues:
     """Height labels of every region vertex under the given tiling.
 
     One walk is enough (Thurston 1990).  No domino crosses its six
-    perimeter edges, so the walk reaches every vertex of an
-    edge-connected region.  Each cell has one crossed edge, so the steps
-    round it sum to 3 - 3 = 0; with no hole, every path to a vertex
-    then gives it the same label."""
-    if not is_simply_connected(region):
+    perimeter edges, nor an edge at a corner where pieces touch, so the
+    walk from the components' bases reaches every vertex.  Each cell
+    has one crossed edge, so the steps round it sum to 3 - 3 = 0; with
+    no hole, every path to a vertex then gives it the same label."""
+    if region.bases is None:
         raise UnsupportedRegionError(
-            "height labels need a simply connected region")
+            "height labels need a region with no hole")
     _check_tilings(region, tiling)
     return _walk(region, tiling)
 
 
 def _walk(region: Region, tiling: Tiling | None) -> HeightValues:
-    """Labels from 0 at the base vertex, breadth first along the edges
-    that no domino of the tiling crosses, each step by its edge's sign;
-    with no tiling, along the boundary edges alone, refusing a region
-    whose boundary walk does not close.  A vertex's edges are read off
-    its cells once, when the walk reaches it."""
+    """Labels from 0 at each component's base, breadth first along the
+    edges that no domino of the tiling crosses, each step by its edge's
+    sign; with no tiling, along the boundary edges alone, refusing a
+    region whose boundary walk does not close.  A vertex's edges are
+    read off its cells once, when the walk reaches it."""
     cells = region.cells
-    values: HeightValues = {base_vertex(region): 0}
+    values: HeightValues = dict.fromkeys(region.bases, 0)
     queue = list(values)
     for u in queue:  # the list grows behind the loop, as a FIFO queue
         hu = values[u]
@@ -141,9 +143,9 @@ def extremal_heights(region: Region) -> tuple[HeightValues, HeightValues]:
     checks as it goes, and neither pass moves a boundary label.  A pass
     reads a vertex's edges once, as it settles the vertex.
     """
-    if not is_simply_connected(region):
+    if region.bases is None:
         raise UnsupportedRegionError(
-            "extremal tilings need a simply connected region")
+            "extremal tilings need a region with no hole")
     values = _walk(region, None)  # the boundary edges alone
     cells = region.cells
     h_min, h_max = {}, {}

@@ -86,20 +86,32 @@ class Region:
         return cell in self.cells
 
     @cached_property
-    def simply_connected(self) -> bool:
-        """True when the cells are edge-connected and enclose no hole.
+    def bases(self) -> tuple[Cell, ...] | None:
+        """The smallest cell of each component (cells joined by sides or
+        corners), in order, or None when the cells enclose a hole.
 
-        The union of a connected cell set has Euler characteristic
-        V - E + F = 1 - (number of holes).  With F cells, A edge-adjacent
-        cell pairs and V corner points (``_vertex_count``), E = 4F - A, so
-        the region is hole-free exactly when V - 3F + A == 1.
+        The union's Euler characteristic V - E + F is its components less
+        its holes.  With F cells, A edge-adjacent cell pairs and V corner
+        points (``_vertex_count``), E = 4F - A, so there is no hole when
+        V - 3F + A counts the components.  A flood by sides finds one
+        component; only when it misses cells does a king-move flood run.
         """
         cells = self.cells
-        if len(_flood(cells, [next(iter(cells))], _SIDES)) != len(cells):
-            return False
         adjacent = sum(((x + 1, y) in cells) + ((x, y + 1) in cells)
                        for x, y in cells)
-        return _vertex_count(cells) - 3 * len(cells) + adjacent == 1
+        if len(_flood(cells, [next(iter(cells))], _SIDES)) == len(cells):
+            bases = (min(cells),)
+        else:
+            bases = tuple(piece[0] for piece in _pieces(cells, _KING))
+        euler = _vertex_count(cells) - 3 * len(cells) + adjacent
+        return bases if euler == len(bases) else None
+
+    @cached_property
+    def simply_connected(self) -> bool:
+        """True when the cells are edge-connected and enclose no hole."""
+        cells = self.cells
+        return self.bases is not None and len(
+            _flood(cells, [next(iter(cells))], _SIDES)) == len(cells)
 
     @cached_property
     def dominoes(self) -> dict[tuple[Cell, Cell], int]:
@@ -204,13 +216,13 @@ def _flood(inside, seeds: Iterable[Cell], steps) -> dict[Cell, int]:
     return reached
 
 
-def _pieces(cells: frozenset[Cell]) -> Iterator[list[Cell]]:
-    """The edge-connected pieces of the cells, in the order of their
-    smallest cells, each in breadth-first flood order from that cell."""
+def _pieces(cells: frozenset[Cell], steps=_SIDES) -> Iterator[list[Cell]]:
+    """The pieces of the cells joined by the steps, sides by default, in
+    the order of their smallest cells, each in flood order from it."""
     left = set(cells)
     for cell in sorted(cells):
         if cell in left:
-            piece = list(_flood(left, [cell], _SIDES))
+            piece = list(_flood(left, [cell], steps))
             left.difference_update(piece)
             yield piece
 

@@ -144,6 +144,29 @@ def two_discs(draw, max_side):
     return first, second, first + second
 
 
+@st.composite
+def touching_discs(draw, max_side):
+    """Two ``tileable_discs``, the second moved so that its smallest cell
+    sits diagonally against a cell of the first and no cell of either
+    shares a side with the other's: (first, second, union).  Placed past
+    the first's largest cell up and right, they touch at that corner
+    alone; other places may touch at more corners, and enclose a hole."""
+    first = draw(tileable_discs(max_side))
+    second = draw(tileable_discs(max_side))
+    taken = {(x + dx, y + dy) for x, y in first
+             for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))}
+    low = min(second)
+    places = []
+    for x, y in sorted(first):
+        for dx, dy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            sx, sy = x + dx - low[0], y + dy - low[1]
+            moved = [(a + sx, b + sy) for a, b in second]
+            if taken.isdisjoint(moved):
+                places.append(moved)
+    second = draw(st.sampled_from(places))  # never empty: see above
+    return first, second, first + second
+
+
 def _flood(seed, cells):
     """The cells reachable from seed by unit steps inside cells."""
     seen, queue = {seed}, [seed]

@@ -12,9 +12,10 @@ import dominoflip.cli
 import dominoflip.counting
 import dominoflip.height
 import dominoflip.tiling
-from dominoflip import (DominoError, build_flip_graph, connected_components,
-                        first_tiling, make_from_cells, make_holed_square,
-                        region_to_json, tiling_to_json)
+from dominoflip import (DominoError, apply_flip, build_flip_graph,
+                        connected_components, first_tiling, make_from_cells,
+                        make_holed_square, region_from_json, region_to_json,
+                        tiling_from_json, tiling_to_json)
 from dominoflip.cli import main
 
 from conftest import PACKAGE_ROOT, run_capped
@@ -52,6 +53,15 @@ def mutilated_board(tmp_path):
     return f"file:{path}"
 
 
+def blocks_at_a_corner(tmp_path, side=2):
+    """Two side x side blocks touching at a corner, as a file: shape."""
+    path = tmp_path / f"corner{side}.json"
+    path.write_text(json.dumps({"cells": [
+        [x + d, y + d] for d in (0, side)
+        for x in range(side) for y in range(side)]}))
+    return f"file:{path}"
+
+
 class TestCount:
     @pytest.mark.parametrize("shape,expected", [
         ("aztec:3", "64"), ("rect:10x2", "89"), ("holed-square:3", "2"),
@@ -66,6 +76,19 @@ class TestCount:
                            "--closed-form")
         assert code == 0
         assert out.split() == ["12988816", "12988816"]
+
+    def test_closed_form_disagreement_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(dominoflip.cli, "count_rectangle_closed_form",
+                            lambda m, n: 1)
+        assert run(capsys, "count", "--shape", "rect:8x8",
+                   "--closed-form") == (
+            1, "12988816\n1\n",
+            "error: methods disagree: {'count': 12988816, 'closed_form': 1}\n")
+        # a disagreement comes before the untileable warning
+        assert run(capsys, "count", "--shape", "rect:3x3",
+                   "--closed-form") == (
+            1, "0\n1\n", "error: methods disagree: {'count': 0, "
+            "'closed_form': 1}\n")
 
     @pytest.mark.parametrize("shape,size", [
         ("rect:12x12", "about 5.31e+16"),
@@ -416,7 +439,7 @@ class TestDistance:
                              "--t1", str(tiling), "--t2", str(tiling),
                              "--method", "height")
         assert (code, out) == (2, "")
-        assert err == "error: height labels need a simply connected region\n"
+        assert err == "error: height labels need a region with no hole\n"
 
     def test_bfs_builds_no_flip_graph(self, capsys, fixtures_dir,
                                       monkeypatch):
@@ -478,7 +501,26 @@ class TestDistance:
                    f"file:{tmp_path / 'region.json'}",
                    "--t1", str(tmp_path / "flat.json"),
                    "--t2", str(tmp_path / "tall.json"),
-                   "--method", "all") == (0, "2 2\n", "")
+                   "--method", "all") == (0, "2 2 2\n", "")
+
+    def test_path_on_blocks_touching_at_a_corner(self, capsys, tmp_path):
+        # one walk labels both blocks: their shared corner borders no
+        # domino, so its label is the same in every tiling
+        shape = blocks_at_a_corner(tmp_path)
+        ends = [tmp_path / f"c.{end}.json" for end in ("tmin", "tmax")]
+        assert run(capsys, "extremes", "--shape", shape,
+                   "--out", str(tmp_path / "c")) == (0, "2\n", "")
+        path = tmp_path / "path.json"
+        assert run(capsys, "distance", "--shape", shape, "--t1", str(ends[0]),
+                   "--t2", str(ends[1]), "--method", "height",
+                   "--emit-path", str(path)) == (0, "2\n", "")
+        region = region_from_json(json.loads((tmp_path / "corner2.json")
+                                             .read_text()))
+        current, goal = (tiling_from_json(json.loads(end.read_text()))
+                         for end in ends)
+        for anchor in json.loads(path.read_text())["flips"]:
+            current = apply_flip(region, current, tuple(anchor))
+        assert current == goal
 
     def test_all_on_a_holed_region_disagrees(self, capsys, tmp_path,
                                              monkeypatch):
@@ -702,9 +744,23 @@ class TestDiameter:
         assert run(capsys, "diameter", "--shape", shape, "--method",
                    "all") == (0, "2 2 2\n", "")
 
+    def test_pieces_enclosing_a_hole_refused_by_default(self, capsys,
+                                                        tmp_path):
+        # two S tetrominoes, one tiling each, touching at two corners
+        # round the cell (1, 1): the lattice refuses the hole, as on one
+        # piece, and `all` holds the level sum to the search
+        path = tmp_path / "pinwheel.json"
+        path.write_text(json.dumps({"cells": [
+            [0, 0], [1, 0], [0, 1], [-1, 1], [2, 2], [1, 2], [2, 1], [3, 1]]}))
+        shape = f"file:{path}"
+        assert run(capsys, "diameter", "--shape", shape) == (
+            2, "", "error: extremal tilings need a region with no hole\n")
+        assert run(capsys, "diameter", "--shape", shape, "--method",
+                   "all") == (0, "0 0\n", "")
+
     def test_hole_refused_by_default(self, capsys):
         assert run(capsys, "diameter", "--shape", "holed-square:5") == (
-            2, "", "error: extremal tilings need a simply connected region\n")
+            2, "", "error: extremal tilings need a region with no hole\n")
         assert run(capsys, "diameter", "--shape", "holed-square:5",
                    "--method", "all") == (
             1, "", "error: flip graph is disconnected; diameter undefined\n")
@@ -792,6 +848,18 @@ class TestComponents:
                            "--json")
         assert code == 0
         assert json.loads(out)["result"] == {"components": 1, "sizes": [11]}
+
+    def test_blocks_at_a_corner_answer_without_a_graph(self, capsys,
+                                                       tmp_path, monkeypatch):
+        def refuse(region, budget):
+            raise AssertionError("components built the flip graph")
+
+        monkeypatch.setattr(dominoflip.cli, "build_flip_graph", refuse)
+        # 12,988,816 ** 2 tilings, one component: the product of the
+        # blocks' connected flip graphs
+        assert run(capsys, "components", "--shape",
+                   blocks_at_a_corner(tmp_path, 8)) == (
+            0, "1\n168709341081856\n", "")
 
     def test_holes_keep_the_graph(self, capsys, monkeypatch):
         def refuse(region, budget):
@@ -901,6 +969,20 @@ class TestRenderAndExtremes:
         assert (code, out) == (0, "35\n")
         # one tiling from labels per extreme, and no labeling of a tiling
         assert calls == {"tiling_from_height": 2}
+
+    def test_extremes_on_blocks_touching_at_a_corner(self, capsys, tmp_path):
+        prefix = tmp_path / "c"
+        assert run(capsys, "extremes", "--shape", blocks_at_a_corner(tmp_path),
+                   "--out", str(prefix), "--json") == (0, json.dumps({
+                       "command": "extremes", "result": {
+                           "tmin": f"{prefix}.tmin.json",
+                           "tmax": f"{prefix}.tmax.json", "distance": 2}})
+                       + "\n", "")
+        # each block flat in one extreme and upright in the other
+        tilings = [json.loads((tmp_path / f"c.{end}.json").read_text())
+                   for end in ("tmin", "tmax")]
+        assert sorted(len({x for x, _ in d}) for t in tilings
+                      for d in t["dominoes"]) == [1] * 4 + [2] * 4
 
     def test_extremes_untileable_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "extremes", "--shape", "rect:3x3",

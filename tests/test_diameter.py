@@ -196,7 +196,7 @@ class TestLattice:
                 == diameter_of_graph(build_flip_graph(union)).value)
 
     def test_refuses_a_hole(self):
-        with pytest.raises(UnsupportedRegionError, match="simply connected"):
+        with pytest.raises(UnsupportedRegionError, match="with no hole"):
             diameter_lattice(make_holed_square(5))
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from dominoflip import (DominoError, InvalidHeightError, Region,
                         UnsupportedRegionError, UntileableError,
                         apply_flip, available_flips, base_vertex,
-                        build_flip_graph, bfs_distances, distance_height,
+                        build_flip_graph, bfs_distances, diameter_lattice,
+                        diameter_of_graph, distance_cycles, distance_height,
                         enumerate_tilings, extremal_tilings, first_tiling,
                         geodesic, height_function, is_simply_connected,
                         is_valid_tiling, join, make_aztec, make_from_cells,
@@ -19,7 +20,8 @@ from dominoflip.height import extremal_heights, label_distance
 from dominoflip.tiling import is_tileable
 
 from conftest import (FIXTURES, boundary_set, cell_corners, interior_set,
-                      load_tiling, punched_boxes, tileable_discs, vertex_set)
+                      load_tiling, punched_boxes, tileable_discs,
+                      touching_discs, two_discs, vertex_set)
 
 # an L-shaped 16-cell region with a reference tiling and the height
 # labels it must produce (base vertex (0, 0))
@@ -89,7 +91,9 @@ class TestHeightFunction:
         # cells no other test uses, so no equal region is cached already
         r = make_from_cells((x + 1000, y) for x in range(4) for y in range(3))
         height_function(r, enumerate_tilings(r)[0])
-        assert "simply_connected" in vars(r)  # no edge table is cached
+        # the heights cache the components' bases, and no vertex,
+        # boundary or edge table; the dominoes are the enumeration's
+        assert vars(r).keys() == {"cells", "dominoes", "bases"}
         ref = weakref.ref(r)
         del r
         gc.collect()
@@ -548,3 +552,55 @@ class TestEdgeRuleAgainstTheTable:
         adj = table_edges(region)
         assert height_function(region, tiling) == table_walk(
             adj, min(region.cells), tiling)
+
+
+def in_pieces(discs):
+    """The union of two discs, or None after checking that the height
+    routes refuse it when the places where they touch enclose a hole."""
+    region = Region(discs[2])
+    if region.bases is not None:
+        return region
+    with pytest.raises(UnsupportedRegionError, match="with no hole"):
+        height_function(region, first_tiling(region))
+    with pytest.raises(UnsupportedRegionError, match="with no hole"):
+        extremal_heights(region)
+    return None
+
+
+class TestRegionsInPieces:
+    """One walk labels a region in pieces: a vertex where two pieces
+    touch at a corner borders no domino, so its label is the same in
+    every tiling, and the label routes answer as on one piece."""
+
+    @given(st.one_of(touching_discs(4), two_discs(4)))
+    def test_distances_agree_on_every_pair(self, discs):
+        region = in_pieces(discs)
+        if region is None:
+            return
+        graph = build_flip_graph(region)
+        assume(len(graph) <= 40)  # at most 1,600 pairs
+        for i, t1 in enumerate(graph.nodes):
+            dist = bfs_distances(graph, i)
+            for j, t2 in enumerate(graph.nodes):
+                assert (distance_height(region, t1, t2)
+                        == distance_cycles(region, t1, t2) == dist[j])
+
+    @given(st.one_of(touching_discs(4), two_discs(4)), st.data())
+    def test_lattice_extremes_and_geodesics(self, discs, data):
+        region = in_pieces(discs)
+        if region is None:
+            return
+        graph = build_flip_graph(region)
+        diameter = diameter_of_graph(graph).value
+        assert diameter_lattice(region) == diameter
+        tmin, tmax = extremal_tilings(region)
+        assert is_valid_tiling(region, tmin) and is_valid_tiling(region, tmax)
+        ends = graph.node_index(tmin), graph.node_index(tmax)
+        assert bfs_distances(graph, ends[0])[ends[1]] == diameter
+        i, j = (data.draw(st.integers(0, len(graph) - 1)) for _ in "ij")
+        path = geodesic(region, graph.nodes[i], graph.nodes[j])
+        assert len(path) == bfs_distances(graph, i)[j]
+        current = graph.nodes[i]
+        for anchor in path:
+            current = apply_flip(region, current, anchor)
+        assert current == graph.nodes[j]

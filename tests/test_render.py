@@ -213,7 +213,7 @@ class TestGalleryScript:
         (["--shape", "pentagon:3"], "unknown shape kind 'pentagon'"),
         (["--shape", "rect:3x3"], "region has no tiling"),
         (["--shape", "holed-square:5"],
-         "extremal tilings need a simply connected region"),
+         "extremal tilings need a region with no hole"),
         (["--shape", "square:2000"],
          "shape 'square:2000' has 4000000 cells, cap is 1048576"),
     ], ids=["zero", "400-digit", "bad-shape", "untileable", "holed",

@@ -45,6 +45,30 @@ def flood_is_simply_connected(region):
             == len(complement))
 
 
+def bases_oracle(region):
+    """Oracle: the smallest cell of each component of the cells joined
+    by sides or corners, or None when a cell of the bounding box padded
+    by one that is not in the region cannot reach the outside."""
+    cells = region.cells
+    x0, y0, x1, y1 = region.bounds
+    box = {(x, y) for x in range(x0 - 1, x1 + 2) for y in range(y0 - 1, y1 + 2)}
+    complement = box - cells
+    if len(_flood(complement, [(x0 - 1, y0 - 1)], _SIDES)) != len(complement):
+        return None
+    left, bases = set(cells), []
+    while left:
+        bases.append(min(left))
+        stack = [bases[-1]]
+        left.discard(bases[-1])
+        while stack:
+            x, y = stack.pop()
+            for c in product((x - 1, x, x + 1), (y - 1, y, y + 1)):
+                if c in left:
+                    left.discard(c)
+                    stack.append(c)
+    return tuple(bases)
+
+
 def membership_edge_sign(cells, u, v):
     """Oracle: +1 when the cell on the right of u -> v is black, reading
     the colour off whichever flanking cell is in the region."""
@@ -197,6 +221,18 @@ class TestSimplyConnected:
             if cells:
                 r = Region(cells)
                 assert is_simply_connected(r) == flood_is_simply_connected(r)
+                assert r.bases == bases_oracle(r)
+
+    # pieces apart, pieces touching at a corner, holes and pinched rings
+    @given(st.one_of(cells_strategy, punched_boxes(7)))
+    def test_bases_match_the_oracle(self, cells):
+        r = Region(cells)
+        assert r.bases == bases_oracle(r)
+
+    @pytest.mark.parametrize("rows", CORNER_PINCHES)
+    def test_corner_pinch_has_no_bases(self, rows):
+        r = region_grid(len(rows[0]), len(rows), " ".join(rows))
+        assert r.bases is None and bases_oracle(r) is None
 
     @given(punched_boxes(7))
     def test_matches_flood_oracle(self, cells):
@@ -209,12 +245,14 @@ class TestSimplyConnected:
         r = Region(cells)
         assert flood_is_simply_connected(r) and is_tileable(r)
 
-    @pytest.mark.parametrize("cells", [
-        [(x + 3000, y) for x in range(5) for y in range(4)],
-        [(x + 3000, y) for x in range(3) for y in range(3)
-         if (x, y) != (1, 1)],
+    # the bases take one flood; a region with no hole takes one more,
+    # by sides, to tell it is edge-connected
+    @pytest.mark.parametrize("cells,count", [
+        ([(x + 3000, y) for x in range(5) for y in range(4)], 2),
+        ([(x + 3000, y) for x in range(3) for y in range(3)
+          if (x, y) != (1, 1)], 1),
     ], ids=["rect", "holed"])
-    def test_second_call_floods_nothing(self, cells, monkeypatch):
+    def test_second_call_floods_nothing(self, cells, count, monkeypatch):
         floods = []
 
         def counted(*args):
@@ -225,7 +263,9 @@ class TestSimplyConnected:
         r = Region(cells)
         answer = is_simply_connected(r)
         assert [is_simply_connected(r) for _ in range(3)] == [answer] * 3
-        assert r.simply_connected is answer and len(floods) == 1
+        assert r.simply_connected is answer and len(floods) == count
+        assert (r.bases is not None) is answer  # read from the cache
+        assert len(floods) == count
 
     # holes, corner pinches and several components included
     @given(st.one_of(cells_strategy, punched_boxes(7)))
@@ -402,6 +442,17 @@ class TestPieces:
     def test_pieces_in_order_of_their_smallest_cells(self, cells, pieces):
         assert list(_pieces(frozenset(cells))) == pieces
 
+    # pieces touching at a corner are one component; a ring round an
+    # island is two, and encloses a hole
+    @pytest.mark.parametrize("cells,bases", [
+        (TWO_APART, ((0, 0), (4, 0))), (TWO_AT_A_CORNER, ((0, 0),)),
+        (ISLAND, None),
+    ], ids=["apart", "corner", "island"])
+    def test_bases(self, cells, bases):
+        r = make_from_cells(cells)
+        assert r.bases == bases == bases_oracle(r)
+        assert not is_simply_connected(r)
+
     @pytest.mark.parametrize("cells,dominoes", [
         (TWO_APART, block_dominoes(0, 0) + block_dominoes(4, 0)),
         (TWO_AT_A_CORNER, block_dominoes(0, 0) + block_dominoes(2, 2)),
@@ -463,8 +514,8 @@ class TestTablesBuilt:
     # each route builds only the region tables it reads, and a region
     # caches no vertex table; the tilings come from another instance of
     # the region, so no cache leaks in
-    CACHES = {"cells", "simply_connected", "dominoes", "flip_blocks",
-              "bounds"}
+    CACHES = {"cells", "bases", "simply_connected", "dominoes",
+              "flip_blocks", "bounds"}
 
     def test_lattice_spread_builds_no_domino_table(self):
         r = make_rectangle(6, 6)
