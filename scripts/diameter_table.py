@@ -5,8 +5,9 @@ For every shape the level sum, the lattice spread (``diameter_lattice``,
 the height gap between the two extreme tilings and so the exact
 diameter) and the closed form are printed; when the tiling count stays
 within --bfs-limit, the flip-graph search confirms the diameter as
-well, and the script stops with an assertion error on any row where
-the routes disagree.
+well.  The count is held to the shape's closed-form count too, and the
+script stops with an assertion error on any row where the routes
+disagree.
 
 Usage:
     python scripts/diameter_table.py --max-rect 8 --max-aztec 6
@@ -14,7 +15,8 @@ Usage:
 
 import argparse
 
-from dominoflip import (count_tilings, diameter_aztec_closed, diameter_bfs,
+from dominoflip import (count_aztec_closed_form, count_rectangle_closed_form,
+                        count_tilings, diameter_aztec_closed, diameter_bfs,
                         diameter_lattice, diameter_levels,
                         diameter_rectangle_closed, make_aztec, make_rectangle)
 
@@ -24,11 +26,12 @@ def rows(max_rect, max_aztec, bfs_limit):
         for m in range(n, max_rect + 1):
             if (m * n) % 2:
                 continue
-            region = make_rectangle(m, n)
-            yield (f"rect {m}x{n}", region,
+            yield (f"rect {m}x{n}", make_rectangle(m, n),
+                   count_rectangle_closed_form(m, n),
                    diameter_rectangle_closed(m, n), bfs_limit)
     for n in range(1, max_aztec + 1):
-        yield (f"aztec {n}", make_aztec(n), diameter_aztec_closed(n), bfs_limit)
+        yield (f"aztec {n}", make_aztec(n), count_aztec_closed_form(n),
+               diameter_aztec_closed(n), bfs_limit)
 
 
 def main():
@@ -42,9 +45,10 @@ def main():
 
     print(f"{'shape':<12} {'tilings':>12} {'levels':>8} {'lattice':>8}"
           f" {'closed':>8} {'search':>8}")
-    for label, region, closed, limit in rows(args.max_rect, args.max_aztec,
-                                             args.bfs_limit):
+    for label, region, closed_count, closed, limit in rows(
+            args.max_rect, args.max_aztec, args.bfs_limit):
         count = count_tilings(region)
+        assert count == closed_count, label
         levels = diameter_levels(region)
         lattice = diameter_lattice(region)
         assert levels == lattice == closed, label

@@ -14,9 +14,8 @@ _PUBLIC = {
                  "diameter_lattice", "diameter_levels", "diameter_of_graph",
                  "diameter_rectangle_closed", "diameter_square_closed"),
     "errors": ("DEFAULT_NODE_BUDGET", "DominoError", "InvalidHeightError",
-               "InvalidMoveError", "NumericInstabilityError",
-               "ResourceLimitError", "UnsupportedRegionError",
-               "UntileableError"),
+               "InvalidMoveError", "ResourceLimitError",
+               "UnsupportedRegionError", "UntileableError"),
     "filling": ("FillingShape", "export_voxels", "filling_shape", "volumes"),
     "flipgraph": ("FlipGraph", "bfs_distance", "bfs_distances",
                   "build_flip_graph", "connected_components", "distance_bfs",

@@ -20,8 +20,7 @@ from functools import cache, partial
 from types import SimpleNamespace
 
 from . import _OWNER
-from .errors import (DEFAULT_NODE_BUDGET, DominoError,
-                     NumericInstabilityError, ResourceLimitError,
+from .errors import (DEFAULT_NODE_BUDGET, DominoError, ResourceLimitError,
                      UnsupportedRegionError, UntileableError)
 from .surface import (Region, make_aztec, make_holed_square,
                       make_rectangle, region_from_json)
@@ -64,7 +63,7 @@ EXIT_IO = 5
 # matches it, so subclasses come before DominoError
 _EXIT_CODES = (
     ((UntileableError, UnsupportedRegionError), EXIT_UNTILEABLE),
-    ((ResourceLimitError, NumericInstabilityError, MemoryError), EXIT_BUDGET),
+    ((ResourceLimitError, MemoryError), EXIT_BUDGET),
     (ValueError, EXIT_BAD_INPUT),
     (OSError, EXIT_IO),
     (DominoError, EXIT_DISAGREE),

@@ -7,20 +7,21 @@ multiply: a Kasteleyn determinant, whose signs read off the cells'
 coordinates alone, holes or not, or on thin strips a broken-profile DP.
 
 The closed forms for rectangles and Aztec diamonds live here too, as
-the cross-checks of the exact count.
+the cross-checks of the exact count; the rectangle's product is a
+resultant, evaluated by the determinant's own elimination.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NumericInstabilityError, ResourceLimitError
+from .errors import ResourceLimitError
 from .surface import Region, _pieces, is_black
 
 # live profiles the DP may hold; refusing 40x40 with a hole at this
 # cap peaks near 200 MB
 MAX_PROFILE_STATES = 1 << 20
-# estimated work the determinant may take (_determinant_work): square:40
+# estimated work an elimination may take (_determinant_work): square:40
 # is estimated at 1.8e7 and answers in about 1.5 s, square:200 at 2.7e11
 MAX_DETERMINANT_WORK = 1 << 25
 # time of one unit of the DP's estimate in units of the determinant's:
@@ -165,13 +166,9 @@ def _count_by_determinant(w: int, order: list[int]) -> int:
     matrix (Kasteleyn 1961, Temperley and Fisher 1961).
 
     A row of K has at most four unit entries, so |det K| <= 2^N by
-    Hadamard's bound, N being the rows.  One residue r modulo a prime p
-    above 2^(N+1) therefore fixes it: the count is r or p - r, whichever
-    is smaller.
+    Hadamard's bound, N being the rows.
     """
-    p = _modulus(len(order) // 2)
-    r = _kasteleyn_residue(w, order, p)
-    return min(r, p - r)
+    return _absolute_determinant(_kasteleyn_rows(w, order), len(order) // 2)
 
 
 def _modulus(n: int) -> int:
@@ -189,9 +186,9 @@ def _determinant_work(n: int, band: int, bits: int) -> int:
     return n * band * band * (bits // 64 + 1)
 
 
-def _kasteleyn_residue(w: int, order: list[int], p: int) -> int:
-    """det K modulo p, up to sign, for a ``_sweep`` of a component with
-    as many black cells as white ones.
+def _kasteleyn_rows(w: int, order: list[int]) -> list[dict[int, int]]:
+    """The Kasteleyn matrix K of a ``_sweep`` of a component with as
+    many black cells as white ones, as rows of {column: entry}.
 
     In the sweep frame, K has a row per cell of even ``row + col`` and a
     column per odd cell, both in sweep order, and one entry per dual
@@ -201,44 +198,54 @@ def _kasteleyn_residue(w: int, order: list[int], p: int) -> int:
     running right along its lower edge, which crosses the face holding
     that cell an odd number of times and any other face an even number.
     So a 2x2 face carries -1 and a hole face holding m missing cells
-    (-1)^m more, as Kasteleyn's theorem asks of a face that long.  Each
-    column pivots, in sweep order, on the first row in sweep order that
-    holds it, so fill stays within the ``_band``.
+    (-1)^m more, as Kasteleyn's theorem asks of a face that long.  Rows
+    and columns both run in sweep order, so pivoting each column on the
+    first row that holds it keeps fill within the ``_band``.
     """
     first: dict[int, int] = {}  # row -> index in order of its first cell
-    sign = {q: p - 1 if (i - first.setdefault(q // w, i)) % 2 else 1
+    sign = {q: -1 if (i - first.setdefault(q // w, i)) % 2 else 1
             for i, q in enumerate(order)}
-    black = [q for q in order if (q // w + q % w) % 2 == 0]
-    white = [q for q in order if (q // w + q % w) % 2]
-    column = {q: j for j, q in enumerate(white)}
-    rows: list[dict[int, int]] = []
-    holders: list[set[int]] = [set() for _ in white]  # rows per column
-    for i, q in enumerate(black):
-        x = q % w
-        edges = [(q - w, sign[q]), (q + w, sign.get(q + w))]
-        if x:
-            edges.append((q - 1, 1))
-        if x + 1 < w:
-            edges.append((q + 1, 1))
-        row = {}
-        for neighbour, entry in edges:
-            j = column.get(neighbour)
-            if j is not None:
-                row[j] = entry
-                holders[j].add(i)
-        rows.append(row)
+    column = {q: j for j, q in enumerate(
+        q for q in order if (q // w + q % w) % 2)}
+    rows = []
+    for q in order:
+        if q not in column:
+            x = q % w
+            edges = [(q - w, sign[q]), (q + w, sign.get(q + w))]
+            if x:
+                edges.append((q - 1, 1))
+            if x + 1 < w:
+                edges.append((q + 1, 1))
+            rows.append({column[c]: e for c, e in edges if c in column})
+    return rows
+
+
+def _absolute_determinant(rows: list[dict[int, int]], n: int) -> int:
+    """|det| of a square matrix of rows {column: entry} known to be at
+    most 2^n.
+
+    One residue r modulo a prime p above 2^(n+1) fixes it: it is r or
+    p - r, whichever is smaller.  Each column pivots, in order, on the
+    first row that holds it, so a banded matrix fills only its band.
+    """
+    p = _modulus(n)
+    rows = [{k: v for k, e in row.items() if (v := e % p)} for row in rows]
+    holders: list[set[int]] = [set() for _ in rows]  # rows per column
+    for i, row in enumerate(rows):
+        for k in row:
+            holders[k].add(i)
     det = 1
-    for j in range(len(white)):
-        if not holders[j]:
+    for j, holding in enumerate(holders):
+        if not holding:
             return 0
-        i = min(holders[j])
+        i = min(holding)
         pivot = rows[i]
         for k in pivot:
             holders[k].discard(i)
         lead = pivot.pop(j)
         det = det * lead % p
         inverse = pow(lead, -1, p)
-        for r in holders[j]:
+        for r in holding:
             row = rows[r]
             factor = row.pop(j) * inverse % p
             for k, entry in pivot.items():
@@ -249,36 +256,41 @@ def _kasteleyn_residue(w: int, order: list[int], p: int) -> int:
                 elif k in row:
                     del row[k]
                     holders[k].discard(r)
-    return det
+    return min(det, p - det)
 
 
 def count_rectangle_closed_form(m: int, n: int) -> int:
-    """Tiling count of an m-by-n rectangle by the classic trigonometric
-    product, rounded to the nearest integer.
+    """Tiling count of an m-by-n rectangle by the classic product over
+    j = 1..ceil(m/2) and k = 1..ceil(n/2) of
+    4 cos^2(pi j / (m+1)) + 4 cos^2(pi k / (n+1)), evaluated exactly.
 
-    The product runs over j = 1..ceil(m/2) and k = 1..ceil(n/2) of
-    4 (cos^2(pi j / (m+1)) + cos^2(pi k / (n+1))).
+    With V_0 = 1, V_1 = s and V_{k+1} = s V_k - V_{k-1}, the even part of
+    s^(m % 2) V_m(s), read in x = s^2, is a monic integer polynomial P_m
+    whose roots are the terms 4 cos^2(pi j / (m+1)).  So the product is
+    |Res(P_m(x), P_n(-x))|, the determinant of their Sylvester matrix,
+    at most 2^(mn/2) by Hadamard's bound on the board's Kasteleyn
+    matrix.  An estimate over ``MAX_DETERMINANT_WORK`` raises
+    ``ResourceLimitError`` before any polynomial is built.
     """
     if m < 1 or n < 1:
         raise ValueError(f"rectangle dimensions must be positive, got {m}x{n}")
-    product = 1.0
-    for j in range(1, (m + 1) // 2 + 1):
-        cj = math.cos(math.pi * j / (m + 1)) ** 2
-        for k in range(1, (n + 1) // 2 + 1):
-            ck = math.cos(math.pi * k / (n + 1)) ** 2
-            product *= 4.0 * (cj + ck)
-    # past 2**53 the float grid is coarser than 1, so a clean rounding
-    # residue certifies nothing
-    if not math.isfinite(product) or abs(product) >= 2.0 ** 53:
-        size = (f"about {product:.3g}" if math.isfinite(product)
-                else "past the float range")
-        raise NumericInstabilityError(
-            f"closed-form product for {m}x{n} is {size}, cap is 2^53")
-    nearest = round(product)
-    if abs(product - nearest) > 1e-6 * max(1.0, abs(product)):
-        raise NumericInstabilityError(
-            f"product {product!r} for {m}x{n} does not round cleanly")
-    return int(nearest)
+    if m == 1 or n == 1 or m * n % 2:
+        return 1 - m * n % 2
+    size = (m + 1) // 2 + (n + 1) // 2
+    work = _determinant_work(size, size, _modulus(m * n // 2).bit_length())
+    if work > MAX_DETERMINANT_WORK:
+        raise ResourceLimitError(
+            f"closed form for {m}x{n} needs an estimated {work} "
+            f"work units, cap is {MAX_DETERMINANT_WORK}")
+    rows = []  # Sylvester rows: P_m shifted ceil(n/2) times, then P_n(-x)
+    for side, other, sign in ((m, n, 1), (n, m, -1)):
+        low, high = [1], [0, 1]  # V_0, V_1
+        for _ in range(side - 1):
+            low, high = high, [a - b for a, b in zip([0, *high], [*low, 0, 0])]
+        poly = ([0] * (side % 2) + high)[::2]  # constant first
+        rows += [{i + d: c * sign ** d for d, c in enumerate(poly)}
+                 for i in range((other + 1) // 2)]
+    return _absolute_determinant(rows, m * n // 2)
 
 
 def count_aztec_closed_form(n: int) -> int:

@@ -25,9 +25,5 @@ class InvalidHeightError(DominoError):
     """A height labeling violates the edge rules."""
 
 
-class NumericInstabilityError(DominoError):
-    """A floating-point closed form failed to round cleanly to an integer."""
-
-
 class ResourceLimitError(DominoError):
     """A computation exceeded its configured size budget."""

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import resource
@@ -167,6 +168,34 @@ def touching_discs(draw, max_side):
     return first, second, first + second
 
 
+# two S tetrominoes, one tiling each, touching at two corners round the
+# cell (1, 1), which they enclose
+S_PAIR = [(0, 0), (1, 0), (0, 1), (-1, 1), (2, 2), (1, 2), (2, 1), (3, 1)]
+
+
+@st.composite
+def holed_unions(draw, max_side):
+    """``S_PAIR`` with a ``tileable_discs`` attached away from its hole on
+    the right, and maybe another on the left, each touching it along a
+    side, at a corner or not at all; then reflected, turned and moved
+    anywhere on the grid.  Every draw is pieces that touch at corners
+    round an enclosed hole, and has a tiling."""
+    cells = list(S_PAIR)
+    for side in (1, -1):
+        if side == 1 or draw(st.booleans()):
+            disc = draw(tileable_discs(max_side))
+            # the disc's nearest column sits one past the pair's
+            xs = [x for x, _ in disc]
+            dx = 4 - min(xs) if side == 1 else -2 - max(xs)
+            dy = draw(st.integers(-max_side - 1, 3)) - min(y for _, y in disc)
+            cells += [(x + dx, y + dy) for x, y in disc]
+    sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+    turn = draw(st.booleans())
+    ox, oy = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+    return [((y if turn else x) * sx + ox, (x if turn else y) * sy + oy)
+            for x, y in cells]
+
+
 def _flood(seed, cells):
     """The cells reachable from seed by unit steps inside cells."""
     seen, queue = {seed}, [seed]
@@ -176,6 +205,18 @@ def _flood(seed, cells):
                 seen.add(c)
                 queue.append(c)
     return seen
+
+
+def bench_oracle():
+    """``perfbench/oracle.py``, loaded by path and only read: answers the
+    benchmark computes without importing the package."""
+    name = "perfbench_oracle"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def run_capped(*args, timeout=120):

@@ -18,7 +18,7 @@ from dominoflip import (DominoError, apply_flip, build_flip_graph,
                         tiling_from_json, tiling_to_json)
 from dominoflip.cli import main
 
-from conftest import PACKAGE_ROOT, run_capped
+from conftest import PACKAGE_ROOT, bench_oracle, run_capped
 
 
 def run(capsys, *args):
@@ -90,18 +90,39 @@ class TestCount:
             1, "0\n1\n", "error: methods disagree: {'count': 0, "
             "'closed_form': 1}\n")
 
-    @pytest.mark.parametrize("shape,size", [
-        ("rect:12x12", "about 5.31e+16"),
-        ("rect:2x30000", "past the float range"),
-    ], ids=["12x12", "2x30000"])
-    def test_closed_form_past_float_precision_exits_4(self, capsys, shape,
-                                                      size):
-        # a product past 2^53 is over a cap, not a disagreement of methods
-        code, out, err = run(capsys, "count", "--shape", shape,
-                             "--closed-form")
-        assert (code, out) == (4, "")
-        assert err == (f"error: closed-form product for {shape[5:]} is "
-                       f"{size}, cap is 2^53\n")
+    @pytest.mark.parametrize("shape,count,code", [
+        ("rect:12x11", 1666961188795475, 0),
+        ("rect:12x12", 53060477521960000, 0),
+        ("rect:19x17", 0, 2),
+    ], ids=["12x11", "12x12", "19x17"])
+    def test_closed_form_exact_past_float_precision(self, capsys, shape,
+                                                    count, code):
+        # a float product disagrees on 12x11, is past 2^53 on 12x12, and
+        # gives the untileable 19x17 a count
+        warning = "warning: region is untileable\n" if code else ""
+        assert run(capsys, "count", "--shape", shape, "--closed-form") == (
+            code, f"{count}\n{count}\n", warning)
+
+    @pytest.mark.parametrize("shape,work", [
+        ("rect:2x3000", 172469479551),
+        ("rect:2x30000", 2349469831320696),
+    ], ids=["2x3000", "2x30000"])
+    def test_closed_form_over_its_estimate_exits_4(self, capsys, shape, work):
+        assert run(capsys, "count", "--shape", shape, "--closed-form") == (
+            4, "", f"error: closed form for {shape[5:]} needs an estimated "
+            f"{work} work units, cap is 33554432\n")
+
+    @pytest.mark.parametrize("shape", [
+        "rect:8x8", "rect:10x10", "rect:16x4", "rect:12x7", "aztec:3",
+        "aztec:6", "aztec:8", "aztec:9", "aztec:10"])
+    def test_bench_closed_forms_print_both(self, capsys, shape):
+        # the benchmark's closed-form count jobs, against its own oracle
+        oracle = bench_oracle()
+        kind, size = shape.split(":")
+        count = (oracle.rect_count(*map(int, size.split("x")))
+                 if kind == "rect" else oracle.aztec_count(int(size)))
+        assert run(capsys, "count", "--shape", shape, "--closed-form") == (
+            0, f"{count}\n{count}\n", "")
 
     def test_untileable_prints_zero_and_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "count", "--shape",

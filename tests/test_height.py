@@ -19,9 +19,9 @@ from dominoflip import (DominoError, InvalidHeightError, Region,
 from dominoflip.height import extremal_heights, label_distance
 from dominoflip.tiling import is_tileable
 
-from conftest import (FIXTURES, boundary_set, cell_corners, interior_set,
-                      load_tiling, punched_boxes, tileable_discs,
-                      touching_discs, two_discs, vertex_set)
+from conftest import (FIXTURES, boundary_set, cell_corners, holed_unions,
+                      interior_set, load_tiling, punched_boxes,
+                      tileable_discs, touching_discs, two_discs, vertex_set)
 
 # an L-shaped 16-cell region with a reference tiling and the height
 # labels it must produce (base vertex (0, 0))
@@ -560,11 +560,15 @@ def in_pieces(discs):
     region = Region(discs[2])
     if region.bases is not None:
         return region
+    assert_heights_refuse(region)
+    return None
+
+
+def assert_heights_refuse(region):
     with pytest.raises(UnsupportedRegionError, match="with no hole"):
         height_function(region, first_tiling(region))
     with pytest.raises(UnsupportedRegionError, match="with no hole"):
         extremal_heights(region)
-    return None
 
 
 class TestRegionsInPieces:
@@ -584,6 +588,21 @@ class TestRegionsInPieces:
             for j, t2 in enumerate(graph.nodes):
                 assert (distance_height(region, t1, t2)
                         == distance_cycles(region, t1, t2) == dist[j])
+
+    @given(holed_unions(4))
+    def test_holed_unions_refused_and_cycles_match_the_search(self, cells):
+        # pieces touching at corners round a hole: the height routes
+        # refuse, and the cycles route still answers every pair, an
+        # unreachable one with None as the search does
+        region = Region(cells)
+        assert region.bases is None
+        assert_heights_refuse(region)
+        graph = build_flip_graph(region)
+        assume(len(graph) <= 40)  # at most 1,600 pairs
+        for i, t1 in enumerate(graph.nodes):
+            dist = bfs_distances(graph, i)
+            for j, t2 in enumerate(graph.nodes):
+                assert distance_cycles(region, t1, t2) == dist[j]
 
     @given(st.one_of(touching_discs(4), two_discs(4)), st.data())
     def test_lattice_extremes_and_geodesics(self, discs, data):

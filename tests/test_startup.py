@@ -22,11 +22,12 @@ from conftest import FIXTURES, PACKAGE_ROOT
 # `dominoflip.__all__` when the package imported every module up front,
 # plus `diameter_lattice`, `distance_bfs` and the `counting` module,
 # added since, less `RingDecomposition`, `is_saturnian` and
-# `ring_decomposition`, removed with the ring-cycle certificate
+# `ring_decomposition`, removed with the ring-cycle certificate, and
+# `NumericInstabilityError`, removed with the float closed form
 PUBLIC_NAMES = [
     "Cell", "CycleCollection", "DEFAULT_NODE_BUDGET", "DiameterReport",
     "Domino", "DominoError", "FillingShape", "FlipGraph",
-    "InvalidHeightError", "InvalidMoveError", "NumericInstabilityError",
+    "InvalidHeightError", "InvalidMoveError",
     "OrientedCycle", "Region", "ResourceLimitError", "Tiling",
     "UnsupportedRegionError", "UntileableError", "ValueMap",
     "Vertex", "apply_flip", "available_flips", "base_vertex", "bfs_distance",

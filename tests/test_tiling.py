@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 from collections import defaultdict
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dominoflip.counting
-from dominoflip import (InvalidMoveError, NumericInstabilityError, Region,
-                        ResourceLimitError, apply_flip, available_flips,
+from dominoflip import (InvalidMoveError, Region, ResourceLimitError,
+                        apply_flip, available_flips,
                         count_aztec_closed_form, count_rectangle_closed_form,
                         count_tilings, domino, enumerate_tilings, first_tiling,
                         is_black, is_valid_tiling, iter_tilings, make_aztec,
@@ -20,8 +21,8 @@ from dominoflip.counting import (MAX_DETERMINANT_WORK, _band,
 from dominoflip.surface import _pieces
 from dominoflip.tiling import _backtrack_masks, _perfect_matching, is_tileable
 
-from conftest import (TILEABLE_CORNER_PINCHES, load_tiling, punched_boxes,
-                      region_grid, tileable_discs, two_discs)
+from conftest import (TILEABLE_CORNER_PINCHES, bench_oracle, load_tiling,
+                      punched_boxes, region_grid, tileable_discs, two_discs)
 
 cells_strategy = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
@@ -284,6 +285,18 @@ class TestEnumeration:
         assert peaks[1] < 16 * peaks[0]
 
 
+# the boards, n <= m <= 40, where a float product rounds to a wrong integer
+# without failing a rounding test: 13 tileable ones off by 1 to 50, and 16
+# odd-by-odd ones, with no tiling, given a nonzero count
+FLOAT_MISSES = [
+    (12, 11), (13, 10), (16, 8), (17, 8), (18, 7), (20, 7), (21, 6), (22, 6),
+    (23, 6), (28, 5), (33, 4), (34, 4), (35, 4),
+    (19, 17), (19, 19), (21, 15), (21, 17), (23, 13), (23, 15), (25, 13),
+    (25, 15), (27, 13), (29, 11), (31, 11), (33, 11), (35, 9), (35, 11),
+    (37, 9), (39, 9),
+]
+
+
 class TestCounting:
     @pytest.mark.parametrize("region,count", [
         (make_aztec(3), 64),
@@ -308,10 +321,24 @@ class TestCounting:
         assert count_tilings(make_rectangle(8, 8)) == 12988816
 
     def test_closed_form_rectangles(self):
-        for n in range(1, 9):
-            for m in range(n, 9):
+        for m in range(1, 25):
+            for n in range(1, 25):
                 exact = count_tilings(make_rectangle(m, n))
                 assert count_rectangle_closed_form(m, n) == exact, (m, n)
+
+    def test_closed_form_on_strips_matches_the_profile_dp(self):
+        # the DP shares no elimination with the closed form
+        for m in (2, 3, 4):
+            for n in range(1, 121):
+                sweep = _sweep(make_rectangle(m, n).cells)
+                assert (count_rectangle_closed_form(m, n)
+                        == _count_by_profile(*sweep)), (m, n)
+
+    def test_closed_form_matches_the_decimal_product(self):
+        oracle = bench_oracle()
+        for m, n in FLOAT_MISSES:
+            assert count_rectangle_closed_form(m, n) == oracle.rect_count(m, n)
+            assert count_rectangle_closed_form(n, m) == oracle.rect_count(m, n)
 
     def test_closed_form_orientation_symmetric(self):
         assert count_rectangle_closed_form(5, 4) == count_rectangle_closed_form(4, 5)
@@ -331,12 +358,26 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_aztec_closed_form(0)
 
-    def test_closed_form_refuses_past_float_precision(self):
-        # 12x12 already has ~5.3e16 tilings, beyond exact float integers
-        with pytest.raises(NumericInstabilityError):
-            count_rectangle_closed_form(12, 12)
-        with pytest.raises(NumericInstabilityError):
-            count_rectangle_closed_form(64, 64)  # product overflows
+    def test_closed_form_exact_past_float_precision(self):
+        # 12x12 has about 5.3e16 tilings, past the exact float integers,
+        # and 64x64's 511-digit count is past the float range; its digest
+        # is that of the decimal product of perfbench/oracle.py
+        assert count_rectangle_closed_form(12, 12) == 53060477521960000
+        digits = str(count_rectangle_closed_form(64, 64)).encode()
+        assert hashlib.sha256(digits).hexdigest() == (
+            "317fcdfb04409a93f098a851c35d335cbd882f976297119ad6d3506987eadf89")
+
+    def test_closed_form_refuses_over_its_estimate(self):
+        with pytest.raises(ResourceLimitError) as info:
+            count_rectangle_closed_form(84, 84)
+        assert str(info.value) == ("closed form for 84x84 needs an estimated "
+                                   "39711168 work units, cap is 33554432")
+        # the estimate comes before any polynomial is built, and a single
+        # row or an odd cell count answers before the estimate
+        with pytest.raises(ResourceLimitError, match="172469479551"):
+            count_rectangle_closed_form(2, 3000)
+        assert count_rectangle_closed_form(1, 10 ** 9) == 1
+        assert count_rectangle_closed_form(10 ** 9 + 1, 3) == 0
 
 
 # a one-cell-wide staircase of 300 steps: a single tiling in a 301x300 box
